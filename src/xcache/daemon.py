@@ -20,6 +20,7 @@ from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 from .addressing import CONTENT_TYPES, DagAddress, Xid, XidType, make_fallback_dag
 from .chunking import (
@@ -361,9 +362,7 @@ class Xcached:
         )
         self.policy: CachePolicy = policy_from_name(self.config.cache_policy)
         self.counters: Counter = Counter()
-        self.audit_hook = None  # fn(chunk, origin, VerifyResult); set by tests
         self.published: dict[Xid, DagAddress] = {}
-        self.dequeue_log: list[int] = []
 
         self._lock = threading.RLock()
         self._handles: set[XcacheHandle] = set()
@@ -611,7 +610,6 @@ class Xcached:
             request = self._queue.get()
             if request is None:
                 return
-            self.dequeue_log.append(request.seq)
             if request.finished() and not request.followers:
                 with self._lock:
                     if self._inflight.get(request.args.get("intent")) is request:
@@ -685,17 +683,15 @@ class Xcached:
             return verify_cid(chunk)
         if chunk.id != intent:
             return reject(REASON_NCID)
+        return verify_ncid_via(chunk, partial(self._fetch_key, chunk.key_ref))
 
-        def fetch_key(key_cid: Xid) -> Chunk | None:
-            self.counters["key_fetches"] += 1
-            local = self.manager.get(key_cid)
-            if local is not None:
-                return local
-            return self._fetch_key_remote(chunk.key_ref, key_cid)
-
-        return verify_ncid_via(chunk, fetch_key)
-
-    def _fetch_key_remote(self, key_ref: DagAddress, key_cid: Xid) -> Chunk | None:
+    def _fetch_key(self, key_ref: DagAddress, key_cid: Xid) -> Chunk | None:
+        """The key chunk a named chunk's verification needs: the local
+        copy, or else one fetched from ``key_ref``, verified and admitted."""
+        self.counters["key_fetches"] += 1
+        local = self.manager.get(key_cid)
+        if local is not None:
+            return local
         raw, _, _ = self._transfer(key_ref)
         try:
             key_chunk = decode_chunk(raw, max_payload=self.config.max_payload)
@@ -711,8 +707,6 @@ class Xcached:
     def _admit(self, chunk: Chunk, origin: str, result: VerifyResult) -> bool:
         """Single chokepoint through which verified chunks enter the
         store; installs routes/bindings and fans out notifications."""
-        if self.audit_hook is not None:
-            self.audit_hook(chunk, origin, result)
         try:
             _, evicted = self.manager.store(chunk)
         except StoreError as exc:
@@ -825,14 +819,7 @@ class Xcached:
         self._enqueue(Request("ingest", None, chunk=chunk, provider=buf.provider_dag))
 
     def _ingest_with_key_fetch(self, chunk: Chunk, provider_dag: DagAddress) -> None:
-        def fetch_key(key_cid: Xid) -> Chunk | None:
-            self.counters["key_fetches"] += 1
-            local = self.manager.get(key_cid)
-            if local is not None:
-                return local
-            return self._fetch_key_remote(chunk.key_ref, key_cid)
-
-        result = verify_ncid_via(chunk, fetch_key)
+        result = verify_ncid_via(chunk, partial(self._fetch_key, chunk.key_ref))
         if result.accepted:
             with self._lock:
                 self._admit(chunk, origin="opportunistic", result=result)

@@ -1,23 +1,23 @@
 """Content stores, placement and eviction.
 
-A storage manager places verified chunks across pluggable stores
-(memory first, then disk by default), tracks per-entry bookkeeping
-(placement, last access, expiry deadline) and runs an eviction policy
-per store.  Time is injected so expiry tests are deterministic; the
-wall clock is the production default.
+A storage manager places verified chunks in memory first and then on
+disk, tracks per-entry bookkeeping (placement, expiry deadline, LRU
+key) and evicts the least recently used entry of a full store.  Time is
+injected so expiry tests are deterministic; the wall clock is the
+production default.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import struct
 import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .addressing import Xid
 from .chunking import Chunk, ChunkError, decode_chunk, encode_chunk
@@ -55,7 +55,8 @@ class WallClock:
 
 @dataclass
 class CacheEntry:
-    """A stored chunk plus its placement/eviction bookkeeping."""
+    """A stored chunk with the stamps written alongside it: placement,
+    insertion sequence number, access stamp and expiry deadline."""
 
     chunk: Chunk
     store_id: str
@@ -68,16 +69,16 @@ class CacheEntry:
 
 
 class ContentStore(ABC):
-    """A chunk container; capacity is counted in chunks, with an optional
-    byte budget on top."""
+    """A chunk container holding at most ``capacity`` chunks."""
 
-    def __init__(self, store_id: str, capacity: int, capacity_bytes: int | None = None):
-        self.store_id = store_id
+    store_id: str
+
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.capacity_bytes = capacity_bytes
 
     @abstractmethod
-    def store(self, entry: CacheEntry) -> None: ...
+    def store(self, entry: CacheEntry) -> None:
+        """Write the entry, replacing any earlier one for the same id."""
 
     @abstractmethod
     def get(self, xid: Xid) -> Chunk | None: ...
@@ -86,38 +87,20 @@ class ContentStore(ABC):
     def remove(self, xid: Xid) -> bool: ...
 
     @abstractmethod
-    def ids(self) -> Iterable[Xid]: ...
-
-    @abstractmethod
     def __len__(self) -> int: ...
-
-    @abstractmethod
-    def used_bytes(self) -> int: ...
 
     def has_slot(self) -> bool:
         return len(self) < self.capacity
-
-    def fits_alone(self, chunk: Chunk) -> bool:
-        if self.capacity < 1:
-            return False
-        if self.capacity_bytes is not None and len(chunk.payload) > self.capacity_bytes:
-            return False
-        return True
-
-    def fits_now(self, chunk: Chunk) -> bool:
-        if not self.has_slot():
-            return False
-        if self.capacity_bytes is not None:
-            return self.used_bytes() + len(chunk.payload) <= self.capacity_bytes
-        return True
 
     def close(self) -> None:
         pass
 
 
 class MemoryStore(ContentStore):
-    def __init__(self, capacity: int, capacity_bytes: int | None = None, store_id: str = "mem"):
-        super().__init__(store_id, capacity, capacity_bytes)
+    store_id = "mem"
+
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
         self._chunks: dict[Xid, Chunk] = {}
 
     def store(self, entry: CacheEntry) -> None:
@@ -129,14 +112,8 @@ class MemoryStore(ContentStore):
     def remove(self, xid: Xid) -> bool:
         return self._chunks.pop(xid, None) is not None
 
-    def ids(self) -> Iterable[Xid]:
-        return list(self._chunks)
-
     def __len__(self) -> int:
         return len(self._chunks)
-
-    def used_bytes(self) -> int:
-        return sum(len(c.payload) for c in self._chunks.values())
 
 
 class DiskStore(ContentStore):
@@ -147,32 +124,29 @@ class DiskStore(ContentStore):
     written on close purely for inspection.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        capacity: int,
-        capacity_bytes: int | None = None,
-        store_id: str = "disk",
-    ):
-        super().__init__(store_id, capacity, capacity_bytes)
+    store_id = "disk"
+
+    def __init__(self, directory: str | Path, capacity: int):
+        super().__init__(capacity)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._files: dict[Xid, Path] = {}
-        self._sizes: dict[Xid, int] = {}
-        self._bytes = 0
 
     def _path_for(self, xid: Xid) -> Path:
         return self.directory / f"{xid.xtype.scheme}-{xid.value.hex()}.chunk"
 
     def store(self, entry: CacheEntry) -> None:
+        """Write to a temporary file, then rename it over the chunk's file,
+        so a reader or a reopen never sees a half-written chunk.  The
+        temporary name does not match the ``*.chunk`` scan pattern."""
         blob = _META.pack(
             _META_MAGIC, entry.inserted_at, entry.last_access, entry.expires_at
         ) + encode_chunk(entry.chunk)
         path = self._path_for(entry.chunk.id)
-        path.write_bytes(blob)
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
         self._files[entry.chunk.id] = path
-        self._sizes[entry.chunk.id] = len(entry.chunk.payload)
-        self._bytes += len(entry.chunk.payload)
 
     def get(self, xid: Xid) -> Chunk | None:
         path = self._files.get(xid)
@@ -193,21 +167,14 @@ class DiskStore(ContentStore):
         path = self._files.pop(xid, None)
         if path is None:
             return False
-        self._bytes -= self._sizes.pop(xid, 0)
         try:
             path.unlink()
         except OSError:
             pass
         return True
 
-    def ids(self) -> Iterable[Xid]:
-        return list(self._files)
-
     def __len__(self) -> int:
         return len(self._files)
-
-    def used_bytes(self) -> int:
-        return self._bytes
 
     def load_entries(self, now_ms: int) -> list[CacheEntry]:
         """Scan the directory, drop expired or corrupt files, and return
@@ -227,8 +194,6 @@ class DiskStore(ContentStore):
                 path.unlink(missing_ok=True)
                 continue
             self._files[chunk.id] = path
-            self._sizes[chunk.id] = len(chunk.payload)
-            self._bytes += len(chunk.payload)
             entries.append(
                 CacheEntry(chunk, self.store_id, inserted, last_access, expires)
             )
@@ -245,64 +210,12 @@ class DiskStore(ContentStore):
             log.warning("disk store %s: could not write index: %s", self.store_id, exc)
 
 
-class EvictionPolicy(ABC):
-    """Per-store victim selection, driven by store/get/remove hooks."""
-
-    @abstractmethod
-    def on_store(self, xid: Xid, now_ms: int) -> None: ...
-
-    @abstractmethod
-    def on_get(self, xid: Xid, now_ms: int) -> None: ...
-
-    @abstractmethod
-    def on_remove(self, xid: Xid) -> None: ...
-
-    @abstractmethod
-    def evict(self) -> Xid | None:
-        """Return the current victim, or None if the store is empty."""
-
-
-class LruPolicy(EvictionPolicy):
-    """Least recently used by access stamp; stamp ties break by
-    insertion order, oldest first."""
-
-    def __init__(self) -> None:
-        self._stamp: dict[Xid, tuple[int, int]] = {}
-        self._seq = 0
-
-    def on_store(self, xid: Xid, now_ms: int) -> None:
-        self._seq += 1
-        self._stamp[xid] = (now_ms, self._seq)
-
-    def on_get(self, xid: Xid, now_ms: int) -> None:
-        if xid in self._stamp:
-            self._stamp[xid] = (now_ms, self._stamp[xid][1])
-
-    def on_remove(self, xid: Xid) -> None:
-        self._stamp.pop(xid, None)
-
-    def evict(self) -> Xid | None:
-        if not self._stamp:
-            return None
-        return min(self._stamp, key=lambda xid: self._stamp[xid])
-
-
-def place_memory_then_disk(stores: list[ContentStore], chunk: Chunk) -> ContentStore:
-    """Shipped default placement: fill the first store, spill to the
-    next; when everything is full, the last store takes the eviction."""
-    candidates = [s for s in stores if s.fits_alone(chunk)]
-    if not candidates:
-        raise StoreError("chunk does not fit in any store")
-    for store in candidates:
-        if store.fits_now(chunk):
-            return store
-    return candidates[-1]
-
-
 class StorageManager:
-    """Coordinates stores, placement, access bookkeeping, expiry and
-    eviction.  All operations are serialized, so concurrent callers see
-    chunk-granular linearizable behavior."""
+    """Places verified chunks in memory first, then on disk, and evicts
+    the least recently used entry of a full store; access-stamp ties
+    break by insertion order, oldest first.  All operations are
+    serialized, so concurrent callers see chunk-granular linearizable
+    behavior."""
 
     def __init__(
         self,
@@ -310,33 +223,32 @@ class StorageManager:
         disk_capacity: int = 0,
         disk_dir: str | Path | None = None,
         clock=None,
-        policy_factory=LruPolicy,
-        placement=place_memory_then_disk,
-        mem_capacity_bytes: int | None = None,
-        disk_capacity_bytes: int | None = None,
     ):
         self.clock = clock if clock is not None else WallClock()
-        self._placement = placement
         self._lock = threading.RLock()
         self._insert_seq = 0
 
-        self.stores: list[ContentStore] = [MemoryStore(mem_capacity, mem_capacity_bytes)]
+        self.stores: list[ContentStore] = [MemoryStore(mem_capacity)]
         if disk_capacity > 0 and disk_dir is not None:
-            self.stores.append(DiskStore(disk_dir, disk_capacity, disk_capacity_bytes))
+            self.stores.append(DiskStore(disk_dir, disk_capacity))
         self._by_id = {s.store_id: s for s in self.stores}
-        self._policies: dict[str, EvictionPolicy] = {
-            s.store_id: policy_factory() for s in self.stores
-        }
+        # Each entry as last written to its store; its access stamp is not
+        # refreshed by reads.
         self._entries: dict[Xid, CacheEntry] = {}
+        # Per store, each entry's LRU key (last access, insertion seq): the
+        # only record of recency.  The victim is the minimum key.
+        self._lru: dict[str, dict[Xid, tuple[int, int]]] = {
+            s.store_id: {} for s in self.stores
+        }
 
         for store in self.stores:
             if isinstance(store, DiskStore):
                 for entry in store.load_entries(self.clock.now_ms()):
                     self._entries[entry.chunk.id] = entry
-                    self._policies[store.store_id].on_store(
-                        entry.chunk.id, entry.last_access
+                    self._lru[store.store_id][entry.chunk.id] = (
+                        entry.last_access, entry.inserted_at
                     )
-                    self._insert_seq += 1
+                    self._insert_seq = max(self._insert_seq, entry.inserted_at + 1)
 
     def store(self, chunk: Chunk) -> tuple[str, list[Xid]]:
         """Place a verified chunk; returns (store id, evicted ids).
@@ -350,49 +262,35 @@ class StorageManager:
             now = self.clock.now_ms()
             existing = self._entries.get(chunk.id)
             if existing is not None and not existing.expired(now) and existing.chunk == chunk:
-                # identical republish: refresh the deadline, keep placement
-                existing.last_access = now
-                existing.expires_at = now + chunk.ttl_ms
-                self._policies[existing.store_id].on_get(chunk.id, now)
-                return existing.store_id, []
+                # identical republish: refresh the stamps, keep placement
+                store = self._by_id[existing.store_id]
+                self._write(store, chunk, existing.inserted_at, now)
+                return store.store_id, []
             if existing is not None:
                 # same id, different content (named republish): replace
-                self._drop(existing)
+                self._drop(chunk.id)
 
-            target = self._placement(self.stores, chunk)
+            target = self._place()
             evicted: list[Xid] = []
-            while not target.fits_now(chunk):
-                victim = self._policies[target.store_id].evict()
-                if victim is None:
-                    raise StoreError(f"store {target.store_id} full and nothing evictable")
-                self._drop(self._entries[victim])
-                evicted.append(victim)
-
-            entry = CacheEntry(
-                chunk=chunk,
-                store_id=target.store_id,
-                inserted_at=self._insert_seq,
-                last_access=now,
-                expires_at=now + chunk.ttl_ms,
-            )
+            while not target.has_slot():
+                evicted.append(self.evict_one(target.store_id))
+            self._write(target, chunk, self._insert_seq, now)
             self._insert_seq += 1
-            target.store(entry)
-            self._policies[target.store_id].on_store(chunk.id, now)
-            self._entries[chunk.id] = entry
             return target.store_id, evicted
 
     def get(self, xid: Xid) -> Chunk | None:
         """Unexpired lookup; records an access."""
         with self._lock:
+            now = self.clock.now_ms()
             entry = self._entries.get(xid)
-            if entry is None or entry.expired(self.clock.now_ms()):
+            if entry is None or entry.expired(now):
                 return None
             chunk = self._by_id[entry.store_id].get(xid)
             if chunk is None:
-                self._drop(entry)
+                self._drop(xid)
                 return None
-            entry.last_access = self.clock.now_ms()
-            self._policies[entry.store_id].on_get(xid, entry.last_access)
+            lru = self._lru[entry.store_id]
+            lru[xid] = (now, lru[xid][1])
             return chunk
 
     def contains(self, xid: Xid) -> bool:
@@ -400,25 +298,22 @@ class StorageManager:
             entry = self._entries.get(xid)
             return entry is not None and not entry.expired(self.clock.now_ms())
 
-    def entry(self, xid: Xid) -> CacheEntry | None:
-        """Bookkeeping peek; does not count as an access."""
-        with self._lock:
-            return self._entries.get(xid)
-
     def remove(self, xid: Xid) -> bool:
         with self._lock:
-            entry = self._entries.get(xid)
-            if entry is None:
+            if xid not in self._entries:
                 return False
-            self._drop(entry)
+            self._drop(xid)
             return True
 
     def evict_one(self, store_id: str) -> Xid | None:
-        """Force the store's eviction policy to pick and drop a victim."""
+        """Drop the store's least recently used entry; returns its id, or
+        None if the store is empty."""
         with self._lock:
-            victim = self._policies[store_id].evict()
-            if victim is not None:
-                self._drop(self._entries[victim])
+            lru = self._lru[store_id]
+            if not lru:
+                return None
+            victim = min(lru, key=lru.__getitem__)
+            self._drop(victim)
             return victim
 
     def sweep(self, now_ms: int | None = None) -> list[Xid]:
@@ -427,7 +322,7 @@ class StorageManager:
             now = self.clock.now_ms() if now_ms is None else now_ms
             expired = [x for x, e in self._entries.items() if e.expired(now)]
             for xid in expired:
-                self._drop(self._entries[xid])
+                self._drop(xid)
             return expired
 
     def ids(self) -> list[Xid]:
@@ -443,7 +338,23 @@ class StorageManager:
             for store in self.stores:
                 store.close()
 
-    def _drop(self, entry: CacheEntry) -> None:
-        self._by_id[entry.store_id].remove(entry.chunk.id)
-        self._policies[entry.store_id].on_remove(entry.chunk.id)
-        del self._entries[entry.chunk.id]
+    def _place(self) -> ContentStore:
+        """Fill memory, spill to disk; when every store is full, the last
+        store takes the eviction."""
+        for store in self.stores:
+            if store.has_slot():
+                return store
+        if self.stores[-1].capacity < 1:
+            raise StoreError("chunk does not fit in any store")
+        return self.stores[-1]
+
+    def _write(self, store: ContentStore, chunk: Chunk, seq: int, now: int) -> None:
+        entry = CacheEntry(chunk, store.store_id, seq, now, now + chunk.ttl_ms)
+        store.store(entry)
+        self._entries[chunk.id] = entry
+        self._lru[store.store_id][chunk.id] = (now, seq)
+
+    def _drop(self, xid: Xid) -> None:
+        entry = self._entries.pop(xid)
+        self._by_id[entry.store_id].remove(xid)
+        del self._lru[entry.store_id][xid]

@@ -222,10 +222,23 @@ class TestFetchPaths:
             t.join(timeout=15)
         assert results == payloads
 
-    def test_fifo_dequeue_order(self, pair):
+    def test_fifo_dequeue_order(self, pair, monkeypatch):
         sim, daemons, handles = pair
+
+        class RecordingQueue(queue.Queue):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.dequeued = []
+
+            def get(self, *args, **kwargs):
+                item = super().get(*args, **kwargs)
+                self.dequeued.append(item)
+                return item
+
+        monkeypatch.setattr(queue, "Queue", RecordingQueue)
         # single worker so queue order is observable end to end
         single = Xcached(DaemonConfig(workers=1), node=sim.nodes["client"])
+        monkeypatch.undo()
         try:
             handle = single.init_handle()
             payloads = {i: f"queued {i}".encode() for i in range(6)}
@@ -235,7 +248,8 @@ class TestFetchPaths:
             ]
             for i, pending in pendings:
                 assert pending.result(timeout=10) == payloads[i]
-            assert single.dequeue_log == sorted(single.dequeue_log)
+            dequeue_log = [request.seq for request in single._queue.dequeued]
+            assert dequeue_log == sorted(dequeue_log)
         finally:
             single.shutdown()
 
@@ -522,15 +536,16 @@ class TestOpportunisticCaching:
         assert daemons["router"].manager.contains(content_dag.intent_xid())
         assert daemons["router"].manager.contains(cert_dag.intent_xid())
 
-    def test_verify_before_cache_audit(self, line3):
+    def test_verify_before_cache_audit(self, line3, monkeypatch):
         sim, daemons, handles = line3
         admitted = []
-        for name, daemon in daemons.items():
-            daemon.audit_hook = (
-                lambda chunk, origin, result, _n=name: admitted.append(
-                    (_n, origin, result.accepted)
-                )
-            )
+        admit = Xcached._admit
+
+        def audited(daemon, chunk, origin, result):
+            admitted.append((daemon._name(), origin, result.accepted))
+            return admit(daemon, chunk, origin, result)
+
+        monkeypatch.setattr(Xcached, "_admit", audited)
         daemons["client"].policy = NeverCache()
         dag = handles["pub"].put_chunk(b"audited", 60000)
         handles["client"].fetch_chunk(dag)

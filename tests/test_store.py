@@ -1,13 +1,18 @@
 import random
+import shutil
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from xcache.chunking import build_cid_chunk
+from xcache.chunking import Chunk, build_cid_chunk
 from xcache.store import (
     CacheEntry,
     DiskStore,
     LogicalClock,
-    LruPolicy,
     MemoryStore,
     StorageManager,
     StoreError,
@@ -96,24 +101,6 @@ class TestPlacement:
         with pytest.raises(StoreError):
             manager.store(chunk_for("a"))
 
-    def test_byte_budget(self, tmp_path):
-        manager = StorageManager(
-            mem_capacity=10, mem_capacity_bytes=30, clock=LogicalClock()
-        )
-        small = build_cid_chunk(b"x" * 10, 1000)
-        mid = build_cid_chunk(b"y" * 15, 1000)
-        manager.store(small)
-        manager.store(mid)
-        big = build_cid_chunk(b"z" * 20, 1000)
-        _, evicted = manager.store(big)  # must evict until 20 bytes fit
-        assert evicted
-        assert manager.get(big.id) is not None
-
-    def test_oversize_for_every_store_is_an_error(self):
-        manager = StorageManager(mem_capacity=10, mem_capacity_bytes=8, clock=LogicalClock())
-        with pytest.raises(StoreError):
-            manager.store(build_cid_chunk(b"x" * 64, 1000))
-
 
 class TestLru:
     def test_textbook_sequence(self):
@@ -186,23 +173,49 @@ class TestLru:
                 stored = set(oracle.state)
             assert set(manager.ids()) == set(oracle.state)
 
-    def test_policy_hooks_standalone(self):
-        policy = LruPolicy()
-        a, b, c = (chunk_for(t).id for t in "abc")
-        for now, xid in enumerate((a, b, c)):
-            policy.on_store(xid, now)
-        policy.on_get(a, 5)
-        assert policy.evict() == b
-        policy.on_remove(b)
-        assert policy.evict() == c
+    def test_get_and_remove_update_victim_order(self):
+        clock = LogicalClock()
+        manager = StorageManager(mem_capacity=4, clock=clock)
+        a, b, c, d = (chunk_for(t) for t in "abcd")
+        for now, ch in enumerate((a, b, c, d)):
+            clock.set(now)
+            manager.store(ch)
+        clock.set(5)
+        manager.get(a.id)
+        assert manager.evict_one("mem") == b.id
+        manager.remove(c.id)
+        assert manager.evict_one("mem") == d.id
 
     def test_policy_tie_breaks_by_insertion_order(self):
-        policy = LruPolicy()
-        a, b = (chunk_for(t).id for t in "ab")
-        policy.on_store(a, 0)
-        policy.on_store(b, 0)
-        policy.on_get(a, 0)  # same stamp: does not outrank insertion order
-        assert policy.evict() == a
+        manager = StorageManager(mem_capacity=4, clock=LogicalClock())
+        a, b = chunk_for("a"), chunk_for("b")
+        manager.store(a)
+        manager.store(b)
+        manager.get(a.id)  # same stamp: does not outrank insertion order
+        assert manager.evict_one("mem") == a.id
+
+    def test_insertion_order_survives_two_reopens(self, tmp_path):
+        def reopen():
+            return StorageManager(
+                mem_capacity=0, disk_capacity=8, disk_dir=tmp_path, clock=LogicalClock()
+            )
+
+        first = reopen()
+        old = [chunk_for(f"old{i}") for i in range(4)]
+        for ch in old:
+            first.store(ch)
+        for ch in old[:3]:
+            first.remove(ch.id)
+        first.close()
+        second = reopen()
+        new = [chunk_for(f"new{i}") for i in range(4)]
+        for ch in new:
+            second.store(ch)
+        second.close()
+        third = reopen()
+        # every access stamp is 0, so victims follow insertion order
+        victims = [third.evict_one("disk") for _ in range(5)]
+        assert victims == [old[3].id] + [ch.id for ch in new]
 
 
 class TestTtl:
@@ -281,11 +294,24 @@ class TestRepublish:
         assert manager.sweep(150) == []  # deadline moved to 180
         assert manager.sweep(200) == [chunk.id]
 
+    def test_identical_republish_refresh_survives_reopen(self, tmp_path):
+        clock = LogicalClock()
+        manager = StorageManager(mem_capacity=0, disk_capacity=4, disk_dir=tmp_path, clock=clock)
+        chunk, other = chunk_for("a", ttl=100), chunk_for("b", ttl=1000)
+        manager.store(chunk)
+        manager.store(other)
+        clock.set(90)
+        manager.store(chunk)  # deadline 190, access stamp 90
+        manager.close()
+        reopened = StorageManager(
+            mem_capacity=0, disk_capacity=4, disk_dir=tmp_path, clock=LogicalClock(150)
+        )
+        assert reopened.get(chunk.id) == chunk
+        assert reopened.evict_one("disk") == other.id
+
     def test_same_id_new_content_replaces(self):
         # only possible for named chunks in honest use; modeled with a
         # hand-built pair sharing the id
-        from xcache.chunking import Chunk
-
         manager = StorageManager(mem_capacity=4, clock=LogicalClock())
         first = chunk_for("a")
         manager.store(first)
@@ -383,3 +409,170 @@ class TestStores:
         a = chunk_for("a")
         store.store(CacheEntry(a, "disk", 0, 0, 10))
         assert (tmp_path / f"cid-{a.id.value.hex()}.chunk").exists()
+
+    def test_interrupted_disk_write_keeps_previous_copy(self, tmp_path, monkeypatch):
+        store = DiskStore(tmp_path, capacity=4)
+        a = chunk_for("a")
+        store.store(CacheEntry(a, "disk", 0, 0, 100))
+
+        def torn_write(path, data):
+            with open(path, "wb") as f:
+                f.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(OSError):
+            store.store(CacheEntry(a, "disk", 0, 50, 200))
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.glob("*.chunk")] == [f"cid-{a.id.value.hex()}.chunk"]
+        reloaded = DiskStore(tmp_path, capacity=4).load_entries(now_ms=0)
+        assert [(e.chunk, e.expires_at) for e in reloaded] == [(a, 100)]
+
+
+@dataclass
+class ModelEntry:
+    chunk: Chunk
+    store_id: str
+    expires_at: int
+    written: tuple  # the entry's LRU key as of its last write
+
+
+class StoreLawsMachine(RuleBasedStateMachine):
+    """A memory+disk manager against a brute-force model.
+
+    The model keeps one LruOracle per store.  Reads are not written to
+    disk, so across a reopen a disk entry's recency falls back to the
+    LRU key of its last write.  The clock advances before each read.
+    Removal, eviction and reopen wait until three entries are held, and
+    most chunks outlive a run, so runs reach full stores instead of
+    emptying them as fast as they fill.
+    """
+
+    CAPACITY = {"mem": 1, "disk": 3}
+
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.mkdtemp(prefix="xcache-laws-")
+        self.clock = LogicalClock()
+        self.manager = self._open()
+        ttls = (1000, 1000, 1000, 1000, 30)
+        self.pool = [chunk_for(f"law{i}", ttl=ttl) for i, ttl in enumerate(ttls)]
+        # a named republish: same id, new content
+        self.pool.append(Chunk(id=self.pool[3].id, ttl_ms=40, payload=b"renamed"))
+        self.entries: dict = {}
+        self.lru = {"mem": LruOracle(), "disk": LruOracle()}
+
+    def teardown(self):
+        self.manager.close()
+        shutil.rmtree(self.dir, ignore_errors=True)
+
+    def _open(self):
+        return StorageManager(
+            mem_capacity=self.CAPACITY["mem"],
+            disk_capacity=self.CAPACITY["disk"],
+            disk_dir=self.dir,
+            clock=self.clock,
+        )
+
+    def _live(self, xid):
+        entry = self.entries.get(xid)
+        return entry is not None and self.clock.now_ms() < entry.expires_at
+
+    def _drop(self, xid):
+        entry = self.entries.pop(xid)
+        del self.lru[entry.store_id].state[xid]
+
+    @rule(i=st.integers(0, 5))
+    def store(self, i):
+        chunk, now = self.pool[i], self.clock.now_ms()
+        existing = self.entries.get(chunk.id)
+        if self._live(chunk.id) and existing.chunk == chunk:
+            lru = self.lru[existing.store_id]
+            lru.get(chunk.id, now)
+            existing.expires_at = now + chunk.ttl_ms
+            existing.written = lru.state[chunk.id]
+            assert self.manager.store(chunk) == (existing.store_id, [])
+            return
+        if existing is not None:
+            self._drop(chunk.id)
+        target = "mem" if len(self.lru["mem"].state) < self.CAPACITY["mem"] else "disk"
+        lru = self.lru[target]
+        evicted = []
+        while len(lru.state) >= self.CAPACITY[target]:
+            evicted.append(lru.evict())
+            del self.entries[evicted[-1]]
+        lru.store(chunk.id, now)
+        self.entries[chunk.id] = ModelEntry(
+            chunk, target, now + chunk.ttl_ms, lru.state[chunk.id]
+        )
+        assert self.manager.store(chunk) == (target, evicted)
+
+    @rule(dt=st.integers(0, 30), i=st.integers(0, 5))
+    def get(self, dt, i):
+        self.clock.advance(dt)
+        xid = self.pool[i].id
+        expected = None
+        if self._live(xid):
+            expected = self.entries[xid].chunk
+            self.lru[self.entries[xid].store_id].get(xid, self.clock.now_ms())
+        assert self.manager.get(xid) == expected
+
+    @precondition(lambda self: len(self.entries) >= 3)
+    @rule(i=st.integers(0, 5))
+    def remove(self, i):
+        xid = self.pool[i].id
+        present = xid in self.entries
+        if present:
+            self._drop(xid)
+        assert self.manager.remove(xid) == present
+
+    @precondition(lambda self: len(self.entries) >= 3)
+    @rule(store_id=st.sampled_from(["mem", "disk"]))
+    def evict_one(self, store_id):
+        victim = self.lru[store_id].evict()
+        if victim is not None:
+            del self.entries[victim]
+        assert self.manager.evict_one(store_id) == victim
+
+    @precondition(lambda self: any(not self._live(x) for x in self.entries))
+    @rule()
+    def sweep(self):
+        expired = {x for x in self.entries if not self._live(x)}
+        for xid in expired:
+            self._drop(xid)
+        assert set(self.manager.sweep()) == expired
+
+    @precondition(lambda self: len(self.entries) >= 3)
+    @rule()
+    def reopen(self):
+        self.manager.close()
+        self.manager = self._open()
+        for xid, entry in list(self.entries.items()):
+            if entry.store_id == "mem" or not self._live(xid):
+                self._drop(xid)
+            else:
+                self.lru["disk"].state[xid] = entry.written
+
+    @invariant()
+    def disk_holds_what_a_reopen_restores(self):
+        # load_entries(now_ms=0) reads every file and deletes none
+        on_disk = {e.chunk.id: e for e in DiskStore(self.dir, 1).load_entries(now_ms=0)}
+        expected = {x: e for x, e in self.entries.items() if e.store_id == "disk"}
+        assert {x: e.expires_at for x, e in on_disk.items()} == {
+            x: e.expires_at for x, e in expected.items()
+        }
+        assert len({e.inserted_at for e in on_disk.values()}) == len(on_disk)
+        persisted_order = sorted(
+            on_disk, key=lambda x: (on_disk[x].last_access, on_disk[x].inserted_at)
+        )
+        assert persisted_order == sorted(expected, key=lambda x: expected[x].written)
+
+    @invariant()
+    def same_contents(self):
+        assert set(self.manager.ids()) == set(self.entries)
+        for chunk in self.pool:
+            assert self.manager.contains(chunk.id) == self._live(chunk.id)
+
+
+TestStoreLaws = StoreLawsMachine.TestCase
+TestStoreLaws.settings = settings(max_examples=100, stateful_step_count=40, deadline=None)
