@@ -24,7 +24,6 @@ from functools import partial
 
 from .addressing import CONTENT_TYPES, DagAddress, Xid, XidType, make_fallback_dag
 from .chunking import (
-    ACCEPT,
     Chunk,
     ChunkDecodeError,
     ChunkError,
@@ -425,7 +424,7 @@ class Xcached:
         except ChunkError as exc:
             raise PublishError(str(exc)) from exc
         with self._lock:
-            if not self._admit(chunk, origin="publish", result=verify_cid(chunk)):
+            if not self._admit(chunk, origin="publish"):
                 raise PublishError("no store admitted the chunk")
             return self.published[chunk.id]
 
@@ -459,7 +458,7 @@ class Xcached:
         if not result.accepted:
             raise PublishError(f"self-verification failed: {result.reason}")
         with self._lock:
-            if not self._admit(chunk, origin="publish", result=result):
+            if not self._admit(chunk, origin="publish"):
                 raise PublishError("no store admitted the chunk")
             return self.published[chunk.id]
 
@@ -651,7 +650,7 @@ class Xcached:
             raise VerificationError(result.reason or "rejected")
         if chunk.ttl_ms > 0 and self.policy.decide(intent, provider_dag):
             with self._lock:
-                self._admit(chunk, origin="fetch", result=result)
+                self._admit(chunk, origin="fetch")
         return chunk, stats
 
     def _transfer(self, addr: DagAddress) -> tuple[bytes, DagAddress, FetchStats]:
@@ -701,12 +700,14 @@ class Xcached:
             return None
         if key_chunk.ttl_ms > 0:
             with self._lock:
-                self._admit(key_chunk, origin="fetch", result=ACCEPT)
+                self._admit(key_chunk, origin="fetch")
         return key_chunk
 
-    def _admit(self, chunk: Chunk, origin: str, result: VerifyResult) -> bool:
-        """Single chokepoint through which verified chunks enter the
-        store; installs routes/bindings and fans out notifications."""
+    def _admit(self, chunk: Chunk, origin: str) -> bool:
+        """Single chokepoint through which chunks enter the store (verified
+        ones, and those inject_unverified_chunk plants); installs
+        routes/bindings, withdraws evicted content and fans out
+        notifications."""
         try:
             _, evicted = self.manager.store(chunk)
         except StoreError as exc:
@@ -746,11 +747,8 @@ class Xcached:
         it, modeling a malicious or broken node.  Honest daemons never
         call this."""
         with self._lock:
-            self.manager.store(chunk)
-            addr = self._address_for(chunk.id)
-            self.published[chunk.id] = addr
-            if self.node is not None:
-                self.node.server_socket.bind(chunk.id, addr)
+            if not self._admit(chunk, origin="publish"):
+                raise PublishError("no store admitted the chunk")
 
     # -- node-facing machinery ------------------------------------------
 
@@ -802,17 +800,15 @@ class Xcached:
         if chunk.id != buf.intent or chunk.ttl_ms == 0:
             return
         if chunk.id.xtype is XidType.CID:
-            result = verify_cid(chunk)
-            if result.accepted:
+            if verify_cid(chunk).accepted:
                 with self._lock:
-                    self._admit(chunk, origin="opportunistic", result=result)
+                    self._admit(chunk, origin="opportunistic")
             return
         key_chunk = self.manager.get(chunk.key_ref.intent_xid()) if chunk.key_ref else None
         if key_chunk is not None:
-            result = verify_ncid(chunk, key_chunk)
-            if result.accepted:
+            if verify_ncid(chunk, key_chunk).accepted:
                 with self._lock:
-                    self._admit(chunk, origin="opportunistic", result=result)
+                    self._admit(chunk, origin="opportunistic")
             return
         # Key chunk not local; verification needs a network fetch, which
         # cannot run inside event processing.  Hand it to a worker.
@@ -822,7 +818,7 @@ class Xcached:
         result = verify_ncid_via(chunk, partial(self._fetch_key, chunk.key_ref))
         if result.accepted:
             with self._lock:
-                self._admit(chunk, origin="opportunistic", result=result)
+                self._admit(chunk, origin="opportunistic")
 
     def _name(self) -> str:
         return self.node.name if self.node is not None else "local"

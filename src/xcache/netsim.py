@@ -12,10 +12,13 @@ what opportunistic caching feeds on.
 
 The engine is a discrete-event loop over logical milliseconds.  Given a
 topology, a workload and a seed, the event trace is fully determined;
-equal-timestamp events run in enqueue order.  Blocking calls
-(connect/accept/send/recv) pump the event loop under a shared engine
-lock, so they may be issued from multiple worker threads and are
-serialized at event granularity.
+equal-timestamp events run in enqueue order.  The blocking client calls
+(connect/recv) pump the event loop under a shared engine lock, so they
+may be issued from multiple worker threads and are serialized at event
+granularity.  The serving side never blocks: each node's server socket
+answers a SYN for bound content inside event processing and, once the
+handshake completes, hands the session to the handler its owner
+installed, which starts the Go-Back-N stream.
 
 Addressing of a session, once established:
 
@@ -36,7 +39,7 @@ import heapq
 import logging
 import random
 import threading
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from enum import IntFlag
 
@@ -84,10 +87,6 @@ class HandshakeTimeout(SimError):
 
 class TransferTimeout(SimError):
     """An established session stopped making progress."""
-
-
-class SessionReset(SimError):
-    """Sender gave up after consecutive retransmission timeouts."""
 
 
 class SimStalledError(SimError):
@@ -257,9 +256,9 @@ class Simulator:
             self._cond.notify_all()
             return [rec for rec in self.trace[mark:] if rec[0] == "deliver"]
 
-    def pending_events(self) -> int:
-        with self._cond:
-            return len(self._heap)
+    def count_retransmit(self, session_id: bytes) -> None:
+        self.stats["retransmits"] += 1
+        self.session_stats[session_id]["retransmits"] += 1
 
     def _trace(self, kind: str, node: str, seg: Segment, **extra) -> None:
         intent = seg.intent.text() if seg.intent is not None else None
@@ -296,7 +295,6 @@ class NetNode:
         self.sessions: dict[bytes, object] = {}
         self.endpoints: dict[Xid, object] = {}
         self.capture_subs: list = []
-        self.inbox: list[Segment] = []
         self.counters: Counter = Counter()
         self.daemon = None
 
@@ -373,8 +371,6 @@ class NetNode:
             session = self.sessions.get(seg.session)
         if session is not None:
             session.on_segment(seg)
-        else:
-            self.inbox.append(seg)
 
     # -- application surface -----------------------------------------
 
@@ -402,16 +398,15 @@ class NetNode:
 
 class ContentServerSocket:
     """A server socket bound to every content identifier published on
-    its node.  With a handler installed, handshakes complete inline and
-    the handler is invoked once the session is established; without one,
-    incoming requests pend until accept_as() picks them up."""
+    its node.  A SYN for bound content is answered inside event
+    processing, and once the handshake completes ``handler(session,
+    xid)`` is called to stream the requested content; whoever binds
+    content installs the handler."""
 
-    def __init__(self, node: NetNode, handler=None):
+    def __init__(self, node: NetNode):
         self.node = node
-        self.handler = handler
+        self.handler = None
         self.bound: dict[Xid, DagAddress] = {}
-        self.pending: deque["ServerSession"] = deque()
-        self._acceptors: deque[dict] = deque()
 
     def bind(self, xid: Xid, serve_dag: DagAddress | None = None) -> None:
         self.bound[xid] = serve_dag if serve_dag is not None else self.node.local_dag_for(xid)
@@ -421,9 +416,6 @@ class ContentServerSocket:
         self.bound.pop(xid, None)
         self.node.routes.remove_local(xid)
 
-    def bound_xids(self) -> frozenset[Xid]:
-        return frozenset(self.bound)
-
     def on_syn(self, seg: Segment) -> None:
         existing = self.node.sessions.get(seg.session)
         if existing is not None:
@@ -432,66 +424,65 @@ class ContentServerSocket:
             return
         xid = seg.intent
         if xid is None or xid not in self.bound:
-            self.sim_trace_drop(seg, "unbound")
+            self.node.sim._trace("drop", self.node.name, seg, reason="unbound")
             return
-        session = ServerSession(self.node, seg, self.bound[xid])
-        self.node.sessions[seg.session] = session
-        if self.handler is not None:
-            session.established_cb = self.handler
-            session.send_synack()
-        elif self._acceptors:
-            self._acceptors.popleft()["session"] = session
-            session.send_synack()
-        else:
-            self.pending.append(session)
-
-    def sim_trace_drop(self, seg: Segment, reason: str) -> None:
-        self.node.sim._trace("drop", self.node.name, seg, reason=reason)
-
-    def accept_as(self, idle_timeout: float = 5.0) -> tuple["ServerSession", Xid]:
-        """Take the next content request (pending, or the next SYN to
-        arrive), answer its handshake, and return the session together
-        with the identifier that was requested, so the provider serves
-        the right bytes.  The acceptor is registered inside the event
-        loop, so a request arriving later is answered as part of event
-        processing, whichever thread happens to be pumping."""
-        sim = self.node.sim
-        slot: dict = {}
-
-        def _register():
-            if self.pending:
-                session = self.pending.popleft()
-                session.send_synack()
-                slot["session"] = session
-            else:
-                self._acceptors.append(slot)
-
-        sim.submit(_register)
-        sim.wait_for(lambda: "session" in slot, idle_timeout=idle_timeout)
-        session = slot["session"]
-        sim.wait_for(
-            lambda: session.state in ("established", "failed"), idle_timeout=idle_timeout
-        )
-        if session.state == "failed":
-            raise HandshakeTimeout(session.fail_reason or "no handshake ACK")
-        return session, session.requested
+        ServerSession(self.node, seg, self.bound[xid]).send_synack()
 
 
-class ClientSession:
+class _Session:
+    """What both ends of a content session share: the session id, a
+    node-local endpoint SID that this end's peer addresses, and one
+    retransmission timer with its retry budget.  Arming the timer again,
+    or making progress, retires the previous arming."""
+
+    def __init__(self, node: NetNode, session_id: bytes):
+        self.node = node
+        self.sim = node.sim
+        self.session_id = session_id
+        self.endpoint_sid = Xid(XidType.SID, self.sim.rng.randbytes(20))
+        self.endpoint_dag = make_fallback_dag(self.endpoint_sid, [node.ad, node.hid])
+        self.rto = self.sim.rto_ms
+        self.state = "new"
+        self.fail_reason: str | None = None
+        self._epoch = 0
+        self._retries = 0
+        node.endpoints[self.endpoint_sid] = self
+        node.sessions[session_id] = self
+        node.routes.add_local(self.endpoint_sid)
+
+    def _arm(self, delay_ms: int, fn) -> None:
+        self._epoch += 1
+        epoch = self._epoch
+
+        def fire() -> None:
+            if epoch == self._epoch:
+                fn()
+
+        self.sim.schedule(delay_ms, fire)
+
+    def _retry(self, reason: str) -> bool:
+        """Spend one retry; once the budget is gone, fail with ``reason``."""
+        self._retries += 1
+        if self._retries > self.sim.max_retries:
+            self.state = "failed"
+            self.fail_reason = reason
+            return False
+        return True
+
+    def _progress(self) -> None:
+        """Retire the pending timer and refill the retry budget."""
+        self._epoch += 1
+        self._retries = 0
+
+
+class ClientSession(_Session):
     """Client side of a content session: handshake, in-order reassembly
     with cumulative ACKs, and completion on FIN."""
 
     def __init__(self, node: NetNode, content_dag: DagAddress):
-        self.node = node
-        self.sim = node.sim
+        super().__init__(node, node.sim.rng.randbytes(8))
         self.content_dag = content_dag
-        self.session_id = self.sim.rng.randbytes(8)
-        self.local_sid = Xid(XidType.SID, self.sim.rng.randbytes(20))
-        self.local_dag = make_fallback_dag(self.local_sid, [node.ad, node.hid])
-        self.rto = self.sim.rto_ms
 
-        self.state = "new"
-        self.fail_reason: str | None = None
         self.provider_name: str | None = None
         self.provider_endpoint: DagAddress | None = None
         self.provider_dag: DagAddress | None = None
@@ -500,15 +491,8 @@ class ClientSession:
         self.rx_payloads: list[bytes] = []
         self.rx_expected = 0
         self.rx_segments = 0
-        self.rx_duplicates = 0
-
-        self._epoch = 0
-        self._retries = 0
 
     def start(self) -> None:
-        self.node.endpoints[self.local_sid] = self
-        self.node.sessions[self.session_id] = self
-        self.node.routes.add_local(self.local_sid)
         self.state = "syn-sent"
         self._send_syn(first=True)
         self._arm(self.rto, self._syn_timeout)
@@ -518,7 +502,7 @@ class ClientSession:
             session=self.session_id,
             seq=0,
             flags=SegFlags.SYN,
-            src_dag=self.local_dag,
+            src_dag=self.endpoint_dag,
             dst_dag=self.content_dag,
             intent=self.content_dag.intent_xid(),
         )
@@ -527,27 +511,13 @@ class ClientSession:
         else:
             self.node.on_segment(seg)
 
-    def _arm(self, delay_ms: int, fn) -> None:
-        self._epoch += 1
-        epoch = self._epoch
-        self.sim.schedule(delay_ms, lambda: fn(epoch))
+    def _syn_timeout(self) -> None:
+        if self._retry("handshake-timeout"):
+            self.sim.count_retransmit(self.session_id)
+            self._send_syn()
+            self._arm(self.rto, self._syn_timeout)
 
-    def _syn_timeout(self, epoch: int) -> None:
-        if epoch != self._epoch or self.state != "syn-sent":
-            return
-        self._retries += 1
-        if self._retries > self.sim.max_retries:
-            self.state = "failed"
-            self.fail_reason = "handshake-timeout"
-            return
-        self.sim.stats["retransmits"] += 1
-        self.sim.session_stats[self.session_id]["retransmits"] += 1
-        self._send_syn()
-        self._arm(self.rto, self._syn_timeout)
-
-    def _idle_timeout(self, epoch: int) -> None:
-        if epoch != self._epoch or self.state != "established":
-            return
+    def _idle_timeout(self) -> None:
         self.state = "failed"
         self.fail_reason = "transfer-timeout"
 
@@ -573,8 +543,7 @@ class ClientSession:
                     return
                 self.provider_dag = seg.src_dag
                 self.state = "established"
-                self._retries = 0
-                self._epoch += 1  # retire the SYN timer
+                self._progress()
             self._send_ack()
             return
         if seg.flags & SegFlags.ACK:
@@ -584,14 +553,12 @@ class ClientSession:
         if seg.seq == self.rx_expected and self.state == "established":
             if seg.flags & SegFlags.FIN:
                 self.state = "complete"
-                self._epoch += 1
+                self._progress()
             else:
                 self.rx_payloads.append(seg.payload)
                 self.rx_segments += 1
                 self._arm_idle()
             self.rx_expected += 1
-        else:
-            self.rx_duplicates += 1
         self._send_ack()
 
     def _send_ack(self) -> None:
@@ -601,7 +568,7 @@ class ClientSession:
             session=self.session_id,
             seq=self.rx_expected,
             flags=SegFlags.ACK,
-            src_dag=self.local_dag,
+            src_dag=self.endpoint_dag,
             dst_dag=self.provider_endpoint,
         )
         self.node.on_segment(seg)
@@ -625,39 +592,29 @@ class ClientSession:
         return b"".join(self.rx_payloads)
 
 
-class ServerSession:
+class ServerSession(_Session):
     """Provider side: answers the handshake with the published chunk's
-    address as source and streams segments under Go-Back-N."""
+    address as source, then streams the handler's bytes under a
+    fixed-window Go-Back-N: cumulative ACKs advance the base, a timeout
+    resends the whole outstanding window, and the FIN consumes the final
+    sequence number."""
 
     def __init__(self, node: NetNode, syn: Segment, serve_dag: DagAddress):
-        self.node = node
-        self.sim = node.sim
-        self.session_id = syn.session
+        super().__init__(node, syn.session)
         self.client_dag = syn.src_dag
         self.requested = syn.intent
         self.serve_dag = serve_dag
         self.syn_hops = syn.hops
-        self.rto = self.sim.rto_ms
-
-        self.endpoint_sid = Xid(XidType.SID, self.sim.rng.randbytes(20))
-        self.endpoint_dag = make_fallback_dag(self.endpoint_sid, [node.ad, node.hid])
-        node.endpoints[self.endpoint_sid] = self
-        node.routes.add_local(self.endpoint_sid)
-
         self.state = "syn-rcvd"
-        self.fail_reason: str | None = None
-        self.established_cb = None
-        self.synack_sent = False
-        self.send_done = False
 
-        self._epoch = 0
-        self._retries = 0
-        self._sender: _GoBackNSender | None = None
+        self._payloads: list[bytes] | None = None
+        self._total = 0  # data segments plus the trailing FIN
+        self._base = 0
+        self._next_seq = 0
 
     def send_synack(self) -> None:
-        self.synack_sent = True
         self._emit_synack()
-        self._arm_synack_timer()
+        self._arm(self.rto, self._synack_timeout)
 
     def _emit_synack(self) -> None:
         meta = "\n".join(
@@ -673,145 +630,80 @@ class ServerSession:
         )
         self.node.on_segment(seg)
 
-    def _arm_synack_timer(self) -> None:
-        self._epoch += 1
-        epoch = self._epoch
-        self.sim.schedule(self.rto, lambda: self._synack_timeout(epoch))
-
-    def _synack_timeout(self, epoch: int) -> None:
-        if epoch != self._epoch or self.state != "syn-rcvd":
-            return
-        self._retries += 1
-        if self._retries > self.sim.max_retries:
-            self.state = "failed"
-            self.fail_reason = "handshake-timeout"
-            return
-        self.sim.stats["retransmits"] += 1
-        self.sim.session_stats[self.session_id]["retransmits"] += 1
-        self._emit_synack()
-        self._arm_synack_timer()
+    def _synack_timeout(self) -> None:
+        if self._retry("handshake-timeout"):
+            self.sim.count_retransmit(self.session_id)
+            self._emit_synack()
+            self._arm(self.rto, self._synack_timeout)
 
     def on_duplicate_syn(self) -> None:
-        if self.synack_sent and self.state in ("syn-rcvd", "established"):
+        if self.state in ("syn-rcvd", "established"):
             self._emit_synack()
 
     def on_segment(self, seg: Segment) -> None:
-        if seg.flags & SegFlags.ACK:
-            if self.state == "syn-rcvd":
-                self.state = "established"
-                self._epoch += 1
-                self._retries = 0
-                self.node.counters["sessions_served"] += 1
-                self.sim.stats["sessions_served"] += 1
-                if self.established_cb is not None:
-                    self.established_cb(self, self.requested)
-            if self._sender is not None:
-                self._sender.on_ack(seg.seq)
+        if not seg.flags & SegFlags.ACK:
+            return
+        if self.state == "syn-rcvd":
+            self.state = "established"
+            self._progress()
+            self.node.counters["sessions_served"] += 1
+            self.node.server_socket.handler(self, self.requested)
+        if self._payloads is not None:
+            self._on_ack(seg.seq)
 
     def start_send(self, data: bytes) -> None:
         """Begin streaming ``data``; asynchronous, driven by ACKs and
         retransmission timers."""
         if self.state != "established":
             raise SimError("session not established")
-        if self._sender is not None:
+        if self._payloads is not None:
             raise SimError("send already in progress")
-        self._sender = _GoBackNSender(self, data)
-        self._sender.begin()
-
-    def send_chunk(self, data: bytes, idle_timeout: float = 5.0) -> None:
-        """Blocking wrapper around start_send: returns when the receiver
-        has acknowledged everything including FIN."""
-        self.sim.submit(lambda: self.start_send(data))
-        self.sim.wait_for(
-            lambda: self.send_done or self.state == "failed", idle_timeout=idle_timeout
-        )
-        if self.state == "failed":
-            raise SessionReset(self.fail_reason or "send failed")
-
-    def _send_finished(self) -> None:
-        self.send_done = True
-        self.state = "done"
-
-    def _send_failed(self, reason: str) -> None:
-        self.state = "failed"
-        self.fail_reason = reason
-
-
-class _GoBackNSender:
-    """Fixed-window Go-Back-N over the session: cumulative ACKs advance
-    the base, a timeout resends the whole outstanding window, and the
-    FIN consumes the final sequence number."""
-
-    def __init__(self, session: ServerSession, data: bytes):
-        size = session.sim.segment_payload
-        self.session = session
-        self.payloads = [data[i : i + size] for i in range(0, len(data), size)]
-        self.total = len(self.payloads) + 1  # trailing FIN
-        self.base = 0
-        self.next_seq = 0
-        self.epoch = 0
-        self.retries = 0
-        self.done = False
-
-    def begin(self) -> None:
+        size = self.sim.segment_payload
+        self._payloads = [data[i : i + size] for i in range(0, len(data), size)]
+        self._total = len(self._payloads) + 1
         self._pump()
-        self._arm()
+        self._arm(self.rto, self._send_timeout)
 
     def _pump(self) -> None:
-        end = min(self.base + self.session.sim.window, self.total)
-        while self.next_seq < end:
-            self._emit(self.next_seq)
-            self.next_seq += 1
+        end = min(self._base + self.sim.window, self._total)
+        while self._next_seq < end:
+            self._emit(self._next_seq)
+            self._next_seq += 1
 
     def _emit(self, seq: int, retransmit: bool = False) -> None:
-        s = self.session
-        if seq < len(self.payloads):
-            flags, payload = SegFlags.NONE, self.payloads[seq]
+        if seq < len(self._payloads):
+            flags, payload = SegFlags.NONE, self._payloads[seq]
         else:
             flags, payload = SegFlags.FIN, b""
         seg = Segment(
-            session=s.session_id,
+            session=self.session_id,
             seq=seq,
             flags=flags,
-            src_dag=s.serve_dag,
-            dst_dag=s.client_dag,
+            src_dag=self.serve_dag,
+            dst_dag=self.client_dag,
             payload=payload,
         )
         if retransmit:
-            s.sim.stats["retransmits"] += 1
-            s.sim.session_stats[s.session_id]["retransmits"] += 1
-        s.sim.stats["data_segments_sent"] += 1
-        s.node.on_segment(seg)
+            self.sim.count_retransmit(self.session_id)
+        self.sim.stats["data_segments_sent"] += 1
+        self.node.on_segment(seg)
 
-    def on_ack(self, acked: int) -> None:
-        if self.done:
+    def _on_ack(self, acked: int) -> None:
+        if self.state != "established" or acked <= self._base:
             return
-        if acked > self.base:
-            self.base = acked
-            self.retries = 0
-            if self.base >= self.total:
-                self.done = True
-                self.epoch += 1
-                self.session._send_finished()
-                return
-            self._pump()
-            self._arm()
+        self._base = acked
+        self._progress()
+        if self._base >= self._total:
+            self.state = "done"
+            return
+        self._pump()
+        self._arm(self.rto, self._send_timeout)
 
-    def _arm(self) -> None:
-        self.epoch += 1
-        epoch = self.epoch
-        self.session.sim.schedule(self.session.rto, lambda: self._timeout(epoch))
-
-    def _timeout(self, epoch: int) -> None:
-        if epoch != self.epoch or self.done:
-            return
-        self.retries += 1
-        if self.retries > self.session.sim.max_retries:
-            self.session._send_failed("retry-limit")
-            return
-        for seq in range(self.base, self.next_seq):
-            self._emit(seq, retransmit=True)
-        self._arm()
+    def _send_timeout(self) -> None:
+        if self._retry("retry-limit"):
+            for seq in range(self._base, self._next_seq):
+                self._emit(seq, retransmit=True)
+            self._arm(self.rto, self._send_timeout)
 
 
 # -- topology configuration ------------------------------------------

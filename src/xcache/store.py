@@ -26,6 +26,7 @@ log = logging.getLogger(__name__)
 
 _META = struct.Struct(">4sQQQ")
 _META_MAGIC = b"XCS1"
+_TMP_SUFFIX = ".tmp"
 
 
 class StoreError(Exception):
@@ -143,9 +144,13 @@ class DiskStore(ContentStore):
             _META_MAGIC, entry.inserted_at, entry.last_access, entry.expires_at
         ) + encode_chunk(entry.chunk)
         path = self._path_for(entry.chunk.id)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
+        tmp = path.with_name(path.name + _TMP_SUFFIX)
+        try:
+            tmp.write_bytes(blob)
+            os.replace(tmp, path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
         self._files[entry.chunk.id] = path
 
     def get(self, xid: Xid) -> Chunk | None:
@@ -177,8 +182,11 @@ class DiskStore(ContentStore):
         return len(self._files)
 
     def load_entries(self, now_ms: int) -> list[CacheEntry]:
-        """Scan the directory, drop expired or corrupt files, and return
-        surviving entries sorted by insertion stamp."""
+        """Scan the directory, delete temporary files left by interrupted
+        writes, drop expired or corrupt files, and return surviving
+        entries sorted by insertion stamp."""
+        for stale in self.directory.glob("*.chunk" + _TMP_SUFFIX):
+            stale.unlink(missing_ok=True)
         entries: list[CacheEntry] = []
         for path in sorted(self.directory.glob("*.chunk")):
             try:

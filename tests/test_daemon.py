@@ -7,12 +7,20 @@ import pytest
 
 from conftest import LINE3_TOPO, PAIR_TOPO, make_cluster
 from xcache.addressing import XidType, make_fallback_dag
-from xcache.chunking import PublisherKey, compute_cid, compute_ncid, encode_chunk
+from xcache.chunking import (
+    PublisherKey,
+    build_cid_chunk,
+    compute_cid,
+    compute_ncid,
+    encode_chunk,
+    verify_cid,
+)
 from xcache.daemon import (
     CachePolicy,
     CanceledError,
     CertificateRequiredError,
     DaemonConfig,
+    FetchTimeoutError,
     InvalidHandleError,
     NeverCache,
     NotifEvent,
@@ -541,9 +549,9 @@ class TestOpportunisticCaching:
         admitted = []
         admit = Xcached._admit
 
-        def audited(daemon, chunk, origin, result):
-            admitted.append((daemon._name(), origin, result.accepted))
-            return admit(daemon, chunk, origin, result)
+        def audited(daemon, chunk, origin):
+            admitted.append((daemon._name(), origin, verify_cid(chunk).accepted))
+            return admit(daemon, chunk, origin)
 
         monkeypatch.setattr(Xcached, "_admit", audited)
         daemons["client"].policy = NeverCache()
@@ -609,3 +617,23 @@ class TestServeEdgeCases:
         with pytest.raises(VerificationError):
             handles["client"].fetch_chunk(dag, timeout=10)
         assert dag.intent_xid() not in sim.nodes["pub"].server_socket.bound
+
+    def test_injected_chunk_evicts_through_the_admission_path(self):
+        sim, daemons, handles = make_cluster(
+            LINE3_TOPO, config=DaemonConfig(workers=2, mem_capacity_chunks=1)
+        )
+        try:
+            evicted = []
+            handles["pub"].register_notif(NotifEvent.CHUNK_EVICTED, lambda h, n: evicted.append(n))
+            dag_a = handles["pub"].put_chunk(b"published first", 60000)
+            daemons["pub"].inject_unverified_chunk(build_cid_chunk(b"planted", 60000))
+            a = dag_a.intent_xid()
+            assert handles["pub"].process_notif() == 1
+            assert [n.addr.intent_xid() for n in evicted] == [a]
+            assert a not in daemons["pub"].published
+            assert a not in sim.nodes["pub"].server_socket.bound
+            assert not sim.nodes["pub"].routes.is_local(a)
+            with pytest.raises(FetchTimeoutError):
+                handles["client"].fetch_chunk(dag_a, timeout=10)
+        finally:
+            shutdown_all(daemons)

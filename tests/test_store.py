@@ -425,6 +425,7 @@ class TestStores:
             store.store(CacheEntry(a, "disk", 0, 50, 200))
         monkeypatch.undo()
         assert [p.name for p in tmp_path.glob("*.chunk")] == [f"cid-{a.id.value.hex()}.chunk"]
+        assert list(tmp_path.glob("*.tmp")) == []
         reloaded = DiskStore(tmp_path, capacity=4).load_entries(now_ms=0)
         assert [(e.chunk, e.expires_at) for e in reloaded] == [(a, 100)]
 
