@@ -279,9 +279,11 @@ def verify_ncid_via(chunk: Chunk, fetch_key: Callable[[Xid], Chunk]) -> VerifyRe
     """Verify a named chunk, obtaining the key chunk through ``fetch_key``.
 
     Performs exactly one key fetch, whatever the payload size; callers
-    wanting to audit the constant-cost property can count calls.
+    wanting to audit the constant-cost property can count calls.  A key
+    reference that does not name a plain content chunk is rejected
+    without fetching anything.
     """
-    if chunk.key_ref is None:
+    if chunk.key_ref is None or chunk.key_ref.intent_xid().xtype is not XidType.CID:
         return reject(REASON_KEY)
     key_chunk = fetch_key(chunk.key_ref.intent_xid())
     if key_chunk is None:

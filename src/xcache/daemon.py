@@ -3,10 +3,10 @@
 Applications talk to a daemon instance through handles.  Fetches that
 the local store can satisfy complete inline on the fast path; anything
 else is queued and executed by a fixed pool of worker threads that run
-the network transport, verify what arrived, and cache it according to
-the active policy.  Nothing enters any store without passing
-verification, which is also what makes opportunistic caching safe: the
-daemon taps its node's forwarding path, reassembles content sessions
+the network transport, verify what arrived, and cache it when the
+daemon's cache flag is set.  Nothing enters any store without passing
+``Xcached.verify``, which is also what makes opportunistic caching safe:
+the daemon taps its node's forwarding path, reassembles content sessions
 it forwards, and becomes a provider for chunks that verify.
 """
 
@@ -16,9 +16,8 @@ import itertools
 import logging
 import queue
 import threading
-from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
 
@@ -29,6 +28,8 @@ from .chunking import (
     ChunkError,
     DEFAULT_MAX_PAYLOAD,
     PublisherKey,
+    REASON_HASH,
+    REASON_KEY,
     REASON_NCID,
     VerifyResult,
     build_cid_chunk,
@@ -108,30 +109,12 @@ class Notification:
     addr: DagAddress
 
 
-class CachePolicy(ABC):
-    """Decides, once per session when the provider answers, whether a
-    node should keep a copy of the content flowing through it."""
-
-    @abstractmethod
-    def decide(self, intent: Xid, provider_dag: DagAddress) -> bool: ...
-
-
-class AlwaysCache(CachePolicy):
-    def decide(self, intent, provider_dag):
-        return True
-
-
-class NeverCache(CachePolicy):
-    def decide(self, intent, provider_dag):
-        return False
-
-
-def policy_from_name(name: str) -> CachePolicy:
-    if name == "always":
-        return AlwaysCache()
-    if name == "never":
-        return NeverCache()
-    raise ValueError(f"unknown cache policy {name!r}")
+def cache_flag(policy: str) -> bool:
+    """Whether a daemon with this ``cache_policy`` keeps copies of the
+    content it fetches or forwards."""
+    if policy not in ("always", "never"):
+        raise ValueError(f"unknown cache policy {policy!r}")
+    return policy == "always"
 
 
 @dataclass
@@ -158,47 +141,40 @@ _CONFIG_INT_KEYS = {
 }
 
 
-def parse_config(text: str) -> DaemonConfig:
-    """Parse ``key = value`` daemon configuration text."""
-    cfg = DaemonConfig()
+def parse_config(text: str, base: DaemonConfig | None = None) -> DaemonConfig:
+    """Parse and validate ``key = value`` daemon configuration text; keys
+    it does not set keep their value in ``base`` (default: the defaults)."""
+    cfg = replace(base) if base is not None else DaemonConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key = value")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if not hasattr(cfg, key):
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in _CONFIG_INT_KEYS:
-            setattr(cfg, key, int(value))
-        elif key == "cache_policy":
-            policy_from_name(value)  # validate early
-            cfg.cache_policy = value
-        else:
+        key, sep, value = (part.strip() for part in line.partition("="))
+        try:
+            if not sep:
+                raise ValueError("expected key = value")
+            if not hasattr(cfg, key):
+                raise ValueError(f"unknown key {key!r}")
+            if key in _CONFIG_INT_KEYS:
+                value = int(value)
+            elif key == "cache_policy":
+                cache_flag(value)
             setattr(cfg, key, value)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
     return cfg
 
 
-class SimClock:
-    """Adapter exposing simulated time to the storage layer."""
-
-    def __init__(self, sim):
-        self._sim = sim
-
-    def now_ms(self) -> int:
-        return self._sim.now
-
-
 class Request:
-    """One queued unit of work; reaches exactly one terminal state."""
+    """One queued unit of work, run by a worker as ``work()``; reaches
+    exactly one terminal state."""
 
     _ids = itertools.count(1)
 
-    def __init__(self, kind: str, handle, **args):
-        self.kind = kind
+    def __init__(self, handle, intent: Xid, work):
         self.handle = handle
-        self.args = args
+        self.intent = intent
+        self.work = work
         self.followers: list[Request] = []
         self.seq = next(Request._ids)
         self._done = threading.Event()
@@ -252,7 +228,6 @@ class PendingFetch:
 @dataclass
 class _IngestBuffer:
     intent: Xid
-    provider_dag: DagAddress
     segments: dict[int, bytes] = field(default_factory=dict)
     fin_seq: int | None = None
 
@@ -351,17 +326,15 @@ class Xcached:
         self.config = config if config is not None else DaemonConfig()
         self.node = node
         if clock is None:
-            clock = SimClock(node.sim) if node is not None else WallClock()
-        self.clock = clock
+            clock = node.sim if node is not None else WallClock()
         self.manager = StorageManager(
             mem_capacity=self.config.mem_capacity_chunks,
             disk_capacity=self.config.disk_capacity_chunks,
             disk_dir=self.config.disk_dir,
             clock=clock,
         )
-        self.policy: CachePolicy = policy_from_name(self.config.cache_policy)
+        self.caching = cache_flag(self.config.cache_policy)
         self.counters: Counter = Counter()
-        self.published: dict[Xid, DagAddress] = {}
 
         self._lock = threading.RLock()
         self._handles: set[XcacheHandle] = set()
@@ -372,7 +345,6 @@ class Xcached:
         self._alive = True
 
         if node is not None:
-            node.daemon = self
             node.server_socket.handler = self._serve_session
             node.subscribe_capture(self._on_capture)
 
@@ -424,9 +396,10 @@ class Xcached:
         except ChunkError as exc:
             raise PublishError(str(exc)) from exc
         with self._lock:
-            if not self._admit(chunk, origin="publish"):
-                raise PublishError("no store admitted the chunk")
-            return self.published[chunk.id]
+            addr = self._admit(chunk, origin="publish")
+        if addr is None:
+            raise PublishError("no store admitted the chunk")
+        return addr
 
     def put_named_content(
         self,
@@ -458,9 +431,10 @@ class Xcached:
         if not result.accepted:
             raise PublishError(f"self-verification failed: {result.reason}")
         with self._lock:
-            if not self._admit(chunk, origin="publish"):
-                raise PublishError("no store admitted the chunk")
-            return self.published[chunk.id]
+            addr = self._admit(chunk, origin="publish")
+        if addr is None:
+            raise PublishError("no store admitted the chunk")
+        return addr
 
     # -- fetch ---------------------------------------------------------
 
@@ -477,7 +451,7 @@ class Xcached:
         Fast path: present and unexpired in the local store, returned
         inline without touching the queue.  Slow path: queued; a worker
         connects to the content, verifies what arrives (discarding it on
-        failure) and caches it according to policy.
+        failure) and caches it if the cache flag is set.
         """
         result = self.fetch_entry(handle, addr, blocking=blocking, timeout=timeout)
         if blocking:
@@ -506,12 +480,12 @@ class Xcached:
                 self.counters["fast_path"] += 1
                 if blocking:
                     return chunk, LOCAL_STATS
-                done = Request("fetch", handle, addr=addr, intent=intent)
+                done = Request(handle, intent, None)
                 done.complete(result=(chunk, LOCAL_STATS))
                 return PendingFetch(done)
 
             self.counters["queued"] += 1
-            request = Request("fetch", handle, addr=addr, intent=intent)
+            request = Request(handle, intent, partial(self._fetch_remote, addr, intent))
             handle._pending.add(request)
             leader = self._inflight.get(intent)
             if leader is not None and not leader.finished():
@@ -583,9 +557,8 @@ class Xcached:
         with self._lock:
             expired = self.manager.sweep(now_ms)
             for xid in expired:
-                addr = self.published.get(xid, self._address_for(xid))
                 self._withdraw(xid)
-                self._notify(NotifEvent.CHUNK_EVICTED, addr)
+                self._notify(NotifEvent.CHUNK_EVICTED, self._address_for(xid))
             return expired
 
     def shutdown(self) -> None:
@@ -611,49 +584,41 @@ class Xcached:
                 return
             if request.finished() and not request.followers:
                 with self._lock:
-                    if self._inflight.get(request.args.get("intent")) is request:
-                        del self._inflight[request.args["intent"]]
+                    if self._inflight.get(request.intent) is request:
+                        del self._inflight[request.intent]
                 continue
             try:
-                if request.kind == "fetch":
-                    entry = self._fetch_remote(request.args["addr"], request.args["intent"])
-                    self._finish(request, result=entry)
-                elif request.kind == "ingest":
-                    self._ingest_with_key_fetch(request.args["chunk"], request.args["provider"])
-                    self._finish(request)
+                self._finish(request, result=request.work())
             except XcacheError as exc:
                 self._finish(request, error=exc)
             except Exception as exc:  # worker threads must survive anything
-                log.exception("worker failed on %s request", request.kind)
+                log.exception("worker failed on request %d", request.seq)
                 self._finish(request, error=XcacheError(str(exc)))
 
     def _finish(self, request: Request, result=None, error=None) -> None:
         with self._lock:
-            intent = request.args.get("intent")
-            if intent is not None and self._inflight.get(intent) is request:
-                del self._inflight[intent]
+            if self._inflight.get(request.intent) is request:
+                del self._inflight[request.intent]
             request.complete(result, error)
-            if request.handle is not None:
-                request.handle._pending.discard(request)
+            for done in (request, *request.followers):
+                if done.handle is not None:
+                    done.handle._pending.discard(done)
 
     def _fetch_remote(self, addr: DagAddress, intent: Xid) -> tuple[Chunk, FetchStats]:
         chunk = self.manager.get(intent)
         if chunk is not None:  # arrived while queued
             return chunk, LOCAL_STATS
-        raw, provider_dag, stats = self._transfer(addr)
-        try:
-            chunk = decode_chunk(raw, max_payload=self.config.max_payload)
-        except ChunkDecodeError as exc:
-            raise VerificationError(f"undecodable chunk ({exc.kind})") from exc
-        result = self._verify_fetched(chunk, intent)
+        raw, stats = self._transfer(addr)
+        chunk = self._decode(raw)
+        result = self.verify(chunk, intent)
         if not result.accepted:
             raise VerificationError(result.reason or "rejected")
-        if chunk.ttl_ms > 0 and self.policy.decide(intent, provider_dag):
+        if chunk.ttl_ms > 0 and self.caching:
             with self._lock:
                 self._admit(chunk, origin="fetch")
         return chunk, stats
 
-    def _transfer(self, addr: DagAddress) -> tuple[bytes, DagAddress, FetchStats]:
+    def _transfer(self, addr: DagAddress) -> tuple[bytes, FetchStats]:
         if self.node is None:
             raise UnroutableError("daemon has no network attachment")
         try:
@@ -672,61 +637,71 @@ class Xcached:
             segments=session.rx_segments,
             retransmits=self.node.sim.session_stats[session.session_id]["retransmits"],
         )
-        return raw, session.provider_dag, stats
+        return raw, stats
 
-    def _verify_fetched(self, chunk: Chunk, intent: Xid) -> VerifyResult:
-        """Check the received chunk against what was actually requested."""
-        if intent.xtype is XidType.CID:
-            if chunk.id != intent:
-                return reject("hash-mismatch")
-            return verify_cid(chunk)
+    def verify(self, chunk: Chunk, intent: Xid, fetch_key=None) -> VerifyResult:
+        """The one check a chunk passes before it enters a store or reaches
+        an application: its id must be the requested ``intent``; a plain
+        chunk must then hash to it, and a named chunk must verify against
+        the key chunk ``fetch_key(key_cid)`` returns (by default the local
+        copy, or one fetched from the chunk's ``key_ref``)."""
         if chunk.id != intent:
-            return reject(REASON_NCID)
-        return verify_ncid_via(chunk, partial(self._fetch_key, chunk.key_ref))
+            return reject(REASON_HASH if intent.xtype is XidType.CID else REASON_NCID)
+        if intent.xtype is XidType.CID:
+            return verify_cid(chunk)
+        if fetch_key is None:
+            fetch_key = partial(self._fetch_key, chunk.key_ref)
+        return verify_ncid_via(chunk, fetch_key)
+
+    def _decode(self, raw: bytes) -> Chunk:
+        try:
+            return decode_chunk(raw, max_payload=self.config.max_payload)
+        except ChunkDecodeError as exc:
+            raise VerificationError(f"undecodable chunk ({exc.kind})") from exc
 
     def _fetch_key(self, key_ref: DagAddress, key_cid: Xid) -> Chunk | None:
         """The key chunk a named chunk's verification needs: the local
-        copy, or else one fetched from ``key_ref``, verified and admitted."""
+        copy, or else one fetched from ``key_ref``, verified and admitted.
+        ``verify_ncid_via`` asks only for plain chunks, so verifying the
+        key never fetches another key."""
         self.counters["key_fetches"] += 1
         local = self.manager.get(key_cid)
         if local is not None:
             return local
-        raw, _, _ = self._transfer(key_ref)
+        raw, _ = self._transfer(key_ref)
         try:
-            key_chunk = decode_chunk(raw, max_payload=self.config.max_payload)
-        except ChunkDecodeError:
+            key_chunk = self._decode(raw)
+        except VerificationError:
             return None
-        if key_chunk.id != key_cid or not verify_cid(key_chunk):
+        if not self.verify(key_chunk, key_cid):
             return None
         if key_chunk.ttl_ms > 0:
             with self._lock:
                 self._admit(key_chunk, origin="fetch")
         return key_chunk
 
-    def _admit(self, chunk: Chunk, origin: str) -> bool:
+    def _admit(self, chunk: Chunk, origin: str) -> DagAddress | None:
         """Single chokepoint through which chunks enter the store (verified
         ones, and those inject_unverified_chunk plants); installs
         routes/bindings, withdraws evicted content and fans out
-        notifications."""
+        notifications.  Returns the chunk's address, or None if no store
+        admitted it."""
         try:
             _, evicted = self.manager.store(chunk)
         except StoreError as exc:
             log.warning("store refused chunk %s: %s", chunk.id.text(short=True), exc)
-            return False
+            return None
         for victim in evicted:
-            addr = self.published.get(victim, self._address_for(victim))
             self._withdraw(victim)
-            self._notify(NotifEvent.CHUNK_EVICTED, addr)
+            self._notify(NotifEvent.CHUNK_EVICTED, self._address_for(victim))
         addr = self._address_for(chunk.id)
-        self.published[chunk.id] = addr
         if self.node is not None:
             self.node.server_socket.bind(chunk.id, addr)
         if origin != "publish":
             self._notify(NotifEvent.CHUNK_ARRIVED, addr)
-        return True
+        return addr
 
     def _withdraw(self, xid: Xid) -> None:
-        self.published.pop(xid, None)
         if self.node is not None:
             self.node.server_socket.unbind(xid)
 
@@ -747,7 +722,7 @@ class Xcached:
         it, modeling a malicious or broken node.  Honest daemons never
         call this."""
         with self._lock:
-            if not self._admit(chunk, origin="publish"):
+            if self._admit(chunk, origin="publish") is None:
                 raise PublishError("no store admitted the chunk")
 
     # -- node-facing machinery ------------------------------------------
@@ -770,12 +745,10 @@ class Xcached:
         on FIN reassemble, verify and adopt the chunk."""
         if seg.flags & SegFlags.SYNACK:
             intent = seg.src_dag.intent_xid()
-            if intent.xtype not in CONTENT_TYPES:
+            if not self.caching or intent.xtype not in CONTENT_TYPES:
                 return
-            if seg.session in self._ingest_buffers or self.manager.contains(intent):
-                return
-            if self.policy.decide(intent, seg.src_dag):
-                self._ingest_buffers[seg.session] = _IngestBuffer(intent, seg.src_dag)
+            if seg.session not in self._ingest_buffers and not self.manager.contains(intent):
+                self._ingest_buffers[seg.session] = _IngestBuffer(intent)
             return
         buf = self._ingest_buffers.get(seg.session)
         if buf is None:
@@ -789,36 +762,31 @@ class Xcached:
         if buf.fin_seq is not None and all(i in buf.segments for i in range(buf.fin_seq)):
             del self._ingest_buffers[seg.session]
             raw = b"".join(buf.segments[i] for i in range(buf.fin_seq))
-            self._ingest_reassembled(raw, buf)
+            self._ingest(raw, buf.intent)
 
-    def _ingest_reassembled(self, raw: bytes, buf: _IngestBuffer) -> None:
+    def _ingest(self, raw: bytes, intent: Xid) -> None:
+        """Verify a reassembled capture against the local store alone and
+        adopt it.  A named chunk whose key chunk is not local needs a
+        network fetch, which cannot run inside event processing, so a
+        worker verifies it instead."""
         try:
-            chunk = decode_chunk(raw, max_payload=self.config.max_payload)
-        except ChunkDecodeError as exc:
-            log.warning("%s: discarding undecodable capture: %s", self._name(), exc)
+            chunk = self._decode(raw)
+        except VerificationError as exc:
+            log.warning("%s: discarding capture: %s", self._name(), exc)
             return
-        if chunk.id != buf.intent or chunk.ttl_ms == 0:
+        if chunk.ttl_ms == 0:
             return
-        if chunk.id.xtype is XidType.CID:
-            if verify_cid(chunk).accepted:
-                with self._lock:
-                    self._admit(chunk, origin="opportunistic")
-            return
-        key_chunk = self.manager.get(chunk.key_ref.intent_xid()) if chunk.key_ref else None
-        if key_chunk is not None:
-            if verify_ncid(chunk, key_chunk).accepted:
-                with self._lock:
-                    self._admit(chunk, origin="opportunistic")
-            return
-        # Key chunk not local; verification needs a network fetch, which
-        # cannot run inside event processing.  Hand it to a worker.
-        self._enqueue(Request("ingest", None, chunk=chunk, provider=buf.provider_dag))
+        result = self._adopt(chunk, intent, fetch_key=self.manager.get)
+        # a decoded named chunk always has a key_ref
+        if result.reason == REASON_KEY and not self.manager.contains(chunk.key_ref.intent_xid()):
+            self._enqueue(Request(None, intent, partial(self._adopt, chunk, intent)))
 
-    def _ingest_with_key_fetch(self, chunk: Chunk, provider_dag: DagAddress) -> None:
-        result = verify_ncid_via(chunk, partial(self._fetch_key, chunk.key_ref))
+    def _adopt(self, chunk: Chunk, intent: Xid, fetch_key=None) -> VerifyResult:
+        result = self.verify(chunk, intent, fetch_key)
         if result.accepted:
             with self._lock:
                 self._admit(chunk, origin="opportunistic")
+        return result
 
     def _name(self) -> str:
         return self.node.name if self.node is not None else "local"

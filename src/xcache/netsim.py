@@ -199,6 +199,10 @@ class Simulator:
 
     # -- event engine ------------------------------------------------
 
+    def now_ms(self) -> int:
+        """Simulated time, so a simulator can serve as a store's clock."""
+        return self.now
+
     def schedule(self, delay_ms: int, fn) -> None:
         with self._cond:
             self._seq += 1
@@ -296,7 +300,6 @@ class NetNode:
         self.endpoints: dict[Xid, object] = {}
         self.capture_subs: list = []
         self.counters: Counter = Counter()
-        self.daemon = None
 
     def __repr__(self) -> str:
         return f"NetNode({self.name})"
@@ -485,7 +488,6 @@ class ClientSession(_Session):
 
         self.provider_name: str | None = None
         self.provider_endpoint: DagAddress | None = None
-        self.provider_dag: DagAddress | None = None
         self.syn_hops: int | None = None
 
         self.rx_payloads: list[bytes] = []
@@ -541,7 +543,6 @@ class ClientSession(_Session):
                 except (ValueError, UnicodeDecodeError) as exc:
                     log.warning("%s: malformed SYNACK meta: %s", self.node.name, exc)
                     return
-                self.provider_dag = seg.src_dag
                 self.state = "established"
                 self._progress()
             self._send_ack()

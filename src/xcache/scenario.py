@@ -49,7 +49,8 @@ from .daemon import (
     VerificationError,
     Xcached,
     XcacheError,
-    policy_from_name,
+    cache_flag,
+    parse_config,
 )
 from .netsim import SimError, Simulator, build_simulator
 from .urls import (
@@ -162,7 +163,7 @@ class ScenarioRunner:
     # -- execution -----------------------------------------------------
 
     def run(self) -> ScenarioResult:
-        config_overrides: dict[str, str] = {}
+        config_lines: dict[int, str] = {}
         topology_path: Path | None = None
 
         # Pre-scan so configuration applies before daemons are built.
@@ -174,18 +175,21 @@ class ScenarioRunner:
             elif tokens[0] == "config":
                 if len(tokens) != 3:
                     raise ScenarioError(f"line {lineno}: config needs key and value")
-                config_overrides[tokens[1]] = tokens[2]
+                config_lines[lineno] = f"{tokens[1]} = {tokens[2]}"
         if topology_path is None:
             if not self.commands:  # empty scenario: empty report
                 return ScenarioResult(report="", failures=[], fetches=[])
             raise ScenarioError("script has no topology line")
 
-        cfg = self.base_config
-        for key, value in config_overrides.items():
-            if not hasattr(cfg, key):
-                raise ScenarioError(f"unknown config key {key!r}")
-            current = getattr(cfg, key)
-            cfg = replace(cfg, **{key: int(value) if isinstance(current, int) else value})
+        # Blank lines in between keep the config parser's line numbers
+        # those of the script.
+        config_text = "\n".join(
+            config_lines.get(n, "") for n in range(1, max(config_lines, default=0) + 1)
+        )
+        try:
+            cfg = parse_config(config_text, base=self.base_config)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
 
         self.sim = build_simulator(
             topology_path.read_text(),
@@ -247,7 +251,7 @@ class ScenarioRunner:
 
     def _cmd_policy(self, args):
         node, policy = args
-        self._daemon(node).policy = policy_from_name(policy)
+        self._daemon(node).caching = cache_flag(policy)
 
     def _cmd_genkey(self, args):
         (name,) = args

@@ -18,6 +18,7 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .addressing import Xid
 from .chunking import Chunk, ChunkError, decode_chunk, encode_chunk
@@ -63,6 +64,18 @@ class CacheEntry:
     store_id: str
     inserted_at: int
     last_access: int
+    expires_at: int
+
+    def expired(self, now_ms: int) -> bool:
+        return now_ms >= self.expires_at
+
+
+class _Stamps(NamedTuple):
+    """What the manager keeps of a stored entry: the chunk itself stays
+    in its store only, so disk-resident chunks hold no memory."""
+
+    store_id: str
+    inserted_at: int
     expires_at: int
 
     def expired(self, now_ms: int) -> bool:
@@ -240,9 +253,8 @@ class StorageManager:
         if disk_capacity > 0 and disk_dir is not None:
             self.stores.append(DiskStore(disk_dir, disk_capacity))
         self._by_id = {s.store_id: s for s in self.stores}
-        # Each entry as last written to its store; its access stamp is not
-        # refreshed by reads.
-        self._entries: dict[Xid, CacheEntry] = {}
+        # Each entry's placement and stamps as last written to its store.
+        self._entries: dict[Xid, _Stamps] = {}
         # Per store, each entry's LRU key (last access, insertion seq): the
         # only record of recency.  The victim is the minimum key.
         self._lru: dict[str, dict[Xid, tuple[int, int]]] = {
@@ -252,7 +264,9 @@ class StorageManager:
         for store in self.stores:
             if isinstance(store, DiskStore):
                 for entry in store.load_entries(self.clock.now_ms()):
-                    self._entries[entry.chunk.id] = entry
+                    self._entries[entry.chunk.id] = _Stamps(
+                        store.store_id, entry.inserted_at, entry.expires_at
+                    )
                     self._lru[store.store_id][entry.chunk.id] = (
                         entry.last_access, entry.inserted_at
                     )
@@ -269,11 +283,12 @@ class StorageManager:
                 raise StoreError("refusing to store a do-not-cache (ttl=0) chunk")
             now = self.clock.now_ms()
             existing = self._entries.get(chunk.id)
-            if existing is not None and not existing.expired(now) and existing.chunk == chunk:
-                # identical republish: refresh the stamps, keep placement
+            if existing is not None and not existing.expired(now):
                 store = self._by_id[existing.store_id]
-                self._write(store, chunk, existing.inserted_at, now)
-                return store.store_id, []
+                if store.get(chunk.id) == chunk:
+                    # identical republish: refresh the stamps, keep placement
+                    self._write(store, chunk, existing.inserted_at, now)
+                    return store.store_id, []
             if existing is not None:
                 # same id, different content (named republish): replace
                 self._drop(chunk.id)
@@ -359,7 +374,7 @@ class StorageManager:
     def _write(self, store: ContentStore, chunk: Chunk, seq: int, now: int) -> None:
         entry = CacheEntry(chunk, store.store_id, seq, now, now + chunk.ttl_ms)
         store.store(entry)
-        self._entries[chunk.id] = entry
+        self._entries[chunk.id] = _Stamps(store.store_id, seq, entry.expires_at)
         self._lru[store.store_id][chunk.id] = (now, seq)
 
     def _drop(self, xid: Xid) -> None:

@@ -345,6 +345,23 @@ class TestConstantCostVerification:
         assert len(calls) == 1
         assert calls[0] == key_chunk.id
 
+    def test_key_ref_to_a_named_address_rejected_before_fetching(self):
+        named, _, _, key = publish_pair()
+        name, payload = "fb.com/other", b"points at a named chunk"
+        forged = Chunk(
+            id=compute_ncid(name, key.fingerprint()),
+            ttl_ms=60000,
+            payload=payload,
+            name=name,
+            key_ref=make_fallback_dag(named.id, [symbolic_xid("AD", "pubnode")]),
+            fingerprint=key.fingerprint(),
+            signature=sign_named(name, payload, key),
+        )
+        calls = []
+        result = verify_ncid_via(forged, lambda xid: calls.append(xid) or named)
+        assert result.reason == REASON_KEY
+        assert calls == []
+
     def test_missing_key_is_a_key_rejection(self):
         chunk, _, _, _ = publish_pair()
         assert verify_ncid_via(chunk, lambda cid: None).reason == REASON_KEY

@@ -6,23 +6,23 @@ import threading
 import pytest
 
 from conftest import LINE3_TOPO, PAIR_TOPO, make_cluster
-from xcache.addressing import XidType, make_fallback_dag
+from xcache.addressing import make_fallback_dag
 from xcache.chunking import (
+    Chunk,
     PublisherKey,
     build_cid_chunk,
     compute_cid,
     compute_ncid,
     encode_chunk,
+    sign_named,
     verify_cid,
 )
 from xcache.daemon import (
-    CachePolicy,
     CanceledError,
     CertificateRequiredError,
     DaemonConfig,
     FetchTimeoutError,
     InvalidHandleError,
-    NeverCache,
     NotifEvent,
     PublishError,
     UnroutableError,
@@ -67,6 +67,16 @@ class TestConfig:
     def test_bad_policy_name(self):
         with pytest.raises(ValueError, match="policy"):
             parse_config("cache_policy = sometimes")
+
+    def test_non_integer_value(self):
+        with pytest.raises(ValueError, match="config line 2: invalid literal for int"):
+            parse_config("window = 4\nworkers = abc")
+
+    def test_overrides_apply_to_a_base_config(self):
+        base = DaemonConfig(window=3, cache_policy="never")
+        cfg = parse_config("workers = 1", base=base)
+        assert (cfg.workers, cfg.window, cfg.cache_policy) == (1, 3, "never")
+        assert base.workers == 4
 
 
 class TestHandles:
@@ -230,6 +240,21 @@ class TestFetchPaths:
             t.join(timeout=15)
         assert results == payloads
 
+    def test_followers_leave_their_handles_pending(self):
+        sim, daemons, handles = make_cluster(PAIR_TOPO, config=DaemonConfig(workers=0))
+        try:
+            dag = handles["pub"].put_chunk(b"asked for twice", 60000)
+            h1, h2 = daemons["client"].init_handle(), daemons["client"].init_handle()
+            p1 = h1.fetch_chunk(dag, blocking=False)
+            p2 = h2.fetch_chunk(dag, blocking=False)
+            # drain the queue on this thread: the leader, then the stop marker
+            daemons["client"]._queue.put(None)
+            daemons["client"]._worker_loop()
+            assert p1.result(timeout=1) == p2.result(timeout=1) == b"asked for twice"
+            assert h1._pending == set() and h2._pending == set()
+        finally:
+            shutdown_all(daemons)
+
     def test_fifo_dequeue_order(self, pair, monkeypatch):
         sim, daemons, handles = pair
 
@@ -297,6 +322,24 @@ class TestNamedContent:
         url2 = serialize_ncid_url(NcidUrl("fb.com/cmu", (("PubCert", serialize_dag_url(cert2)),)))
         assert handles["client"].get_named_chunk(url1) == b"from one"
         assert handles["client"].get_named_chunk(url2) == b"from two"
+
+    def test_key_ref_to_a_named_address_is_a_verification_failure(self, pair):
+        sim, daemons, handles = pair
+        key, _, content_dag = self.publish_named(handles)
+        name, payload = "fb.com/forged", b"key_ref names a named chunk"
+        forged = Chunk(
+            id=compute_ncid(name, key.fingerprint()),
+            ttl_ms=60000,
+            payload=payload,
+            name=name,
+            key_ref=content_dag,
+            fingerprint=key.fingerprint(),
+            signature=sign_named(name, payload, key),
+        )
+        daemons["pub"].inject_unverified_chunk(forged)
+        with pytest.raises(VerificationError) as info:
+            handles["client"].fetch_chunk(sim.nodes["pub"].local_dag_for(forged.id), timeout=10)
+        assert info.value.reason == "key-chunk-invalid"
 
     def test_multiform_locators_select_representations(self, line3):
         _, _, handles = line3
@@ -386,7 +429,7 @@ class TestDestroy:
 
     def test_destroy_does_not_purge_remote_copies(self, line3):
         sim, daemons, handles = line3
-        daemons["client"].policy = NeverCache()
+        daemons["client"].caching = False
         dag = handles["pub"].put_chunk(b"replicated", 60000)
         handles["client"].fetch_chunk(dag)  # router caches on path
         handles["pub"].destroy_chunk(dag)
@@ -414,7 +457,7 @@ class TestNotifications:
 
     def test_arrival_notification_on_opportunistic_cache(self, line3):
         sim, daemons, handles = line3
-        daemons["client"].policy = NeverCache()
+        daemons["client"].caching = False
         router_handle = daemons["router"].init_handle()
         seen = []
         router_handle.register_notif(NotifEvent.CHUNK_ARRIVED, lambda h, n: seen.append(n))
@@ -479,7 +522,7 @@ class TestNotifications:
 class TestOpportunisticCaching:
     def test_always_cache_moves_provider_to_router(self, line3):
         sim, daemons, handles = line3
-        daemons["client"].policy = NeverCache()
+        daemons["client"].caching = False
         dag = handles["pub"].put_chunk(b"popular object", 60000)
         chunk1, stats1 = daemons["client"].fetch_entry(handles["client"], dag)
         chunk2, stats2 = daemons["client"].fetch_entry(handles["client"], dag)
@@ -490,8 +533,8 @@ class TestOpportunisticCaching:
 
     def test_never_cache_router_stores_nothing(self, line3):
         sim, daemons, handles = line3
-        daemons["client"].policy = NeverCache()
-        daemons["router"].policy = NeverCache()
+        daemons["client"].caching = False
+        daemons["router"].caching = False
         dag = handles["pub"].put_chunk(b"one-off object", 60000)
         _, stats1 = daemons["client"].fetch_entry(handles["client"], dag)
         _, stats2 = daemons["client"].fetch_entry(handles["client"], dag)
@@ -503,7 +546,7 @@ class TestOpportunisticCaching:
         topo = LINE3_TOPO.replace("loss=0.0", "loss=0.1")
         sim, daemons, handles = make_cluster(topo, seed=21)
         try:
-            daemons["client"].policy = NeverCache()
+            daemons["client"].caching = False
             payload = random.Random(21).randbytes(32 * 1024)
             dag = handles["pub"].put_chunk(payload, 600_000)
             assert handles["client"].fetch_chunk(dag) == payload
@@ -514,18 +557,15 @@ class TestOpportunisticCaching:
             shutdown_all(daemons)
 
     def test_named_chunk_ingest_with_deferred_key_fetch(self, line3):
-        # router policy refuses plain chunks, so the certificate is not
-        # on the router when the named chunk flies past; verification
-        # must fetch it through a worker before caching
-        class NamedOnly(CachePolicy):
-            def decide(self, intent, provider_dag):
-                return intent.xtype is XidType.NCID
-
+        # the client holds its own copy of the certificate, so it never
+        # crosses the router and is not on the router when the named
+        # chunk flies past; verification must fetch it through a worker
+        # before caching
         sim, daemons, handles = line3
-        daemons["client"].policy = NeverCache()
-        daemons["router"].policy = NamedOnly()
+        daemons["client"].caching = False
         key = PublisherKey.generate(rng=random.Random(11))
         cert_dag = handles["pub"].put_chunk(key.public, 600_000)
+        handles["client"].put_chunk(key.public, 600_000)
         content_dag = handles["pub"].put_named_content(
             "news/front", b"headline bytes", 600_000, key, cert_dag
         )
@@ -543,6 +583,7 @@ class TestOpportunisticCaching:
             time.sleep(0.05)
         assert daemons["router"].manager.contains(content_dag.intent_xid())
         assert daemons["router"].manager.contains(cert_dag.intent_xid())
+        assert daemons["router"].counters["key_fetches"] == 1
 
     def test_verify_before_cache_audit(self, line3, monkeypatch):
         sim, daemons, handles = line3
@@ -554,7 +595,7 @@ class TestOpportunisticCaching:
             return admit(daemon, chunk, origin)
 
         monkeypatch.setattr(Xcached, "_admit", audited)
-        daemons["client"].policy = NeverCache()
+        daemons["client"].caching = False
         dag = handles["pub"].put_chunk(b"audited", 60000)
         handles["client"].fetch_chunk(dag)
         assert admitted, "audit hook never fired"
@@ -630,7 +671,6 @@ class TestServeEdgeCases:
             a = dag_a.intent_xid()
             assert handles["pub"].process_notif() == 1
             assert [n.addr.intent_xid() for n in evicted] == [a]
-            assert a not in daemons["pub"].published
             assert a not in sim.nodes["pub"].server_socket.bound
             assert not sim.nodes["pub"].routes.is_local(a)
             with pytest.raises(FetchTimeoutError):

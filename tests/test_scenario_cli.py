@@ -205,6 +205,14 @@ class TestCliSim:
         script.write_text("topology missing.topo\n")
         assert cli.main(["sim", str(script)]) == cli.EX_USAGE
 
+    @pytest.mark.parametrize("line", ["config cache_policy sometimes", "config workers abc"])
+    def test_bad_config_line_exits_2(self, tmp_path, capsys, line):
+        script = write_scenario(
+            tmp_path, "line3.topo", LINE3, "bad.xsim", line + "\n" + OPPORTUNISTIC
+        )
+        assert cli.main(["sim", str(script)]) == cli.EX_USAGE
+        assert "config line 1:" in capsys.readouterr().err
+
     def test_empty_script_exits_0_with_empty_report(self, tmp_path, capsys):
         script = tmp_path / "empty.xsim"
         script.write_text("# just a comment\n")

@@ -1,6 +1,7 @@
 import random
 import shutil
 import tempfile
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -336,6 +337,27 @@ class TestDiskDurability:
         )
         assert reopened.get(keep.id).payload == keep.payload
         assert reopened.get(lose.id) is None
+
+    def test_reopened_disk_entries_hold_no_chunks_in_memory(self, tmp_path):
+        rng = random.Random(7)
+        chunks = [build_cid_chunk(rng.randbytes(64 * 1024), 1_000_000) for _ in range(200)]
+        manager = StorageManager(mem_capacity=0, disk_capacity=256, disk_dir=tmp_path)
+        for chunk in chunks:
+            manager.store(chunk)
+        manager.close()
+        del manager
+
+        tracemalloc.start()
+        try:
+            reopened = StorageManager(mem_capacity=0, disk_capacity=256, disk_dir=tmp_path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reopened) == 200
+        assert held < 1 << 20  # 200 x 64 KiB would be 12.5 MiB
+        # an identical republish reads the chunk back from disk to compare
+        assert reopened.store(chunks[0]) == ("disk", [])
+        assert reopened.get(chunks[0].id) == chunks[0]
 
     def test_memory_entries_do_not_survive(self, tmp_path):
         manager = StorageManager(
