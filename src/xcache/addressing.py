@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Collection, Sequence
 
 XID_LEN = 20
 MAX_DAG_NODES = 16
@@ -36,6 +36,10 @@ class XidType(Enum):
     SID = "SID"
     CID = "CID"
     NCID = "nCID"
+
+    # Members are singletons, so identity hashing is exact, and it runs
+    # in C instead of Enum's Python-level hash of the member name.
+    __hash__ = object.__hash__
 
     @property
     def scheme(self) -> str:
@@ -68,7 +72,8 @@ _SHORT_LABEL = re.compile(r"^[A-Za-z0-9_.]{1,20}$")
 class Xid:
     """A typed 20-byte principal identifier.
 
-    Equality is plain (type, value) byte equality.
+    Equality is plain (type, value) byte equality.  The hash is computed
+    once, since every forwarding decision looks XIDs up in route tables.
     """
 
     xtype: XidType
@@ -81,6 +86,10 @@ class Xid:
             raise AddressError(
                 f"XID value must be exactly {XID_LEN} bytes, got {len(self.value)}"
             )
+        object.__setattr__(self, "_hash", hash((self.xtype, self.value)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def text(self, short: bool = False) -> str:
         return format_xid(self, short=short)
@@ -372,7 +381,7 @@ Decision = DeliverLocal | Forward | Unroutable
 
 def resolve_next(
     dag: DagAddress,
-    understood: Iterable[XidType],
+    understood: Collection[XidType],
     routes: RouteTable,
     position: int | None = SOURCE,
 ) -> Decision:
@@ -385,28 +394,24 @@ def resolve_next(
     the scan restarts from there; there is no lookahead past unusable
     targets and no backtracking.
     """
-    understood = frozenset(understood)
+    nodes = dag.nodes
+    local = routes._local
+    next_hop = routes._next_hop
     pos = position
+    edges = dag.source_edges if pos is SOURCE else nodes[pos].out_edges
     while True:
-        edges = dag.source_edges if pos is SOURCE else dag.nodes[pos].out_edges
-        chosen: tuple[str, int, str | None] | None = None
         for target in edges:
-            node = dag.nodes[target]
-            if node.xid.xtype not in understood:
+            xid = nodes[target].xid
+            if xid.xtype not in understood:
                 continue
-            if routes.is_local(node.xid):
-                chosen = ("local", target, None)
+            if xid in local:
+                if target == dag.intent:
+                    return DeliverLocal(node=target)
+                pos = target
+                edges = nodes[target].out_edges
                 break
-            hop = routes.next_hop(node.xid)
+            hop = next_hop.get(xid)
             if hop is not None:
-                chosen = ("forward", target, hop)
-                break
-        if chosen is None:
+                return Forward(next_hop=hop, position=pos, via=target)
+        else:
             return Unroutable()
-        kind, target, hop = chosen
-        if kind == "forward":
-            assert hop is not None
-            return Forward(next_hop=hop, position=pos, via=target)
-        if target == dag.intent:
-            return DeliverLocal(node=target)
-        pos = target

@@ -675,7 +675,7 @@ class Xcached:
             return None
         if not self.verify(key_chunk, key_cid):
             return None
-        if key_chunk.ttl_ms > 0:
+        if key_chunk.ttl_ms > 0 and self.caching:
             with self._lock:
                 self._admit(key_chunk, origin="fetch")
         return key_chunk

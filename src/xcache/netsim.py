@@ -7,12 +7,15 @@ whichever node holds that content (origin publisher or an on-path
 cache) terminates routing and answers.  Bytes then flow over a
 Go-Back-N sliding window with cumulative ACKs and retransmission
 timers.  Nodes on the forwarding path can subscribe a raw capture tap
-that sees every forwarded content segment without altering it, which is
-what opportunistic caching feeds on.
+that sees every forwarded content segment, which is what opportunistic
+caching feeds on.  A tap receives the live segment, not a copy, and must
+treat it as read-only: the forwarding path goes on to mutate its
+``hops`` and ``dst_position``.
 
 The engine is a discrete-event loop over logical milliseconds.  Given a
 topology, a workload and a seed, the event trace is fully determined;
-equal-timestamp events run in enqueue order.  The blocking client calls
+equal-timestamp events run in enqueue order.  Recording that trace is
+opt-in (assign a list to ``Simulator.trace``).  The blocking client calls
 (connect/recv) pump the event loop under a shared engine lock, so they
 may be issued from multiple worker threads and are serialized at event
 granularity.  The serving side never blocks: each node's server socket
@@ -40,7 +43,7 @@ import logging
 import random
 import threading
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntFlag
 
 from .addressing import (
@@ -127,7 +130,11 @@ class Link:
 
 
 class Simulator:
-    """Event engine plus topology: nodes, links, routes, clock and RNG."""
+    """Event engine plus topology: nodes, links, routes, clock and RNG.
+
+    ``trace`` is None, and nothing is recorded, unless a caller assigns
+    it a list; it then collects one record per xmit, drop and delivery.
+    """
 
     def __init__(
         self,
@@ -148,7 +155,7 @@ class Simulator:
         self.nodes: dict[str, NetNode] = {}
         self.links: dict[tuple[str, str], Link] = {}
         self.node_opts: dict[str, dict] = {}
-        self.trace: list[tuple] = []
+        self.trace: list[tuple] | None = None
         self.stats: Counter = Counter()
         self.session_stats: dict[bytes, Counter] = defaultdict(Counter)
 
@@ -204,10 +211,11 @@ class Simulator:
         return self.now
 
     def schedule(self, delay_ms: int, fn) -> None:
+        # Callers run inside submit, wait_for or step, which notify
+        # waiters once they are done.
         with self._cond:
             self._seq += 1
             heapq.heappush(self._heap, (self.now + delay_ms, self._seq, fn))
-            self._cond.notify_all()
 
     def submit(self, fn):
         """Run ``fn`` immediately under the engine lock; the entry point
@@ -250,21 +258,24 @@ class Simulator:
     def step(self, until_ms: int | None = None) -> list[tuple]:
         """Advance through all events due at or before ``until_ms``
         (all pending events when None); returns the delivery records
-        processed by this call."""
+        processed by this call, none unless the trace is on."""
         with self._cond:
-            mark = len(self.trace)
+            trace = self.trace if self.trace is not None else []
+            mark = len(trace)
             while self._heap and (until_ms is None or self._heap[0][0] <= until_ms):
                 self._run_next()
             if until_ms is not None and until_ms > self.now:
                 self.now = until_ms
             self._cond.notify_all()
-            return [rec for rec in self.trace[mark:] if rec[0] == "deliver"]
+            return [rec for rec in trace[mark:] if rec[0] == "deliver"]
 
     def count_retransmit(self, session_id: bytes) -> None:
         self.stats["retransmits"] += 1
         self.session_stats[session_id]["retransmits"] += 1
 
     def _trace(self, kind: str, node: str, seg: Segment, **extra) -> None:
+        if self.trace is None:
+            return
         intent = seg.intent.text() if seg.intent is not None else None
         self.trace.append(
             (
@@ -305,8 +316,11 @@ class NetNode:
         return f"NetNode({self.name})"
 
     def subscribe_capture(self, fn) -> None:
-        """Register a tap that receives a copy of every forwarded
-        content segment (either address naming a content principal)."""
+        """Register a tap that receives every forwarded content segment
+        (either address naming a content principal).  The tap gets the
+        live segment, not a copy, and must treat it as read-only;
+        forwarding updates its ``hops`` and ``dst_position`` after the
+        tap returns."""
         self.capture_subs.append(fn)
 
     def local_dag_for(self, xid: Xid) -> DagAddress:
@@ -320,7 +334,13 @@ class NetNode:
         decision = resolve_next(seg.dst_dag, self.understood, self.routes, seg.dst_position)
         if isinstance(decision, DeliverLocal):
             seg.dst_position = decision.node
-            self._deliver(seg)
+            if seg.hops == 0:
+                # Sent to itself (a node fetching content it serves):
+                # deliver from the event loop, so that an ACK does not
+                # re-enter the sender's window pump.
+                self.sim.schedule(0, lambda: self._deliver(seg))
+            else:
+                self._deliver(seg)
             return "delivered"
         if isinstance(decision, Forward):
             seg.dst_position = decision.position
@@ -361,7 +381,7 @@ class NetNode:
             or seg.src_dag.intent_xid().xtype in CONTENT_TYPES
         ):
             for sub in self.capture_subs:
-                sub(replace(seg))
+                sub(seg)
 
     def _deliver(self, seg: Segment) -> None:
         self.sim._trace("deliver", self.name, seg)
@@ -420,10 +440,11 @@ class ContentServerSocket:
         self.node.routes.remove_local(xid)
 
     def on_syn(self, seg: Segment) -> None:
+        # A client session under the same id is this node fetching from
+        # itself, not a duplicate SYN.
         existing = self.node.sessions.get(seg.session)
-        if existing is not None:
-            if isinstance(existing, ServerSession):
-                existing.on_duplicate_syn()
+        if isinstance(existing, ServerSession):
+            existing.on_duplicate_syn()
             return
         xid = seg.intent
         if xid is None or xid not in self.bound:

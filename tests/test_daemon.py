@@ -152,12 +152,12 @@ class TestFetchPaths:
         sim, daemons, handles = line3
         dag = handles["client"].put_chunk(b"local bytes", 60000)
         before = dict(daemons["client"].counters)
-        trace_len = len(sim.trace)
+        sim.trace = []
         assert handles["client"].fetch_chunk(dag) == b"local bytes"
         after = daemons["client"].counters
         assert after["fast_path"] - before.get("fast_path", 0) == 1
         assert after["queued"] - before.get("queued", 0) == 0
-        assert len(sim.trace) == trace_len  # no network events at all
+        assert sim.trace == []  # no network events at all
 
     def test_remote_fetch_counters(self, line3):
         sim, daemons, handles = line3
@@ -401,6 +401,16 @@ class TestNamedContent:
         handles["client"].get_named_chunk(url)
         assert daemons["client"].manager.contains(cert_dag.intent_xid())
         assert daemons["client"].manager.contains(content_dag.intent_xid())
+
+    def test_never_cache_daemon_admits_no_key_chunk(self, line3):
+        _, daemons, handles = line3
+        _, cert_dag, _ = self.publish_named(handles)
+        daemons["client"].caching = False
+        url = serialize_ncid_url(
+            NcidUrl("fb.com/cmu", (("PubCert", serialize_dag_url(cert_dag)),))
+        )
+        assert handles["client"].get_named_chunk(url) == b"timeline bytes"
+        assert len(daemons["client"].manager) == 0
 
     def test_exactly_one_key_fetch_per_verification(self, line3):
         _, daemons, handles = line3

@@ -93,6 +93,7 @@ class TestEventEngine:
 
     def test_step_until_boundary(self):
         sim = build_simulator(PAIR_TOPO)
+        sim.trace = []
         seg = Segment(
             session=b"s" * 8,
             seq=0,
@@ -108,6 +109,7 @@ class TestEventEngine:
     def test_identical_seeds_identical_traces(self):
         def run(seed):
             sim = build_simulator(PAIR_LOSSY, seed=seed)
+            sim.trace = []
             payload = bytes(1000)
             dag = serve_bytes(sim.nodes["pub"], payload)
             session = sim.nodes["client"].connect_to_content(dag)
@@ -116,6 +118,12 @@ class TestEventEngine:
 
         assert run(7) == run(7)
         assert run(7) != run(8)
+
+    def test_trace_is_off_unless_assigned(self):
+        sim = build_simulator(LINE3_TOPO)
+        dag = serve_bytes(sim.nodes["pub"], bytes(3000))
+        assert sim.nodes["client"].connect_to_content(dag).recv_chunk() == bytes(3000)
+        assert sim.trace is None
 
     def test_wait_for_stalls_cleanly(self):
         sim = Simulator()
@@ -158,6 +166,19 @@ class TestConnect:
         dag = make_fallback_dag(cid, [])
         with pytest.raises(HandshakeTimeout):
             sim.nodes["client"].connect_to_content(dag)
+
+    def test_node_fetches_content_it_serves(self):
+        # the SYN is delivered on the client's own node, where the
+        # client session already holds the session id
+        sim = build_simulator(PAIR_TOPO)
+        pub = sim.nodes["pub"]
+        payload = random.Random(4).randbytes(1024 * 1024)
+        dag = serve_bytes(pub, payload)
+        session = pub.connect_to_content(dag)
+        assert session.provider_name == "pub"
+        assert session.recv_chunk() == payload
+        assert sim.stats["data_segments_sent"] == 1025  # each segment once
+        assert sim.stats["retransmits"] == 0
 
     def test_only_content_intents_connect(self):
         sim = build_simulator(PAIR_TOPO)
@@ -324,6 +345,7 @@ class TestDeterminism:
 
     def test_seeded_lossy_transfer_is_pinned(self):
         sim = build_simulator(self.CHAIN4_LOSSY, seed=2024)
+        sim.trace = []
         payload = random.Random(2024).randbytes(64 * 1024)
         dag = serve_bytes(sim.nodes["pub"], payload)
         session = sim.nodes["client"].connect_to_content(dag)
@@ -353,6 +375,7 @@ class TestRawCapture:
 
     def test_host_traffic_not_captured(self):
         sim = build_simulator(LINE3_TOPO)
+        sim.trace = []
         captured = []
         sim.nodes["router"].subscribe_capture(captured.append)
         seg = Segment(
@@ -370,6 +393,7 @@ class TestRawCapture:
     def test_capture_is_transparent(self):
         def run(subscribe):
             sim = build_simulator(LINE3_TOPO, seed=11)
+            sim.trace = []
             if subscribe:
                 sim.nodes["router"].subscribe_capture(lambda seg: None)
             payload = bytes(5000)
@@ -412,6 +436,7 @@ class TestRawCapture:
 class TestHandshakeDuality:
     def test_syn_is_the_only_request_shape(self):
         sim = build_simulator(LINE3_TOPO)
+        sim.trace = []
         dag = serve_bytes(sim.nodes["pub"], bytes(2048))
         session = sim.nodes["client"].connect_to_content(dag)
         session.recv_chunk()
