@@ -25,6 +25,14 @@ class AddressError(ValueError):
     """Malformed XID text or structurally invalid DAG address."""
 
 
+class DagCycleError(AddressError):
+    """The address graph has a cycle; ``node`` indexes a node on it."""
+
+    def __init__(self, node: int):
+        super().__init__(f"address graph has a cycle through node {node}")
+        self.node = node
+
+
 class XidType(Enum):
     """Principal types the network can address.
 
@@ -48,18 +56,21 @@ class XidType(Enum):
 
     @classmethod
     def from_tag(cls, tag: str) -> "XidType":
-        for member in cls:
-            if member.value == tag:
-                return member
-        raise AddressError(f"unknown principal type tag {tag!r}")
+        member = _BY_TAG.get(tag)
+        if member is None:
+            raise AddressError(f"unknown principal type tag {tag!r}")
+        return member
 
     @classmethod
     def from_scheme(cls, scheme: str) -> "XidType":
-        for member in cls:
-            if member.scheme == scheme:
-                return member
-        raise AddressError(f"unknown address scheme {scheme!r}")
+        member = _BY_SCHEME.get(scheme)
+        if member is None:
+            raise AddressError(f"unknown address scheme {scheme!r}")
+        return member
 
+
+_BY_TAG = {member.value: member for member in XidType}
+_BY_SCHEME = {member.scheme: member for member in XidType}
 
 ALL_XID_TYPES = frozenset(XidType)
 CONTENT_TYPES = frozenset({XidType.CID, XidType.NCID})
@@ -202,8 +213,16 @@ def dag_address(
 
 def validate_dag(dag: DagAddress) -> None:
     """Check every structural invariant; raise AddressError on the first
-    violation."""
-    n = len(dag.nodes)
+    violation.
+
+    The checks run in this order: node count, source edges, edge targets
+    in range, cycles (raised as DagCycleError, which names a node on the
+    cycle), one sink and it the intent, repeated edge targets,
+    reachability from the source, distinct XIDs.  Once every edge points
+    at a node, a cycle is thus reported ahead of any other fault.
+    """
+    nodes = dag.nodes
+    n = len(nodes)
     if n == 0:
         raise AddressError("address has no nodes")
     if n > MAX_DAG_NODES:
@@ -211,30 +230,26 @@ def validate_dag(dag: DagAddress) -> None:
     if not dag.source_edges:
         raise AddressError("source has no outgoing edges")
 
-    def check_edges(edges: tuple[int, ...], who: str) -> None:
-        seen = set()
+    edge_lists = (dag.source_edges, *(node.out_edges for node in nodes))
+    for who, edges in enumerate(edge_lists):
         for target in edges:
             if not 0 <= target < n:
-                raise AddressError(f"{who}: edge target {target} out of range")
-            if target in seen:
-                raise AddressError(f"{who}: duplicate edge target {target}")
-            seen.add(target)
-
-    check_edges(dag.source_edges, "source")
-    for i, node in enumerate(dag.nodes):
-        check_edges(node.out_edges, f"node {i}")
-
-    if not 0 <= dag.intent < n:
-        raise AddressError(f"intent index {dag.intent} out of range")
-    sinks = [i for i, node in enumerate(dag.nodes) if not node.out_edges]
-    if sinks != [dag.intent]:
-        raise AddressError(
-            f"intent must be the unique sink (sinks={sinks}, intent={dag.intent})"
-        )
+                raise AddressError(f"{_edge_owner(who)}: edge target {target} out of range")
 
     cycle_node = find_cycle(dag)
     if cycle_node is not None:
-        raise AddressError(f"address graph has a cycle through node {cycle_node}")
+        raise DagCycleError(cycle_node)
+
+    sinks = [i for i, node in enumerate(nodes) if not node.out_edges]
+    if len(sinks) != 1:
+        raise AddressError(f"expected exactly one sink, found {len(sinks)}")
+    if sinks[0] != dag.intent:
+        raise AddressError(f"intent index {dag.intent} is not the sink {sinks[0]}")
+
+    for who, edges in enumerate(edge_lists):
+        if len(set(edges)) != len(edges):
+            repeated = next(t for i, t in enumerate(edges) if t in edges[:i])
+            raise AddressError(f"{_edge_owner(who)}: duplicate edge target {repeated}")
 
     reached = set()
     stack = list(dag.source_edges)
@@ -243,13 +258,19 @@ def validate_dag(dag: DagAddress) -> None:
         if i in reached:
             continue
         reached.add(i)
-        stack.extend(dag.nodes[i].out_edges)
+        stack.extend(nodes[i].out_edges)
     if len(reached) != n:
         missing = sorted(set(range(n)) - reached)
         raise AddressError(f"nodes unreachable from source: {missing}")
 
-    if len(set(dag.xids())) != n:
+    if len({node.xid for node in nodes}) != n:
         raise AddressError("duplicate XIDs within the address")
+
+
+def _edge_owner(who: int) -> str:
+    """Name edge list ``who`` of validate_dag: 0 is the source's, i the
+    out-edges of node i - 1."""
+    return "source" if who == 0 else f"node {who - 1}"
 
 
 def find_cycle(dag: DagAddress) -> int | None:
@@ -284,16 +305,18 @@ def make_fallback_dag(intent: Xid, fallback_path: Sequence[Xid]) -> DagAddress:
     plus a fallback chain that also terminates at the intent.
 
     The source's first (highest priority) edge goes straight to the
-    intent; the second enters the fallback chain.
+    intent; the second enters the fallback chain.  That shape passes
+    validate_dag by construction, so only what the inputs can break is
+    checked: the node count and distinct XIDs.
     """
     k = len(fallback_path)
-    nodes: list[DagNode] = []
-    for i, xid in enumerate(fallback_path):
-        nxt = i + 1 if i + 1 < k else k
-        nodes.append(DagNode(xid, (nxt,)))
+    if k >= MAX_DAG_NODES:
+        raise AddressError(f"address has {k + 1} nodes, maximum is {MAX_DAG_NODES}")
+    if len({intent, *fallback_path}) != k + 1:
+        raise AddressError("duplicate XIDs within the address")
+    nodes = [DagNode(xid, (i + 1,)) for i, xid in enumerate(fallback_path)]
     nodes.append(DagNode(intent, ()))
-    source_edges = (k, 0) if k else (k,)
-    return dag_address(nodes, source_edges, intent=k)
+    return DagAddress(tuple(nodes), (k, 0) if k else (k,), k)
 
 
 def canonical_numbering(dag: DagAddress) -> list[int]:

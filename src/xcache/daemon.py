@@ -1,13 +1,16 @@
 """The content cache daemon.
 
 Applications talk to a daemon instance through handles.  Fetches that
-the local store can satisfy complete inline on the fast path; anything
-else is queued and executed by a fixed pool of worker threads that run
-the network transport, verify what arrived, and cache it when the
-daemon's cache flag is set.  Nothing enters any store without passing
-``Xcached.verify``, which is also what makes opportunistic caching safe:
-the daemon taps its node's forwarding path, reassembles content sessions
-it forwards, and becomes a provider for chunks that verify.
+the local store can satisfy complete inline on the fast path.  A
+blocking miss runs the network transport on the caller's own thread,
+verifies what arrived, and caches it when the daemon's cache flag is
+set; concurrent misses for the same content wait for that one transfer.
+Non-blocking misses and deferred verifications of captured chunks are
+queued for a fixed pool of worker threads.  Nothing enters any store
+without passing ``Xcached.verify``, which is also what makes
+opportunistic caching safe: the daemon taps its node's forwarding path,
+reassembles content sessions it forwards, and becomes a provider for
+chunks that verify.
 """
 
 from __future__ import annotations
@@ -166,8 +169,8 @@ def parse_config(text: str, base: DaemonConfig | None = None) -> DaemonConfig:
 
 
 class Request:
-    """One queued unit of work, run by a worker as ``work()``; reaches
-    exactly one terminal state."""
+    """One unit of work, run as ``work()`` by a worker or by a blocking
+    caller; reaches exactly one terminal state."""
 
     _ids = itertools.count(1)
 
@@ -449,9 +452,15 @@ class Xcached:
         bytes (or a PendingFetch when non-blocking).
 
         Fast path: present and unexpired in the local store, returned
-        inline without touching the queue.  Slow path: queued; a worker
-        connects to the content, verifies what arrives (discarding it on
-        failure) and caches it if the cache flag is set.
+        inline without touching the queue.  Slow path: the caller's own
+        thread (a worker's, when non-blocking) connects to the content,
+        verifies what arrives (discarding it on failure) and caches it if
+        the cache flag is set.  A miss for content another caller is
+        already fetching waits for that fetch instead.
+
+        ``timeout`` bounds only that wait on another caller's fetch (and
+        a non-blocking result); a fetch run on the caller's thread is
+        bounded by the transport's retry budget and idle timeout.
         """
         result = self.fetch_entry(handle, addr, blocking=blocking, timeout=timeout)
         if blocking:
@@ -465,9 +474,14 @@ class Xcached:
         addr: DagAddress | str,
         blocking: bool = True,
         timeout: float = 30.0,
+        *,
+        key_chunk: Chunk | None = None,
     ):
         """Like fetch_chunk but returns ``(Chunk, FetchStats)`` so
-        front-ends can report where the bytes came from."""
+        front-ends can report where the bytes came from.  ``key_chunk`` is
+        a verified certificate the caller already holds: a fetched named
+        chunk whose key it is verifies against it instead of fetching it
+        again."""
         self.check_handle(handle)
         if isinstance(addr, str):
             addr = parse_dag_url(addr, allow_short=True)
@@ -485,17 +499,23 @@ class Xcached:
                 return PendingFetch(done)
 
             self.counters["queued"] += 1
-            request = Request(handle, intent, partial(self._fetch_remote, addr, intent))
+            request = Request(
+                handle, intent, partial(self._fetch_remote, addr, intent, key_chunk)
+            )
             handle._pending.add(request)
             leader = self._inflight.get(intent)
-            if leader is not None and not leader.finished():
+            following = leader is not None and not leader.finished()
+            if following:
                 leader.followers.append(request)
             else:
                 self._inflight[intent] = request
-                self._enqueue(request)
-        if blocking:
-            return request.wait(timeout)
-        return PendingFetch(request)
+                if not blocking:
+                    self._enqueue(request)
+        if not blocking:
+            return PendingFetch(request)
+        if not following:
+            self._run(request)
+        return request.wait(timeout)
 
     def get_named_chunk(
         self,
@@ -536,7 +556,7 @@ class Xcached:
         name = canonical_name(url.address, url.locators)
         ncid = compute_ncid(name, fingerprint(key_chunk.payload))
         fetch_dag = make_fallback_dag(ncid, _fallback_chain(cert_dag))
-        return self.fetch_entry(handle, fetch_dag, timeout=timeout)
+        return self.fetch_entry(handle, fetch_dag, timeout=timeout, key_chunk=key_chunk)
 
     def destroy_chunk(self, handle: XcacheHandle, addr: DagAddress | str | Xid) -> None:
         """Remove locally held content and withdraw its route.  Absent
@@ -587,13 +607,21 @@ class Xcached:
                     if self._inflight.get(request.intent) is request:
                         del self._inflight[request.intent]
                 continue
-            try:
-                self._finish(request, result=request.work())
-            except XcacheError as exc:
-                self._finish(request, error=exc)
-            except Exception as exc:  # worker threads must survive anything
-                log.exception("worker failed on request %d", request.seq)
-                self._finish(request, error=XcacheError(str(exc)))
+            self._run(request)
+
+    def _run(self, request: Request) -> None:
+        """Run a request's work on this thread and finish it, whatever
+        happens: workers and blocking callers both run requests here."""
+        result, error = None, CanceledError("request interrupted")
+        try:
+            result, error = request.work(), None
+        except XcacheError as exc:
+            error = exc
+        except Exception as exc:  # the running thread must survive anything
+            log.exception("request %d failed", request.seq)
+            error = XcacheError(str(exc))
+        finally:
+            self._finish(request, result, error)
 
     def _finish(self, request: Request, result=None, error=None) -> None:
         with self._lock:
@@ -604,13 +632,18 @@ class Xcached:
                 if done.handle is not None:
                     done.handle._pending.discard(done)
 
-    def _fetch_remote(self, addr: DagAddress, intent: Xid) -> tuple[Chunk, FetchStats]:
+    def _fetch_remote(
+        self, addr: DagAddress, intent: Xid, key_chunk: Chunk | None = None
+    ) -> tuple[Chunk, FetchStats]:
         chunk = self.manager.get(intent)
-        if chunk is not None:  # arrived while queued
+        if chunk is not None:  # arrived since the miss
             return chunk, LOCAL_STATS
         raw, stats = self._transfer(addr)
         chunk = self._decode(raw)
-        result = self.verify(chunk, intent)
+        fetch_key = None
+        if key_chunk is not None:
+            fetch_key = partial(self._fetch_key, chunk.key_ref, held=key_chunk)
+        result = self.verify(chunk, intent, fetch_key)
         if not result.accepted:
             raise VerificationError(result.reason or "rejected")
         if chunk.ttl_ms > 0 and self.caching:
@@ -659,15 +692,20 @@ class Xcached:
         except ChunkDecodeError as exc:
             raise VerificationError(f"undecodable chunk ({exc.kind})") from exc
 
-    def _fetch_key(self, key_ref: DagAddress, key_cid: Xid) -> Chunk | None:
+    def _fetch_key(
+        self, key_ref: DagAddress, key_cid: Xid, held: Chunk | None = None
+    ) -> Chunk | None:
         """The key chunk a named chunk's verification needs: the local
-        copy, or else one fetched from ``key_ref``, verified and admitted.
-        ``verify_ncid_via`` asks only for plain chunks, so verifying the
-        key never fetches another key."""
+        copy, else ``held`` (a verified certificate the caller already
+        has) when it is that key, else one fetched from ``key_ref``,
+        verified and admitted.  ``verify_ncid_via`` asks only for plain
+        chunks, so verifying the key never fetches another key."""
         self.counters["key_fetches"] += 1
         local = self.manager.get(key_cid)
         if local is not None:
             return local
+        if held is not None and held.id == key_cid:
+            return held
         raw, _ = self._transfer(key_ref)
         try:
             key_chunk = self._decode(raw)

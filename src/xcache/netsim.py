@@ -17,7 +17,7 @@ topology, a workload and a seed, the event trace is fully determined;
 equal-timestamp events run in enqueue order.  Recording that trace is
 opt-in (assign a list to ``Simulator.trace``).  The blocking client calls
 (connect/recv) pump the event loop under a shared engine lock, so they
-may be issued from multiple worker threads and are serialized at event
+may be issued from multiple threads and are serialized at event
 granularity.  The serving side never blocks: each node's server socket
 answers a SYN for bound content inside event processing and, once the
 handshake completes, hands the session to the handler its owner
@@ -44,7 +44,6 @@ import random
 import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from enum import IntFlag
 
 from .addressing import (
     ALL_XID_TYPES,
@@ -96,7 +95,10 @@ class SimStalledError(SimError):
     """The event queue drained while a blocking call was still waiting."""
 
 
-class SegFlags(IntFlag):
+class SegFlags:
+    """Segment flag bits.  Plain ints, not an ``IntFlag``, so the flag
+    tests on the per-segment path run in C."""
+
     NONE = 0
     SYN = 1
     SYNACK = 2
@@ -112,7 +114,7 @@ class Segment:
 
     session: bytes
     seq: int
-    flags: SegFlags
+    flags: int  # SegFlags bits
     src_dag: DagAddress
     dst_dag: DagAddress
     intent: Xid | None = None
@@ -285,7 +287,7 @@ class Simulator:
                 extra.get("to"),
                 extra.get("reason"),
                 seg.session.hex(),
-                int(seg.flags),
+                seg.flags,
                 seg.seq,
                 intent,
                 len(seg.payload),

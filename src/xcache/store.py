@@ -2,13 +2,14 @@
 
 A storage manager places verified chunks in memory first and then on
 disk, tracks per-entry bookkeeping (placement, expiry deadline, LRU
-key) and evicts the least recently used entry of a full store.  Time is
-injected so expiry tests are deterministic; the wall clock is the
-production default.
+key) and evicts the least recently used entry of a full store in
+O(log n).  Time is injected so expiry tests are deterministic; the wall
+clock is the production default.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import os
@@ -25,9 +26,13 @@ from .chunking import Chunk, ChunkError, decode_chunk, encode_chunk
 
 log = logging.getLogger(__name__)
 
-_META = struct.Struct(">4sQQQ")
+_META = struct.Struct(">4sQQQ")  # magic, inserted_at, last_access, expires_at
 _META_MAGIC = b"XCS1"
+_LAST_ACCESS = struct.Struct(">Q")
+_LAST_ACCESS_AT = struct.calcsize(">4sQ")  # offset of last_access in _META
 _TMP_SUFFIX = ".tmp"
+# Stale heap items tolerated beyond one per live entry before a rebuild.
+_HEAP_SLACK = 4
 
 
 class StoreError(Exception):
@@ -134,7 +139,9 @@ class DiskStore(ContentStore):
     """One file per chunk named by its hex id, inside a configured
     directory.  Each file carries the entry bookkeeping stamps before the
     encoded chunk, so unexpired entries survive a close/reopen cycle.
-    The in-memory index is rebuilt by scanning on open; an index file is
+    The last-access stamp sits at a fixed offset in that header, so a
+    read's recency can be stamped without rewriting the chunk.  The
+    in-memory index is rebuilt by scanning on open; an index file is
     written on close purely for inspection.
     """
 
@@ -180,6 +187,19 @@ class DiskStore(ContentStore):
             log.warning("disk store %s: dropping unreadable %s: %s", self.store_id, path, exc)
             self.remove(xid)
             return None
+
+    def stamp_access(self, xid: Xid, last_access: int) -> None:
+        """Overwrite the last-access stamp in the entry's file header in
+        place; the rest of the file is untouched."""
+        path = self._files.get(xid)
+        if path is None:
+            return
+        try:
+            with open(path, "r+b") as f:
+                f.seek(_LAST_ACCESS_AT)
+                f.write(_LAST_ACCESS.pack(last_access))
+        except OSError as exc:
+            log.warning("disk store %s: could not stamp %s: %s", self.store_id, path, exc)
 
     def remove(self, xid: Xid) -> bool:
         path = self._files.pop(xid, None)
@@ -234,9 +254,9 @@ class DiskStore(ContentStore):
 class StorageManager:
     """Places verified chunks in memory first, then on disk, and evicts
     the least recently used entry of a full store; access-stamp ties
-    break by insertion order, oldest first.  All operations are
-    serialized, so concurrent callers see chunk-granular linearizable
-    behavior."""
+    break by insertion order, oldest first.  The victim comes off a
+    per-store heap in O(log n).  All operations are serialized, so
+    concurrent callers see chunk-granular linearizable behavior."""
 
     def __init__(
         self,
@@ -260,17 +280,28 @@ class StorageManager:
         self._lru: dict[str, dict[Xid, tuple[int, int]]] = {
             s.store_id: {} for s in self.stores
         }
+        # Per store, a min-heap of (LRU key, id) pairs.  An item whose key
+        # is no longer the entry's key in _lru is stale and skipped when
+        # it surfaces.  Keys are unique per store (the insertion seq is),
+        # so ids are never compared and the victim is min() over _lru.
+        self._heap: dict[str, list[tuple[tuple[int, int], Xid]]] = {
+            s.store_id: [] for s in self.stores
+        }
+        # Disk entries read since their last write: their access stamps
+        # reach the file headers on close.
+        self._read_on_disk: set[Xid] = set()
 
         for store in self.stores:
             if isinstance(store, DiskStore):
                 for entry in store.load_entries(self.clock.now_ms()):
+                    # Entries come sorted by insertion stamp; one repeated by
+                    # files this manager did not write gets a fresh one.
+                    seq = max(entry.inserted_at, self._insert_seq)
                     self._entries[entry.chunk.id] = _Stamps(
-                        store.store_id, entry.inserted_at, entry.expires_at
+                        store.store_id, seq, entry.expires_at
                     )
-                    self._lru[store.store_id][entry.chunk.id] = (
-                        entry.last_access, entry.inserted_at
-                    )
-                    self._insert_seq = max(self._insert_seq, entry.inserted_at + 1)
+                    self._set_key(store.store_id, entry.chunk.id, (entry.last_access, seq))
+                    self._insert_seq = seq + 1
 
     def store(self, chunk: Chunk) -> tuple[str, list[Xid]]:
         """Place a verified chunk; returns (store id, evicted ids).
@@ -308,12 +339,14 @@ class StorageManager:
             entry = self._entries.get(xid)
             if entry is None or entry.expired(now):
                 return None
-            chunk = self._by_id[entry.store_id].get(xid)
+            store_id = entry.store_id
+            chunk = self._by_id[store_id].get(xid)
             if chunk is None:
                 self._drop(xid)
                 return None
-            lru = self._lru[entry.store_id]
-            lru[xid] = (now, lru[xid][1])
+            self._set_key(store_id, xid, (now, entry.inserted_at))
+            if store_id == DiskStore.store_id:
+                self._read_on_disk.add(xid)
             return chunk
 
     def contains(self, xid: Xid) -> bool:
@@ -332,12 +365,13 @@ class StorageManager:
         """Drop the store's least recently used entry; returns its id, or
         None if the store is empty."""
         with self._lock:
-            lru = self._lru[store_id]
-            if not lru:
-                return None
-            victim = min(lru, key=lru.__getitem__)
-            self._drop(victim)
-            return victim
+            lru, heap = self._lru[store_id], self._heap[store_id]
+            while heap:
+                key, xid = heapq.heappop(heap)
+                if lru.get(xid) is key:
+                    self._drop(xid)
+                    return xid
+            return None
 
     def sweep(self, now_ms: int | None = None) -> list[Xid]:
         """Drop every entry whose deadline has passed; returns their ids."""
@@ -357,7 +391,15 @@ class StorageManager:
             return len(self._entries)
 
     def close(self) -> None:
+        """Stamp the disk entries read since their last write with their
+        last access, so a reopen restores this victim order, then close
+        every store."""
         with self._lock:
+            if self._read_on_disk:
+                disk, lru = self._by_id[DiskStore.store_id], self._lru[DiskStore.store_id]
+                for xid in self._read_on_disk:
+                    disk.stamp_access(xid, lru[xid][0])
+                self._read_on_disk.clear()
             for store in self.stores:
                 store.close()
 
@@ -375,9 +417,25 @@ class StorageManager:
         entry = CacheEntry(chunk, store.store_id, seq, now, now + chunk.ttl_ms)
         store.store(entry)
         self._entries[chunk.id] = _Stamps(store.store_id, seq, entry.expires_at)
-        self._lru[store.store_id][chunk.id] = (now, seq)
+        self._set_key(store.store_id, chunk.id, (now, seq))
+        self._read_on_disk.discard(chunk.id)
+
+    def _set_key(self, store_id: str, xid: Xid, key: tuple[int, int]) -> None:
+        self._lru[store_id][xid] = key
+        heapq.heappush(self._heap[store_id], (key, xid))
+        self._compact(store_id)
+
+    def _compact(self, store_id: str) -> None:
+        """Rebuild the store's heap from _lru once stale items make up
+        more than half of it, so it stays O(entries)."""
+        lru, heap = self._lru[store_id], self._heap[store_id]
+        if len(heap) > 2 * len(lru) + _HEAP_SLACK:
+            heap[:] = [(key, xid) for xid, key in lru.items()]
+            heapq.heapify(heap)
 
     def _drop(self, xid: Xid) -> None:
         entry = self._entries.pop(xid)
         self._by_id[entry.store_id].remove(xid)
         del self._lru[entry.store_id][xid]
+        self._read_on_disk.discard(xid)
+        self._compact(entry.store_id)

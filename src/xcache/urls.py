@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from .addressing import (
     AddressError,
     DagAddress,
+    DagCycleError,
     DagNode,
     MAX_DAG_NODES,
     XidType,
     canonical_numbering,
-    find_cycle,
     format_xid,
     parse_xid,
     validate_dag,
@@ -145,15 +145,10 @@ def parse_dag_url(url: str, allow_short: bool = False) -> DagAddress:
     sinks = [i for i, node in enumerate(nodes) if not node.out_edges]
     dag = DagAddress(tuple(nodes), tuple(source_edges), sinks[0] if len(sinks) == 1 else 0)
 
-    cycle_node = find_cycle(dag)
-    if cycle_node is not None:
-        raise UrlParseError("cycle", node_offsets[cycle_node], "address graph has a cycle")
-    if len(sinks) != 1:
-        raise UrlParseError(
-            "invalid", body_start, f"expected exactly one sink, found {len(sinks)}"
-        )
     try:
         validate_dag(dag)
+    except DagCycleError as exc:
+        raise UrlParseError("cycle", node_offsets[exc.node], "address graph has a cycle") from exc
     except AddressError as exc:
         raise UrlParseError("invalid", body_start, str(exc)) from exc
 

@@ -244,7 +244,7 @@ def test_criterion_7_store_laws(tmp_path):
 
 
 def test_criterion_8_fast_path():
-    with record_criterion(8, "fast path: local hit bypasses the queue, remote goes through it"):
+    with record_criterion(8, "fast path: local hit bypasses the miss path, remote fetch takes it"):
         sim = build_simulator(LINE3)
         daemons = {n: Xcached(DaemonConfig(workers=2), node=node) for n, node in sim.nodes.items()}
         try:

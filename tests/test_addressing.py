@@ -2,12 +2,17 @@ import random
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_dag, relabel
 from xcache.addressing import (
+    MAX_DAG_NODES,
     SOURCE,
     AddressError,
+    DagCycleError,
     DeliverLocal,
+    DagAddress,
+    DagNode,
     Forward,
     RouteTable,
     Unroutable,
@@ -101,10 +106,52 @@ class TestFallbackDag:
             make_fallback_dag(C, [C])
 
 
+# A small label pool, so that drawn paths often repeat an XID.
+_pool_xids = st.builds(
+    symbolic_xid, st.sampled_from(list(XidType)), st.sampled_from(["a", "b", "c", "d", "e", "f"])
+)
+
+
+class TestFallbackConstructor:
+    """make_fallback_dag builds its chain directly; it must equal the
+    validated general constructor on every input."""
+
+    @given(intent=_pool_xids, path=st.lists(_pool_xids, max_size=MAX_DAG_NODES + 2))
+    def test_equals_validated_dag_address(self, intent, path):
+        k = len(path)
+        nodes = [(xid, [i + 1]) for i, xid in enumerate(path)] + [(intent, [])]
+        source = [k, 0] if k else [0]
+        if len({intent, *path}) != k + 1 or k + 1 > MAX_DAG_NODES:
+            with pytest.raises(AddressError):
+                dag_address(nodes, source, intent=k)
+            with pytest.raises(AddressError):
+                make_fallback_dag(intent, path)
+            return
+        dag = make_fallback_dag(intent, path)
+        assert dag == dag_address(nodes, source, intent=k)
+        validate_dag(dag)
+
+    def test_node_limit(self):
+        xids = [Xid(XidType.AD, bytes([i]) * 20) for i in range(MAX_DAG_NODES)]
+        make_fallback_dag(xids[0], xids[1:])
+        with pytest.raises(AddressError, match="maximum"):
+            make_fallback_dag(Xid(XidType.CID, bytes(20)), xids)
+
+
 class TestValidation:
     def test_cycle_rejected(self):
         with pytest.raises(AddressError, match="cycle"):
             dag_address([(B, [1]), (P, [0]), (C, [])], [0, 2], intent=2)
+
+    def test_cycle_names_a_node_on_it_ahead_of_other_faults(self):
+        # node 2 is a second sink and node 0 repeats an edge; the cycle
+        # through nodes 0 and 1 is still what validation reports
+        dag = DagAddress(
+            (DagNode(B, (1, 1)), DagNode(P, (0,)), DagNode(C, ()), DagNode(S, ())), (0, 2), 2
+        )
+        with pytest.raises(DagCycleError) as info:
+            validate_dag(dag)
+        assert info.value.node in (0, 1)
 
     def test_unreachable_rejected(self):
         with pytest.raises(AddressError, match="unreachable"):

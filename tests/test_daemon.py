@@ -1,6 +1,8 @@
 import hashlib
+import os
 import queue
 import random
+import sys
 import threading
 
 import pytest
@@ -224,6 +226,43 @@ class TestFetchPaths:
         assert results["a"] == results["b"] == bytes(8000)
         assert sim.nodes["pub"].counters["sessions_served"] == 1
 
+    def test_blocking_misses_coalesce_under_contention(self, line3):
+        # more threads than cores and frequent thread switches: one caller
+        # runs each transfer, every other one waits for it or hits locally
+        sim, daemons, handles = line3
+        client = daemons["client"]
+        threads_per_round = 2 * (os.cpu_count() or 1) + 4
+        fetchers = [client.init_handle() for _ in range(threads_per_round)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_no in range(4):
+                payload = f"contended object {round_no}".encode() * 2000
+                dag = handles["pub"].put_chunk(payload, 60000)
+                barrier = threading.Barrier(threads_per_round)
+                results = {}
+
+                def fetch(i):
+                    barrier.wait(timeout=10)
+                    results[i] = fetchers[i].fetch_chunk(dag, timeout=30)
+
+                threads = [
+                    threading.Thread(target=fetch, args=(i,))
+                    for i in range(threads_per_round)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert results == {i: payload for i in range(threads_per_round)}
+                served = sum(n.counters["sessions_served"] for n in sim.nodes.values())
+                assert served == round_no + 1
+                assert client._inflight == {}
+                assert all(h._pending == set() for h in fetchers)
+        finally:
+            sys.setswitchinterval(old_interval)
+
     def test_multiplexed_fetches_get_their_own_content(self, line3):
         sim, daemons, handles = line3
         payloads = {i: f"object number {i}".encode() * 10 for i in range(6)}
@@ -411,6 +450,18 @@ class TestNamedContent:
         )
         assert handles["client"].get_named_chunk(url) == b"timeline bytes"
         assert len(daemons["client"].manager) == 0
+
+    def test_never_cache_daemon_transfers_the_certificate_once(self, line3):
+        sim, daemons, handles = line3
+        _, cert_dag, _ = self.publish_named(handles)
+        daemons["client"].caching = False
+        url = serialize_ncid_url(
+            NcidUrl("fb.com/cmu", (("PubCert", serialize_dag_url(cert_dag)),))
+        )
+        assert handles["client"].get_named_chunk(url) == b"timeline bytes"
+        # one session for the certificate, one for the named chunk
+        assert sum(node.counters["sessions_served"] for node in sim.nodes.values()) == 2
+        assert daemons["client"].counters["key_fetches"] == 1
 
     def test_exactly_one_key_fetch_per_verification(self, line3):
         _, daemons, handles = line3

@@ -359,6 +359,23 @@ class TestDiskDurability:
         assert reopened.store(chunks[0]) == ("disk", [])
         assert reopened.get(chunks[0].id) == chunks[0]
 
+    def test_read_recency_survives_reopen(self, tmp_path):
+        def reopen():
+            return StorageManager(
+                mem_capacity=0, disk_capacity=8, disk_dir=tmp_path, clock=clock
+            )
+
+        clock = LogicalClock()
+        manager = reopen()
+        a, b, c = (chunk_for(t) for t in "abc")
+        for ch in (a, b, c):
+            manager.store(ch)
+            clock.advance(1)
+        manager.get(a.id)
+        manager.close()
+        reopened = reopen()
+        assert [reopened.evict_one("disk") for _ in range(3)] == [b.id, c.id, a.id]
+
     def test_memory_entries_do_not_survive(self, tmp_path):
         manager = StorageManager(
             mem_capacity=2, disk_capacity=8, disk_dir=tmp_path, clock=LogicalClock()
@@ -457,15 +474,14 @@ class ModelEntry:
     chunk: Chunk
     store_id: str
     expires_at: int
-    written: tuple  # the entry's LRU key as of its last write
 
 
 class StoreLawsMachine(RuleBasedStateMachine):
     """A memory+disk manager against a brute-force model.
 
-    The model keeps one LruOracle per store.  Reads are not written to
-    disk, so across a reopen a disk entry's recency falls back to the
-    LRU key of its last write.  The clock advances before each read.
+    The model keeps one LruOracle per store.  A clean close stamps the
+    disk entries read since their last write, so a reopen restores the
+    victim order the model had.  The clock advances before each read.
     Removal, eviction and reopen wait until three entries are held, and
     most chunks outlive a run, so runs reach full stores instead of
     emptying them as fast as they fill.
@@ -513,7 +529,6 @@ class StoreLawsMachine(RuleBasedStateMachine):
             lru = self.lru[existing.store_id]
             lru.get(chunk.id, now)
             existing.expires_at = now + chunk.ttl_ms
-            existing.written = lru.state[chunk.id]
             assert self.manager.store(chunk) == (existing.store_id, [])
             return
         if existing is not None:
@@ -525,9 +540,7 @@ class StoreLawsMachine(RuleBasedStateMachine):
             evicted.append(lru.evict())
             del self.entries[evicted[-1]]
         lru.store(chunk.id, now)
-        self.entries[chunk.id] = ModelEntry(
-            chunk, target, now + chunk.ttl_ms, lru.state[chunk.id]
-        )
+        self.entries[chunk.id] = ModelEntry(chunk, target, now + chunk.ttl_ms)
         assert self.manager.store(chunk) == (target, evicted)
 
     @rule(dt=st.integers(0, 30), i=st.integers(0, 5))
@@ -569,26 +582,29 @@ class StoreLawsMachine(RuleBasedStateMachine):
     @rule()
     def reopen(self):
         self.manager.close()
+        on_disk = self._on_disk()
+        persisted_order = sorted(
+            on_disk, key=lambda x: (on_disk[x].last_access, on_disk[x].inserted_at)
+        )
+        state = self.lru["disk"].state
+        assert persisted_order == sorted(state, key=state.__getitem__)
         self.manager = self._open()
         for xid, entry in list(self.entries.items()):
             if entry.store_id == "mem" or not self._live(xid):
                 self._drop(xid)
-            else:
-                self.lru["disk"].state[xid] = entry.written
+
+    def _on_disk(self):
+        # load_entries(now_ms=0) reads every file and deletes none
+        return {e.chunk.id: e for e in DiskStore(self.dir, 1).load_entries(now_ms=0)}
 
     @invariant()
-    def disk_holds_what_a_reopen_restores(self):
-        # load_entries(now_ms=0) reads every file and deletes none
-        on_disk = {e.chunk.id: e for e in DiskStore(self.dir, 1).load_entries(now_ms=0)}
+    def disk_holds_deadlines_and_unique_stamps(self):
+        on_disk = self._on_disk()
         expected = {x: e for x, e in self.entries.items() if e.store_id == "disk"}
         assert {x: e.expires_at for x, e in on_disk.items()} == {
             x: e.expires_at for x, e in expected.items()
         }
         assert len({e.inserted_at for e in on_disk.values()}) == len(on_disk)
-        persisted_order = sorted(
-            on_disk, key=lambda x: (on_disk[x].last_access, on_disk[x].inserted_at)
-        )
-        assert persisted_order == sorted(expected, key=lambda x: expected[x].written)
 
     @invariant()
     def same_contents(self):
@@ -599,3 +615,113 @@ class StoreLawsMachine(RuleBasedStateMachine):
 
 TestStoreLaws = StoreLawsMachine.TestCase
 TestStoreLaws.settings = settings(max_examples=100, stateful_step_count=40, deadline=None)
+
+
+class HeapVictimMachine(RuleBasedStateMachine):
+    """The eviction heap against the scan it replaces.
+
+    The reference keeps each entry's LRU key ``(last access, insertion
+    seq)`` and picks the victim as ``min(lru, key=lru.__getitem__)``.
+    Clock moves are small, so many stamps share a millisecond, and the
+    clock also steps backwards.  After every step the machine evicts
+    the victim, compares it with the reference, and stores a live
+    victim again, so the store stays full enough to matter.
+    """
+
+    CAPACITY = 6
+
+    def __init__(self):
+        super().__init__()
+        self.clock = LogicalClock(start_ms=100)
+        self.manager = StorageManager(mem_capacity=self.CAPACITY, clock=self.clock)
+        self.pool = [chunk_for(f"heap{i}", ttl=(5, 40, 1000)[i % 3]) for i in range(10)]
+        self.chunks = {c.id: c for c in self.pool}
+        self.lru: dict = {}
+        self.expires: dict = {}
+        self.seq = 0
+
+    def _live(self, xid):
+        return xid in self.expires and self.clock.now_ms() < self.expires[xid]
+
+    def _victim(self):
+        return min(self.lru, key=self.lru.__getitem__)
+
+    def _forget(self, xid):
+        del self.lru[xid]
+        del self.expires[xid]
+
+    def _insert(self, chunk):
+        now = self.clock.now_ms()
+        self.lru[chunk.id] = (now, self.seq)
+        self.expires[chunk.id] = now + chunk.ttl_ms
+        self.seq += 1
+
+    @rule(i=st.integers(0, 9))
+    def store(self, i):
+        chunk, now = self.pool[i], self.clock.now_ms()
+        if self._live(chunk.id):
+            self.lru[chunk.id] = (now, self.lru[chunk.id][1])
+            self.expires[chunk.id] = now + chunk.ttl_ms
+            assert self.manager.store(chunk) == ("mem", [])
+            return
+        if chunk.id in self.lru:
+            self._forget(chunk.id)
+        evicted = []
+        while len(self.lru) >= self.CAPACITY:
+            evicted.append(self._victim())
+            self._forget(evicted[-1])
+        self._insert(chunk)
+        assert self.manager.store(chunk) == ("mem", evicted)
+
+    @rule(i=st.integers(0, 9), times=st.integers(1, 20))
+    def get(self, i, times):
+        # repeated reads leave stale heap items behind
+        xid = self.pool[i].id
+        live = self._live(xid)
+        if live:
+            self.lru[xid] = (self.clock.now_ms(), self.lru[xid][1])
+        for _ in range(times):
+            assert self.manager.get(xid) == (self.chunks[xid] if live else None)
+
+    @rule(i=st.integers(0, 9))
+    def remove(self, i):
+        xid = self.pool[i].id
+        present = xid in self.lru
+        if present:
+            self._forget(xid)
+        assert self.manager.remove(xid) == present
+
+    @rule()
+    def sweep(self):
+        expired = {x for x in self.lru if not self._live(x)}
+        for xid in expired:
+            self._forget(xid)
+        assert set(self.manager.sweep()) == expired
+
+    @rule(dt=st.integers(0, 3))
+    def advance(self, dt):
+        self.clock.advance(dt)
+
+    @rule(dt=st.integers(1, 20))
+    def set_back(self, dt):
+        self.clock.set(self.clock.now_ms() - dt)
+
+    @invariant()
+    def victim_matches_the_scan(self):
+        heap = self.manager._heap["mem"]
+        assert len(heap) <= 2 * len(self.lru) + 4
+        if not self.lru:
+            assert self.manager.evict_one("mem") is None
+            return
+        victim = self._victim()
+        live = self._live(victim)
+        self._forget(victim)
+        assert self.manager.evict_one("mem") == victim
+        if live:
+            chunk = self.chunks[victim]
+            self._insert(chunk)
+            assert self.manager.store(chunk) == ("mem", [])
+
+
+TestHeapVictim = HeapVictimMachine.TestCase
+TestHeapVictim.settings = settings(max_examples=100, stateful_step_count=40, deadline=None)
