@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import queue
 import threading
 from collections import Counter, defaultdict
@@ -231,6 +232,7 @@ class PendingFetch:
 @dataclass
 class _IngestBuffer:
     intent: Xid
+    last_seen: int  # simulated ms of the session's latest captured segment
     segments: dict[int, bytes] = field(default_factory=dict)
     fin_seq: int | None = None
 
@@ -344,6 +346,7 @@ class Xcached:
         self._queue: queue.Queue = queue.Queue()
         self._inflight: dict[Xid, Request] = {}
         self._ingest_buffers: dict[bytes, _IngestBuffer] = {}
+        self._ingest_sweep_at = math.inf  # no buffer expires before this
         self._high_water_warned = False
         self._alive = True
 
@@ -668,7 +671,7 @@ class Xcached:
             provider=session.provider_name or "?",
             hops=session.syn_hops or 0,
             segments=session.rx_segments,
-            retransmits=self.node.sim.session_stats[session.session_id]["retransmits"],
+            retransmits=session.session_retransmits,
         )
         return raw, stats
 
@@ -780,17 +783,25 @@ class Xcached:
     def _on_capture(self, seg: Segment) -> None:
         """Forwarding-path tap: decide on the provider's answer, buffer
         the session's data segments (retransmissions deduplicate), and
-        on FIN reassemble, verify and adopt the chunk."""
+        on FIN reassemble, verify and adopt the chunk.  A buffer left idle
+        past the receiver's idle timeout belongs to a session that ended
+        without its FIN crossing this node, and is dropped."""
+        now = self.node.sim.now
+        if now >= self._ingest_sweep_at:
+            self._expire_ingest(now)
         if seg.flags & SegFlags.SYNACK:
             intent = seg.src_dag.intent_xid()
             if not self.caching or intent.xtype not in CONTENT_TYPES:
                 return
             if seg.session not in self._ingest_buffers and not self.manager.contains(intent):
-                self._ingest_buffers[seg.session] = _IngestBuffer(intent)
+                self._ingest_buffers[seg.session] = _IngestBuffer(intent, now)
+                if self._ingest_sweep_at == math.inf:
+                    self._ingest_sweep_at = now + self.node.sim.idle_timeout_ms + 1
             return
         buf = self._ingest_buffers.get(seg.session)
         if buf is None:
             return
+        buf.last_seen = now
         if seg.flags & SegFlags.FIN:
             buf.fin_seq = seg.seq
         elif seg.flags == SegFlags.NONE:
@@ -801,6 +812,15 @@ class Xcached:
             del self._ingest_buffers[seg.session]
             raw = b"".join(buf.segments[i] for i in range(buf.fin_seq))
             self._ingest(raw, buf.intent)
+
+    def _expire_ingest(self, now: int) -> None:
+        horizon = self.node.sim.idle_timeout_ms
+        self._ingest_sweep_at = math.inf
+        for session, buf in list(self._ingest_buffers.items()):
+            if now - buf.last_seen > horizon:
+                del self._ingest_buffers[session]
+            else:
+                self._ingest_sweep_at = min(self._ingest_sweep_at, buf.last_seen + horizon + 1)
 
     def _ingest(self, raw: bytes, intent: Xid) -> None:
         """Verify a reassembled capture against the local store alone and

@@ -23,6 +23,16 @@ answers a SYN for bound content inside event processing and, once the
 handshake completes, hands the session to the handler its owner
 installed, which starts the Go-Back-N stream.
 
+Each end of a session registers itself on its node when it is created:
+under its session id, under its endpoint SID, and with that SID as a
+local route.  Once the end has completed or failed, its last armed
+timer releases all three when it fires, so the release adds no event.
+For a completed client that is its idle timer, which outlasts every
+retransmission the sender can still make, so a late duplicate FIN is
+still acknowledged (TCP's TIME-WAIT); a transfer without data arms it
+on the FIN.  For a finished sender it is its last retransmission timer.
+An end that fails, or has no timer left, is released at once.
+
 Addressing of a session, once established:
 
 * SYN:           src = client session address, dst = content address
@@ -42,7 +52,7 @@ import heapq
 import logging
 import random
 import threading
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from .addressing import (
@@ -159,7 +169,6 @@ class Simulator:
         self.node_opts: dict[str, dict] = {}
         self.trace: list[tuple] | None = None
         self.stats: Counter = Counter()
-        self.session_stats: dict[bytes, Counter] = defaultdict(Counter)
 
         self._heap: list[tuple[int, int, object]] = []
         self._seq = 0
@@ -205,6 +214,12 @@ class Simulator:
     @property
     def rto_ms(self) -> int:
         return self.rto_multiplier * self.path_delay_bound()
+
+    @property
+    def idle_timeout_ms(self) -> int:
+        """How long a receiver waits for its next in-order segment: long
+        enough to cover the sender's whole retransmission budget."""
+        return self.rto_ms * (self.max_retries + 2)
 
     # -- event engine ------------------------------------------------
 
@@ -270,10 +285,6 @@ class Simulator:
                 self.now = until_ms
             self._cond.notify_all()
             return [rec for rec in trace[mark:] if rec[0] == "deliver"]
-
-    def count_retransmit(self, session_id: bytes) -> None:
-        self.stats["retransmits"] += 1
-        self.session_stats[session_id]["retransmits"] += 1
 
     def _trace(self, kind: str, node: str, seg: Segment, **extra) -> None:
         if self.trace is None:
@@ -392,8 +403,6 @@ class NetNode:
             self.server_socket.on_syn(seg)
             return
         session = self.endpoints.get(delivered_xid)
-        if session is None:
-            session = self.sessions.get(seg.session)
         if session is not None:
             session.on_segment(seg)
 
@@ -455,11 +464,17 @@ class ContentServerSocket:
         ServerSession(self.node, seg, self.bound[xid]).send_synack()
 
 
+_ENDED = frozenset(("complete", "done", "failed"))
+
+
 class _Session:
     """What both ends of a content session share: the session id, a
-    node-local endpoint SID that this end's peer addresses, and one
-    retransmission timer with its retry budget.  Arming the timer again,
-    or making progress, retires the previous arming."""
+    node-local endpoint SID that this end's peer addresses, one
+    retransmission timer with its retry budget, and a count of this
+    end's retransmissions.  Arming the timer again, or making progress,
+    retires the previous arming.  A session registers itself on its node
+    here and releases itself once it has ended and its last armed timer
+    has fired."""
 
     def __init__(self, node: NetNode, session_id: bytes):
         self.node = node
@@ -470,7 +485,9 @@ class _Session:
         self.rto = self.sim.rto_ms
         self.state = "new"
         self.fail_reason: str | None = None
+        self.retransmits = 0
         self._epoch = 0
+        self._armed: int | None = None  # the epoch of the last armed timer, until it fires
         self._retries = 0
         node.endpoints[self.endpoint_sid] = self
         node.sessions[session_id] = self
@@ -478,22 +495,47 @@ class _Session:
 
     def _arm(self, delay_ms: int, fn) -> None:
         self._epoch += 1
-        epoch = self._epoch
+        epoch = self._armed = self._epoch
 
         def fire() -> None:
+            # Every later arming fires no earlier, so the last armed
+            # timer is the last event this session has on the queue.
+            if epoch == self._armed:
+                self._armed = None
             if epoch == self._epoch:
                 fn()
+            elif self._armed is None and self.state in _ENDED:
+                self._release()
 
         self.sim.schedule(delay_ms, fire)
+
+    def _end(self, state: str, reason: str | None = None) -> None:
+        """Enter a terminal state.  The release waits for the last armed
+        timer, or happens now if none is left."""
+        self.state = state
+        self.fail_reason = reason
+        if self._armed is None:
+            self._release()
+
+    def _release(self) -> None:
+        node = self.node
+        node.endpoints.pop(self.endpoint_sid, None)
+        node.routes.remove_local(self.endpoint_sid)
+        # a self-fetch's two ends share the node and the session id
+        if node.sessions.get(self.session_id) is self:
+            del node.sessions[self.session_id]
 
     def _retry(self, reason: str) -> bool:
         """Spend one retry; once the budget is gone, fail with ``reason``."""
         self._retries += 1
         if self._retries > self.sim.max_retries:
-            self.state = "failed"
-            self.fail_reason = reason
+            self._end("failed", reason)
             return False
         return True
+
+    def _count_retransmit(self) -> None:
+        self.retransmits += 1
+        self.sim.stats["retransmits"] += 1
 
     def _progress(self) -> None:
         """Retire the pending timer and refill the retry budget."""
@@ -508,6 +550,7 @@ class ClientSession(_Session):
     def __init__(self, node: NetNode, content_dag: DagAddress):
         super().__init__(node, node.sim.rng.randbytes(8))
         self.content_dag = content_dag
+        self._idle_ms = self.sim.idle_timeout_ms
 
         self.provider_name: str | None = None
         self.provider_endpoint: DagAddress | None = None
@@ -516,10 +559,15 @@ class ClientSession(_Session):
         self.rx_payloads: list[bytes] = []
         self.rx_expected = 0
         self.rx_segments = 0
+        self.session_retransmits = 0  # both ends' retransmissions, set on completion
 
     def start(self) -> None:
         self.state = "syn-sent"
-        self._send_syn(first=True)
+        try:
+            self._send_syn(first=True)
+        except NoRouteError:
+            self._end("failed", "no-route")
+            raise
         self._arm(self.rto, self._syn_timeout)
 
     def _send_syn(self, first: bool = False) -> None:
@@ -538,22 +586,20 @@ class ClientSession(_Session):
 
     def _syn_timeout(self) -> None:
         if self._retry("handshake-timeout"):
-            self.sim.count_retransmit(self.session_id)
+            self._count_retransmit()
             self._send_syn()
             self._arm(self.rto, self._syn_timeout)
 
     def _idle_timeout(self) -> None:
-        self.state = "failed"
-        self.fail_reason = "transfer-timeout"
+        self._end("failed", "transfer-timeout")
 
     def _arm_idle(self) -> None:
         # Liveness guard for an in-flight transfer.  Armed on data
         # arrival (not at establishment, so a provider applying
         # real-world think time between accept and send is not raced by
         # logical-time fast-forward) and re-armed on every in-order
-        # segment; generous enough to cover the sender's whole
-        # retransmission budget.
-        self._arm(self.rto * (self.sim.max_retries + 2), self._idle_timeout)
+        # segment.
+        self._arm(self._idle_ms, self._idle_timeout)
 
     def on_segment(self, seg: Segment) -> None:
         if seg.flags & SegFlags.SYNACK:
@@ -576,8 +622,17 @@ class ClientSession(_Session):
             return
         if seg.seq == self.rx_expected and self.state == "established":
             if seg.flags & SegFlags.FIN:
-                self.state = "complete"
+                if not self.rx_segments:
+                    self._arm_idle()  # the linger; with no data none is armed yet
                 self._progress()
+                self._end("complete")
+                # the server end keeps its endpoint until after this one completes
+                server = self.sim.nodes[self.provider_name].endpoints.get(
+                    self.provider_endpoint.intent_xid()
+                )
+                self.session_retransmits = self.retransmits + (
+                    server.retransmits if server is not None else 0
+                )
             else:
                 self.rx_payloads.append(seg.payload)
                 self.rx_segments += 1
@@ -614,6 +669,7 @@ class ClientSession(_Session):
         if self.state == "failed":
             raise TransferTimeout(self.fail_reason or "transfer failed")
         return b"".join(self.rx_payloads)
+
 
 
 class ServerSession(_Session):
@@ -656,7 +712,7 @@ class ServerSession(_Session):
 
     def _synack_timeout(self) -> None:
         if self._retry("handshake-timeout"):
-            self.sim.count_retransmit(self.session_id)
+            self._count_retransmit()
             self._emit_synack()
             self._arm(self.rto, self._synack_timeout)
 
@@ -708,7 +764,7 @@ class ServerSession(_Session):
             payload=payload,
         )
         if retransmit:
-            self.sim.count_retransmit(self.session_id)
+            self._count_retransmit()
         self.sim.stats["data_segments_sent"] += 1
         self.node.on_segment(seg)
 
@@ -718,7 +774,7 @@ class ServerSession(_Session):
         self._base = acked
         self._progress()
         if self._base >= self._total:
-            self.state = "done"
+            self._end("done")
             return
         self._pump()
         self._arm(self.rto, self._send_timeout)

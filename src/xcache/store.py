@@ -10,7 +10,6 @@ clock is the production default.
 from __future__ import annotations
 
 import heapq
-import json
 import logging
 import os
 import struct
@@ -111,9 +110,6 @@ class ContentStore(ABC):
     def has_slot(self) -> bool:
         return len(self) < self.capacity
 
-    def close(self) -> None:
-        pass
-
 
 class MemoryStore(ContentStore):
     store_id = "mem"
@@ -141,8 +137,7 @@ class DiskStore(ContentStore):
     encoded chunk, so unexpired entries survive a close/reopen cycle.
     The last-access stamp sits at a fixed offset in that header, so a
     read's recency can be stamped without rewriting the chunk.  The
-    in-memory index is rebuilt by scanning on open; an index file is
-    written on close purely for inspection.
+    in-memory index is rebuilt by scanning on open.
     """
 
     store_id = "disk"
@@ -240,15 +235,6 @@ class DiskStore(ContentStore):
             )
         entries.sort(key=lambda e: (e.inserted_at, e.chunk.id.value))
         return entries
-
-    def close(self) -> None:
-        index = {xid.text(): path.name for xid, path in sorted(
-            self._files.items(), key=lambda kv: kv[0].value
-        )}
-        try:
-            (self.directory / "index.json").write_text(json.dumps(index, indent=1))
-        except OSError as exc:
-            log.warning("disk store %s: could not write index: %s", self.store_id, exc)
 
 
 class StorageManager:
@@ -392,16 +378,13 @@ class StorageManager:
 
     def close(self) -> None:
         """Stamp the disk entries read since their last write with their
-        last access, so a reopen restores this victim order, then close
-        every store."""
+        last access, so a reopen restores this victim order."""
         with self._lock:
             if self._read_on_disk:
                 disk, lru = self._by_id[DiskStore.store_id], self._lru[DiskStore.store_id]
                 for xid in self._read_on_disk:
                     disk.stamp_access(xid, lru[xid][0])
                 self._read_on_disk.clear()
-            for store in self.stores:
-                store.close()
 
     def _place(self) -> ContentStore:
         """Fill memory, spill to disk; when every store is full, the last

@@ -15,6 +15,7 @@ from xcache.chunking import (
     build_cid_chunk,
     compute_cid,
     compute_ncid,
+    decode_chunk,
     encode_chunk,
     sign_named,
     verify_cid,
@@ -32,7 +33,7 @@ from xcache.daemon import (
     Xcached,
     parse_config,
 )
-from xcache.netsim import build_simulator
+from xcache.netsim import TransferTimeout, build_simulator
 from xcache.store import LogicalClock
 from xcache.urls import NcidUrl, canonical_name, parse_dag_url, serialize_dag_url, serialize_ncid_url
 
@@ -169,6 +170,16 @@ class TestFetchPaths:
         after = daemons["client"].counters
         assert after["queued"] - before.get("queued", 0) == 1
         assert after["fast_path"] - before.get("fast_path", 0) == 0
+
+    def test_stats_count_both_ends_retransmits(self):
+        topo = LINE3_TOPO.replace("loss=0.0", "loss=0.05")
+        sim, daemons, handles = make_cluster(topo, seed=2, config=DaemonConfig(workers=0))
+        try:
+            dag = handles["pub"].put_chunk(random.Random(2).randbytes(64 * 1024), 600_000)
+            _, stats = daemons["client"].fetch_entry(handles["client"], dag)
+            assert stats.retransmits == sim.stats["retransmits"] > 0
+        finally:
+            shutdown_all(daemons)
 
     def test_unroutable_fetch(self, line3):
         _, _, handles = line3
@@ -617,6 +628,29 @@ class TestOpportunisticCaching:
         finally:
             shutdown_all(daemons)
 
+    def test_unfinished_ingest_buffer_expires(self):
+        sim, daemons, handles = make_cluster(LINE3_TOPO, max_retries=4)
+        try:
+            client, pub = sim.nodes["client"], sim.nodes["pub"]
+            big = handles["pub"].put_chunk(random.Random(5).randbytes(64 * 1024), 600_000)
+            small = handles["pub"].put_chunk(b"the next session", 600_000)
+            stalled = client.start_connect(big)
+            sim.wait_for(lambda: stalled.rx_segments >= 10)
+            pub.routes.remove_route(client.ad)  # no FIN will cross the router
+            with pytest.raises(TransferTimeout):
+                stalled.recv_chunk()
+            assert set(daemons["router"]._ingest_buffers) == {stalled.session_id}
+            sim.step(sim.now + sim.idle_timeout_ms + 1)
+
+            pub.routes.add_route(client.ad, "router")
+            fresh = client.start_connect(small)
+            fresh.wait_established()
+            assert set(daemons["router"]._ingest_buffers) == {fresh.session_id}
+            assert fresh.recv_chunk()
+            assert daemons["router"]._ingest_buffers == {}
+        finally:
+            shutdown_all(daemons)
+
     def test_named_chunk_ingest_with_deferred_key_fetch(self, line3):
         # the client holds its own copy of the certificate, so it never
         # crosses the router and is not on the router when the named
@@ -709,6 +743,44 @@ class TestChurn:
         finally:
             for daemon in daemons.values():
                 daemon.shutdown()
+
+
+class TestBoundedState:
+    def test_a_long_run_leaves_no_session_state(self):
+        # lossy links, evicting caches, a handshake that fails and a
+        # node fetching content it serves; once the lingering timers
+        # have run, no session, endpoint SID or ingest buffer is left
+        sim = build_simulator(LINE3_TOPO.replace("loss=0.0", "loss=0.05"), seed=9)
+        small, big = DaemonConfig(workers=2, mem_capacity_chunks=6), DaemonConfig(workers=2)
+        daemons = {
+            name: Xcached(big if name == "pub" else small, node=node)
+            for name, node in sim.nodes.items()
+        }
+        handles = {name: daemon.init_handle() for name, daemon in daemons.items()}
+        try:
+            rng = random.Random(9)
+            payloads = [rng.randbytes(rng.choice((300, 1500, 4000))) for _ in range(40)]
+            dags = [handles["pub"].put_chunk(data, 600_000) for data in payloads]
+            for _ in range(400):
+                i = min(int(rng.expovariate(0.15)), len(dags) - 1)
+                fetcher = "client" if rng.random() < 0.8 else "router"
+                assert handles[fetcher].fetch_chunk(dags[i]) == payloads[i]
+            ghost = sim.nodes["pub"].local_dag_for(compute_cid(b"never published"))
+            with pytest.raises(FetchTimeoutError):
+                handles["client"].fetch_chunk(ghost)
+            session = sim.nodes["pub"].connect_to_content(dags[0])
+            assert session.provider_name == "pub"
+            assert verify_cid(decode_chunk(session.recv_chunk())).accepted
+            assert sim.stats["retransmits"] > 0
+
+            sim.step()
+            for name, node in sim.nodes.items():
+                assert node.sessions == {} and node.endpoints == {}, name
+                bound = set(node.server_socket.bound)
+                assert node.routes.locals() == {node.ad, node.hid} | bound, name
+                assert daemons[name]._ingest_buffers == {}, name
+        finally:
+            shutdown_all(daemons)
 
 
 class TestServeEdgeCases:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -295,10 +296,13 @@ class TestGiveUp:
         sim = build_simulator(PAIR_TOPO.replace("route pub AD-client client", ""), max_retries=3)
         dag = serve_bytes(sim.nodes["pub"], b"unanswerable")
         client = sim.nodes["client"].start_connect(dag)
+        pub = sim.nodes["pub"]
+        sim.wait_for(lambda: client.session_id in pub.sessions)
+        server = pub.sessions[client.session_id]
         sim.step()
-        server = sim.nodes["pub"].sessions[client.session_id]
         assert (server.state, server.fail_reason) == ("failed", "handshake-timeout")
         assert (client.state, client.fail_reason) == ("failed", "handshake-timeout")
+        assert pub.sessions == {} and sim.nodes["client"].sessions == {}
 
     def _midway(self, max_retries=4):
         sim = build_simulator(PAIR_TOPO, max_retries=max_retries)
@@ -320,6 +324,39 @@ class TestGiveUp:
         with pytest.raises(TransferTimeout, match="transfer-timeout"):
             client.recv_chunk()
         assert (client.state, client.fail_reason) == ("failed", "transfer-timeout")
+
+
+class TestRelease:
+    """Each end of a session leaves its node once it has ended and its
+    last armed timer has fired."""
+
+    @pytest.mark.parametrize("size, segments", [(3000, 3), (0, 0)])
+    def test_completed_client_acknowledges_a_late_fin(self, size, segments):
+        sim = build_simulator(PAIR_TOPO)
+        client_node, pub = sim.nodes["client"], sim.nodes["pub"]
+        dag = serve_bytes(pub, bytes(size))
+        client = client_node.start_connect(dag)
+        sim.wait_for(lambda: client.state == "established" and client.rx_segments == segments)
+        server = pub.sessions[client.session_id]
+        link = sim.links[("client", "pub")]
+        sim.links[("client", "pub")] = replace(link, loss=1.0)  # the FIN's ACK is lost
+        sim.wait_for(lambda: client.state == "complete")
+        sim.links[("client", "pub")] = link
+        assert client_node.endpoints == {client.endpoint_sid: client}
+        sim.step()
+        assert server.state == "done" and server.retransmits == 1
+        for node in (client_node, pub):
+            assert node.sessions == {} and node.endpoints == {}
+            assert node.routes.locals() == {node.ad, node.hid} | set(node.server_socket.bound)
+
+    def test_connect_without_a_route_leaves_nothing(self):
+        sim = build_simulator(PAIR_TOPO)
+        client_node = sim.nodes["client"]
+        stranger = make_fallback_dag(symbolic_xid(XidType.CID, "ghost"), [])
+        with pytest.raises(NoRouteError):
+            client_node.start_connect(stranger)
+        assert client_node.sessions == {} and client_node.endpoints == {}
+        assert client_node.routes.locals() == {client_node.ad, client_node.hid}
 
 
 class TestDeterminism:

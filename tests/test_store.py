@@ -401,12 +401,6 @@ class TestDiskDurability:
         assert reopened.get(a.id) is None
         assert len(reopened) == 0
 
-    def test_index_written_on_close(self, tmp_path):
-        manager = StorageManager(mem_capacity=0, disk_capacity=8, disk_dir=tmp_path, clock=LogicalClock())
-        manager.store(chunk_for("a"))
-        manager.close()
-        assert (tmp_path / "index.json").exists()
-
     def test_tampered_payload_detected_on_get(self, tmp_path):
         manager = StorageManager(mem_capacity=0, disk_capacity=8, disk_dir=tmp_path, clock=LogicalClock())
         a = chunk_for("a")
