@@ -581,7 +581,7 @@ class Xcached:
             expired = self.manager.sweep(now_ms)
             for xid in expired:
                 self._withdraw(xid)
-                self._notify(NotifEvent.CHUNK_EVICTED, self._address_for(xid))
+                self._notify(NotifEvent.CHUNK_EVICTED, xid)
             return expired
 
     def shutdown(self) -> None:
@@ -734,12 +734,12 @@ class Xcached:
             return None
         for victim in evicted:
             self._withdraw(victim)
-            self._notify(NotifEvent.CHUNK_EVICTED, self._address_for(victim))
+            self._notify(NotifEvent.CHUNK_EVICTED, victim)
         addr = self._address_for(chunk.id)
         if self.node is not None:
             self.node.server_socket.bind(chunk.id, addr)
         if origin != "publish":
-            self._notify(NotifEvent.CHUNK_ARRIVED, addr)
+            self._notify(NotifEvent.CHUNK_ARRIVED, chunk.id)
         return addr
 
     def _withdraw(self, xid: Xid) -> None:
@@ -751,11 +751,16 @@ class Xcached:
             return self.node.local_dag_for(xid)
         return make_fallback_dag(xid, [])
 
-    def _notify(self, event: NotifEvent, addr: DagAddress) -> None:
+    def _notify(self, event: NotifEvent, xid: Xid) -> None:
+        """Queue ``event`` for every live handle with a handler for it;
+        ``xid``'s address is built only if some handle listens."""
         with self._lock:
             handles = list(self._handles)
+        addr = None
         for handle in handles:
             if handle.alive and handle._handlers.get(event):
+                if addr is None:
+                    addr = self._address_for(xid)
                 handle._notif_queue.put(Notification(event, addr))
 
     def inject_unverified_chunk(self, chunk: Chunk) -> None:

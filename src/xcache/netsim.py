@@ -17,11 +17,13 @@ topology, a workload and a seed, the event trace is fully determined;
 equal-timestamp events run in enqueue order.  Recording that trace is
 opt-in (assign a list to ``Simulator.trace``).  The blocking client calls
 (connect/recv) pump the event loop under a shared engine lock, so they
-may be issued from multiple threads and are serialized at event
-granularity.  The serving side never blocks: each node's server socket
-answers a SYN for bound content inside event processing and, once the
-handshake completes, hands the session to the handler its owner
-installed, which starts the Go-Back-N stream.
+may be issued from multiple threads.  A call holds the lock for a batch
+of events, until its own condition holds or the queue drains, so calls
+are serialized per batch; events still run one at a time, in order.
+The serving side never blocks: each node's server socket answers a SYN
+for bound content inside event processing and, once the handshake
+completes, hands the session to the handler its owner installed, which
+starts the Go-Back-N stream.
 
 Each end of a session registers itself on its node when it is created:
 under its session id, under its endpoint SID, and with that SID as a
@@ -170,9 +172,11 @@ class Simulator:
         self.trace: list[tuple] | None = None
         self.stats: Counter = Counter()
 
+        self._delay_sum = 0
         self._heap: list[tuple[int, int, object]] = []
         self._seq = 0
-        self._cond = threading.Condition(threading.RLock())
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
 
     # -- topology ----------------------------------------------------
 
@@ -190,8 +194,10 @@ class Simulator:
                 raise TopologyError(f"link references unknown node {name!r}")
         if not 0.0 <= loss <= 1.0:
             raise TopologyError(f"loss probability {loss} out of [0,1]")
+        old = self.links.get((a, b))
         self.links[(a, b)] = Link(a, b, delay_ms, loss)
         self.links[(b, a)] = Link(b, a, delay_ms, loss)
+        self._delay_sum += delay_ms - (old.delay_ms if old is not None else 0)
 
     def add_route(self, node: str, xid: Xid, next_hop: str) -> None:
         if node not in self.nodes:
@@ -202,14 +208,9 @@ class Simulator:
 
     def path_delay_bound(self) -> int:
         """Upper bound on the one-way delay of any simple path: the sum
-        of all distinct link delays."""
-        seen, total = set(), 0
-        for (a, b), link in self.links.items():
-            key = frozenset((a, b))
-            if key not in seen:
-                seen.add(key)
-                total += link.delay_ms
-        return max(1, total)
+        of all distinct link delays.  Links change only through
+        ``add_link``, which keeps the sum up to date."""
+        return max(1, self._delay_sum)
 
     @property
     def rto_ms(self) -> int:
@@ -230,14 +231,14 @@ class Simulator:
     def schedule(self, delay_ms: int, fn) -> None:
         # Callers run inside submit, wait_for or step, which notify
         # waiters once they are done.
-        with self._cond:
+        with self._lock:
             self._seq += 1
             heapq.heappush(self._heap, (self.now + delay_ms, self._seq, fn))
 
     def submit(self, fn):
         """Run ``fn`` immediately under the engine lock; the entry point
         for application threads that originate traffic."""
-        with self._cond:
+        with self._lock:
             result = fn()
             self._cond.notify_all()
             return result
@@ -253,18 +254,23 @@ class Simulator:
 
     def wait_for(self, predicate, idle_timeout: float = 5.0) -> None:
         """Pump events until the predicate holds.  Multiple threads may
-        wait concurrently; one event runs at a time.  Raises if the
-        queue stays empty too long (real time) with the predicate false.
+        wait concurrently; one event runs at a time.  Each acquisition
+        of the lock runs events until the predicate holds or the queue
+        drains, then wakes the other waiters if any event ran.  Raises
+        if the queue stays empty too long (real time) with the predicate
+        false.
         """
         idle = 0.0
         while True:
-            with self._cond:
-                if predicate():
-                    return
-                if self._run_next():
+            with self._lock:
+                ran = False
+                while not (done := predicate()) and self._run_next():
+                    ran = True
+                if ran:
                     self._cond.notify_all()
                     idle = 0.0
-                    continue
+                if done:
+                    return
                 self._cond.wait(0.05)
                 if predicate():
                     return
@@ -276,7 +282,7 @@ class Simulator:
         """Advance through all events due at or before ``until_ms``
         (all pending events when None); returns the delivery records
         processed by this call, none unless the trace is on."""
-        with self._cond:
+        with self._lock:
             trace = self.trace if self.trace is not None else []
             mark = len(trace)
             while self._heap and (until_ms is None or self._heap[0][0] <= until_ms):

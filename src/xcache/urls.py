@@ -12,10 +12,18 @@ Any valid DAG address serializes without loss, whatever the intent's
 principal type; the scheme is the lowercase type tag of the intent.
 Named-content URLs separate the shared *address* from the *locators*
 that pick a concrete representation.
+
+The daemon turns the same URL text back into an address again and
+again, so ``parse_dag_url`` and ``parse_ncid_url`` each keep their last
+``PARSE_MEMO_SIZE`` successful results, keyed by their arguments.  A
+result is a frozen value holding only tuples, so every caller shares
+one object.  Failures are never kept: a bad URL is parsed again on every
+call and raises the same error each time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .addressing import (
@@ -36,6 +44,9 @@ NCID_SCHEME = "ncid"
 LOCATOR_PUBCERT = "PubCert"
 LOCATOR_VERSION = "Version"
 LOCATOR_USERAGENT = "UserAgent"
+
+#: Successful parses kept per parse function (about 1.2 MB of 3-node DAGs).
+PARSE_MEMO_SIZE = 1024
 
 
 class UrlParseError(ValueError):
@@ -83,6 +94,7 @@ def _parse_index(token: str, offset: int, limit: int) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_dag_url(url: str, allow_short: bool = False) -> DagAddress:
     """Inverse of serialize_dag_url; the scheme must match the intent.
 
@@ -234,6 +246,7 @@ def serialize_ncid_url(u: NcidUrl) -> str:
     return f"{NCID_SCHEME}://{pct_encode(u.address)}/{locs}"
 
 
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_ncid_url(url: str) -> NcidUrl:
     prefix = f"{NCID_SCHEME}://"
     if not url.startswith(prefix):

@@ -131,6 +131,28 @@ class TestEventEngine:
         with pytest.raises(SimStalledError):
             sim.wait_for(lambda: False, idle_timeout=0.2)
 
+    def test_wait_for_stops_at_the_event_that_satisfies_it(self):
+        sim = Simulator()
+        ran = []
+        for label, delay in (("a", 1), ("b", 2), ("c", 3)):
+            sim.schedule(delay, lambda label=label: ran.append(label))
+        sim.wait_for(lambda: "b" in ran)
+        assert (ran, sim.now) == (["a", "b"], 2)
+        sim.wait_for(lambda: len(ran) == 3)
+        assert (ran, sim.now) == (["a", "b", "c"], 3)
+
+    def test_path_delay_bound_follows_add_link(self):
+        sim = Simulator(rto_multiplier=2, max_retries=3)
+        for name in "abc":
+            sim.add_node(name)
+        assert sim.path_delay_bound() == 1
+        sim.add_link("a", "b", delay_ms=3)
+        sim.add_link("b", "c", delay_ms=4)
+        assert sim.path_delay_bound() == 7
+        sim.add_link("c", "b", delay_ms=10)  # replaces b–c in both directions
+        assert sim.path_delay_bound() == 13
+        assert (sim.rto_ms, sim.idle_timeout_ms) == (26, 26 * 5)
+
 
 class TestConnect:
     def test_session_terminates_at_publisher(self):

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_dag
 from xcache.addressing import XidType, make_fallback_dag, symbolic_xid
 from xcache.urls import (
+    PARSE_MEMO_SIZE,
     NcidUrl,
     UrlParseError,
     canonical_name,
@@ -254,6 +256,90 @@ class TestNcidUrl:
                 parse_ncid_url(text)
             except UrlParseError:
                 pass
+
+
+def _failure(parse, *args):
+    with pytest.raises(UrlParseError) as info:
+        parse(*args)
+    return info.value.kind, info.value.position, str(info.value)
+
+
+class TestParseMemo:
+    """Successful parses are kept and shared; failures never are."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_dag_round_trip_is_stable_across_calls(self, seed):
+        dag = random_dag(random.Random(seed))
+        url = serialize_dag_url(dag)
+        parse_dag_url.cache_clear()
+        first = parse_dag_url(url)
+        assert serialize_dag_url(first) == url
+        assert first == parse_dag_url.__wrapped__(url)
+        for _ in range(2):
+            assert parse_dag_url(url) is first
+        assert parse_dag_url.cache_info().hits == 2
+
+    @pytest.mark.parametrize(
+        "parse, url, kind",
+        [
+            (parse_dag_url, "cid://2,0/AD-B,1/HID-P,0/CID-C", "cycle"),
+            (parse_dag_url, "cid://9/CID-C", "edge-range"),
+            (parse_dag_url, "zid://0/CID-C", "scheme"),
+            (parse_dag_url, "sid://0/CID-C", "intent-mismatch"),
+            (parse_dag_url, "cid://x/CID-C", "malformed"),
+            (parse_ncid_url, "ncid://a%2/k=1", "escape"),
+            (parse_ncid_url, "ncid://a/k=1&k=2", "duplicate-locator"),
+            (parse_ncid_url, "ncid:///k=1", "empty-address"),
+            (parse_ncid_url, "ncid://a/PubCert=gibberish", "invalid"),
+        ],
+    )
+    def test_failures_repeat_exactly_and_are_not_kept(self, parse, url, kind):
+        args = (url, True) if parse is parse_dag_url else (url,)
+        parse.cache_clear()
+        first = _failure(parse, *args)
+        assert first[0] == kind
+        assert _failure(parse, *args) == first
+        assert _failure(parse, *args) == first
+        assert parse.cache_info().currsize == 0
+
+    def test_memo_is_keyed_by_short_mode(self):
+        url = "cid://0/CID-C"
+        strict = _failure(parse_dag_url, url)
+        assert parse_dag_url(url, True) == make_fallback_dag(C, [])
+        assert _failure(parse_dag_url, url) == strict
+
+    @given(
+        address=st.text(min_size=1, max_size=12),
+        locators=st.dictionaries(
+            st.text(min_size=1, max_size=6).filter(lambda k: k != "PubCert"),
+            st.text(max_size=8),
+            max_size=3,
+        ),
+    )
+    def test_ncid_round_trip_is_stable_across_calls(self, address, locators):
+        url = NcidUrl(address, tuple(locators.items()))
+        text = serialize_ncid_url(url)
+        first = parse_ncid_url(text)
+        assert first == url
+        for _ in range(2):
+            assert parse_ncid_url(text) is first
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_dag_url, lambda i: f"cid://0/CID-{i:040x}"),
+            (parse_ncid_url, lambda i: f"ncid://n{i}/"),
+        ],
+        ids=["dag", "ncid"],
+    )
+    def test_memo_stays_within_its_bound(self, parse, text):
+        parse.cache_clear()
+        for i in range(PARSE_MEMO_SIZE + 50):
+            parse(text(i))
+            assert parse.cache_info().currsize <= PARSE_MEMO_SIZE
+        assert parse.cache_info().currsize == PARSE_MEMO_SIZE
+        parse(text(0))  # the oldest entry was evicted
+        assert parse.cache_info().misses == PARSE_MEMO_SIZE + 51
 
 
 class TestPctEncoding:
