@@ -184,9 +184,6 @@ class DagAddress:
     def intent_xid(self) -> Xid:
         return self.nodes[self.intent].xid
 
-    def xids(self) -> tuple[Xid, ...]:
-        return tuple(node.xid for node in self.nodes)
-
 
 def dag_address(
     nodes: Sequence[DagNode | tuple[Xid, Sequence[int]]],

@@ -116,9 +116,6 @@ class PublisherKey:
         )
         return cls(public=pub, private=priv)
 
-    def public_only(self) -> "PublisherKey":
-        return PublisherKey(public=self.public)
-
     def fingerprint(self) -> bytes:
         return fingerprint(self.public)
 

@@ -28,6 +28,7 @@ from .chunking import ChunkError, PublisherKey, compute_ncid, fingerprint
 from .daemon import (
     CertificateRequiredError,
     DaemonConfig,
+    FetchError,
     FetchTimeoutError,
     PublishError,
     UnroutableError,
@@ -204,7 +205,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     except (UnroutableError, FetchTimeoutError) as exc:
         print(f"fetch: {exc}", file=sys.stderr)
         return EX_UNROUTABLE
-    except OSError as exc:
+    except (FetchError, OSError) as exc:
         print(f"fetch: {exc}", file=sys.stderr)
         return EX_USAGE
     finally:

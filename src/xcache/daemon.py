@@ -56,7 +56,7 @@ from .netsim import (
     SimStalledError,
     TransferTimeout,
 )
-from .store import StorageManager, StoreError, WallClock
+from .store import StorageManager, StoreError
 from .urls import NcidUrl, canonical_name, parse_dag_url, parse_ncid_url
 
 log = logging.getLogger(__name__)
@@ -323,20 +323,22 @@ class XcacheHandle:
 
 
 class Xcached:
-    """One daemon instance: storage manager, request queue, worker pool,
-    notification fan-out, and (when attached to a simulated node) the
-    content serving and opportunistic caching machinery."""
+    """One daemon instance on one simulated node: storage manager,
+    request queue, worker pool, notification fan-out, content serving and
+    opportunistic caching.  What the node serves is its route table's
+    local content set: admitting a chunk adds its route, and eviction,
+    expiry and removal withdraw it; the node asks ``_serve`` for the
+    bytes when a request arrives.  The store's clock is the node's
+    simulator unless ``clock`` is given."""
 
-    def __init__(self, config: DaemonConfig | None = None, node: NetNode | None = None, clock=None):
+    def __init__(self, config: DaemonConfig | None = None, *, node: NetNode, clock=None):
         self.config = config if config is not None else DaemonConfig()
         self.node = node
-        if clock is None:
-            clock = node.sim if node is not None else WallClock()
         self.manager = StorageManager(
             mem_capacity=self.config.mem_capacity_chunks,
             disk_capacity=self.config.disk_capacity_chunks,
             disk_dir=self.config.disk_dir,
-            clock=clock,
+            clock=clock if clock is not None else node.sim,
         )
         self.caching = cache_flag(self.config.cache_policy)
         self.counters: Counter = Counter()
@@ -350,9 +352,8 @@ class Xcached:
         self._high_water_warned = False
         self._alive = True
 
-        if node is not None:
-            node.server_socket.handler = self._serve_session
-            node.subscribe_capture(self._on_capture)
+        node.serve = self._serve
+        node.capture = self._on_capture
 
         self._workers = [
             threading.Thread(target=self._worker_loop, name=f"xcache-worker-{i}", daemon=True)
@@ -401,11 +402,7 @@ class Xcached:
             chunk = build_cid_chunk(data, ttl_ms, max_payload=self.config.max_payload)
         except ChunkError as exc:
             raise PublishError(str(exc)) from exc
-        with self._lock:
-            addr = self._admit(chunk, origin="publish")
-        if addr is None:
-            raise PublishError("no store admitted the chunk")
-        return addr
+        return self._publish(chunk)
 
     def put_named_content(
         self,
@@ -436,11 +433,7 @@ class Xcached:
         result = verify_ncid(chunk, key_chunk)
         if not result.accepted:
             raise PublishError(f"self-verification failed: {result.reason}")
-        with self._lock:
-            addr = self._admit(chunk, origin="publish")
-        if addr is None:
-            raise PublishError("no store admitted the chunk")
-        return addr
+        return self._publish(chunk)
 
     # -- fetch ---------------------------------------------------------
 
@@ -570,7 +563,7 @@ class Xcached:
         xid = addr if isinstance(addr, Xid) else addr.intent_xid()
         with self._lock:
             self.manager.remove(xid)
-            self._withdraw(xid)
+            self.node.routes.remove_local(xid)
 
     # -- maintenance -----------------------------------------------------
 
@@ -580,7 +573,7 @@ class Xcached:
         with self._lock:
             expired = self.manager.sweep(now_ms)
             for xid in expired:
-                self._withdraw(xid)
+                self.node.routes.remove_local(xid)
                 self._notify(NotifEvent.CHUNK_EVICTED, xid)
             return expired
 
@@ -655,8 +648,6 @@ class Xcached:
         return chunk, stats
 
     def _transfer(self, addr: DagAddress) -> tuple[bytes, FetchStats]:
-        if self.node is None:
-            raise UnroutableError("daemon has no network attachment")
         try:
             session = self.node.connect_to_content(addr)
         except NoRouteError as exc:
@@ -721,35 +712,31 @@ class Xcached:
                 self._admit(key_chunk, origin="fetch")
         return key_chunk
 
-    def _admit(self, chunk: Chunk, origin: str) -> DagAddress | None:
+    def _admit(self, chunk: Chunk, origin: str) -> bool:
         """Single chokepoint through which chunks enter the store (verified
-        ones, and those inject_unverified_chunk plants); installs
-        routes/bindings, withdraws evicted content and fans out
-        notifications.  Returns the chunk's address, or None if no store
-        admitted it."""
+        ones, and those inject_unverified_chunk plants); adds the chunk's
+        local route, withdraws evicted content and fans out notifications.
+        Returns whether a store admitted the chunk."""
         try:
             _, evicted = self.manager.store(chunk)
         except StoreError as exc:
             log.warning("store refused chunk %s: %s", chunk.id.text(short=True), exc)
-            return None
+            return False
         for victim in evicted:
-            self._withdraw(victim)
+            self.node.routes.remove_local(victim)
             self._notify(NotifEvent.CHUNK_EVICTED, victim)
-        addr = self._address_for(chunk.id)
-        if self.node is not None:
-            self.node.server_socket.bind(chunk.id, addr)
+        self.node.routes.add_local(chunk.id)
         if origin != "publish":
             self._notify(NotifEvent.CHUNK_ARRIVED, chunk.id)
-        return addr
+        return True
 
-    def _withdraw(self, xid: Xid) -> None:
-        if self.node is not None:
-            self.node.server_socket.unbind(xid)
-
-    def _address_for(self, xid: Xid) -> DagAddress:
-        if self.node is not None:
-            return self.node.local_dag_for(xid)
-        return make_fallback_dag(xid, [])
+    def _publish(self, chunk: Chunk) -> DagAddress:
+        """Admit a chunk this node publishes; returns the address remote
+        clients can fetch it by."""
+        with self._lock:
+            if not self._admit(chunk, origin="publish"):
+                raise PublishError("no store admitted the chunk")
+        return self.node.local_dag_for(chunk.id)
 
     def _notify(self, event: NotifEvent, xid: Xid) -> None:
         """Queue ``event`` for every live handle with a handler for it;
@@ -760,30 +747,22 @@ class Xcached:
         for handle in handles:
             if handle.alive and handle._handlers.get(event):
                 if addr is None:
-                    addr = self._address_for(xid)
+                    addr = self.node.local_dag_for(xid)
                 handle._notif_queue.put(Notification(event, addr))
 
     def inject_unverified_chunk(self, chunk: Chunk) -> None:
         """Attack/test instrumentation: place a chunk without verifying
         it, modeling a malicious or broken node.  Honest daemons never
         call this."""
-        with self._lock:
-            if self._admit(chunk, origin="publish") is None:
-                raise PublishError("no store admitted the chunk")
+        self._publish(chunk)
 
     # -- node-facing machinery ------------------------------------------
 
-    def _serve_session(self, session, xid: Xid) -> None:
+    def _serve(self, xid: Xid) -> bytes | None:
+        """The node's ``serve``: the encoded chunk, or None once it is
+        gone or expired."""
         chunk = self.manager.get(xid)
-        if chunk is None:
-            # Stale binding: the content vanished between request and
-            # serve.  Answer with an empty stream so the client fails
-            # promptly (undecodable) instead of waiting out a timeout.
-            log.warning("%s: bound content %s vanished before serving", self._name(), xid)
-            self._withdraw(xid)
-            session.start_send(b"")
-            return
-        session.start_send(encode_chunk(chunk))
+        return encode_chunk(chunk) if chunk is not None else None
 
     def _on_capture(self, seg: Segment) -> None:
         """Forwarding-path tap: decide on the provider's answer, buffer
@@ -835,7 +814,7 @@ class Xcached:
         try:
             chunk = self._decode(raw)
         except VerificationError as exc:
-            log.warning("%s: discarding capture: %s", self._name(), exc)
+            log.warning("%s: discarding capture: %s", self.node.name, exc)
             return
         if chunk.ttl_ms == 0:
             return
@@ -850,9 +829,6 @@ class Xcached:
             with self._lock:
                 self._admit(chunk, origin="opportunistic")
         return result
-
-    def _name(self) -> str:
-        return self.node.name if self.node is not None else "local"
 
 
 def _fallback_chain(dag: DagAddress) -> list[Xid]:

@@ -6,9 +6,9 @@ doubles as the content request, carrying the requested identifier, and
 whichever node holds that content (origin publisher or an on-path
 cache) terminates routing and answers.  Bytes then flow over a
 Go-Back-N sliding window with cumulative ACKs and retransmission
-timers.  Nodes on the forwarding path can subscribe a raw capture tap
-that sees every forwarded content segment, which is what opportunistic
-caching feeds on.  A tap receives the live segment, not a copy, and must
+timers.  A node's owner can install a raw capture tap that sees every
+content segment the node forwards, which is what opportunistic caching
+feeds on.  The tap receives the live segment, not a copy, and must
 treat it as read-only: the forwarding path goes on to mutate its
 ``hops`` and ``dst_position``.
 
@@ -20,10 +20,14 @@ opt-in (assign a list to ``Simulator.trace``).  The blocking client calls
 may be issued from multiple threads.  A call holds the lock for a batch
 of events, until its own condition holds or the queue drains, so calls
 are serialized per batch; events still run one at a time, in order.
-The serving side never blocks: each node's server socket answers a SYN
-for bound content inside event processing and, once the handshake
-completes, hands the session to the handler its owner installed, which
-starts the Go-Back-N stream.
+The serving side never blocks.  What a node serves is its route
+table's local content set: when a SYN for a local content route is
+delivered, the node asks its owner's ``serve`` callable for the bytes
+inside event processing and answers with a session that streams them
+once the handshake completes.  If the owner no longer holds the content,
+the node withdraws the stale route and forwards the SYN on from the DAG
+position it arrived with, so a fallback edge can still reach a node that
+holds it.
 
 Each end of a session registers itself on its node when it is created:
 under its session id, under its endpoint SID, and with that SID as a
@@ -278,19 +282,15 @@ class Simulator:
             if idle >= idle_timeout:
                 raise SimStalledError("event queue idle while a call was waiting")
 
-    def step(self, until_ms: int | None = None) -> list[tuple]:
+    def step(self, until_ms: int | None = None) -> None:
         """Advance through all events due at or before ``until_ms``
-        (all pending events when None); returns the delivery records
-        processed by this call, none unless the trace is on."""
+        (all pending events when None)."""
         with self._lock:
-            trace = self.trace if self.trace is not None else []
-            mark = len(trace)
             while self._heap and (until_ms is None or self._heap[0][0] <= until_ms):
                 self._run_next()
             if until_ms is not None and until_ms > self.now:
                 self.now = until_ms
             self._cond.notify_all()
-            return [rec for rec in trace[mark:] if rec[0] == "deliver"]
 
     def _trace(self, kind: str, node: str, seg: Segment, **extra) -> None:
         if self.trace is None:
@@ -312,9 +312,19 @@ class Simulator:
         )
 
 
+def _serve_nothing(xid: Xid) -> None:
+    return None
+
+
 class NetNode:
     """A simulated node: identity XIDs, route table, transport endpoints,
-    one content server socket, and capture taps."""
+    and two slots its owner fills.  ``serve(xid)`` returns the bytes of
+    content the node holds, or None once it no longer does; it is asked
+    when a SYN for a local content route is delivered.  ``capture(seg)``,
+    when set, receives every forwarded content segment (either address
+    naming a content principal); it gets the live segment, not a copy,
+    and must treat it as read-only, since forwarding updates its ``hops``
+    and ``dst_position`` after the tap returns."""
 
     def __init__(self, sim: Simulator, name: str, understood=None):
         self.sim = sim
@@ -325,22 +335,14 @@ class NetNode:
         self.routes = RouteTable()
         self.routes.add_local(self.ad)
         self.routes.add_local(self.hid)
-        self.server_socket = ContentServerSocket(self)
+        self.serve = _serve_nothing
+        self.capture = None
         self.sessions: dict[bytes, object] = {}
         self.endpoints: dict[Xid, object] = {}
-        self.capture_subs: list = []
         self.counters: Counter = Counter()
 
     def __repr__(self) -> str:
         return f"NetNode({self.name})"
-
-    def subscribe_capture(self, fn) -> None:
-        """Register a tap that receives every forwarded content segment
-        (either address naming a content principal).  The tap gets the
-        live segment, not a copy, and must treat it as read-only;
-        forwarding updates its ``hops`` and ``dst_position`` after the
-        tap returns."""
-        self.capture_subs.append(fn)
 
     def local_dag_for(self, xid: Xid) -> DagAddress:
         """The address this node publishes for content it holds: direct
@@ -350,16 +352,17 @@ class NetNode:
     # -- forwarding --------------------------------------------------
 
     def on_segment(self, seg: Segment) -> str:
-        decision = resolve_next(seg.dst_dag, self.understood, self.routes, seg.dst_position)
+        arrived_at = seg.dst_position
+        decision = resolve_next(seg.dst_dag, self.understood, self.routes, arrived_at)
         if isinstance(decision, DeliverLocal):
             seg.dst_position = decision.node
             if seg.hops == 0:
                 # Sent to itself (a node fetching content it serves):
                 # deliver from the event loop, so that an ACK does not
                 # re-enter the sender's window pump.
-                self.sim.schedule(0, lambda: self._deliver(seg))
+                self.sim.schedule(0, lambda: self._deliver(seg, arrived_at))
             else:
-                self._deliver(seg)
+                self._deliver(seg, arrived_at)
             return "delivered"
         if isinstance(decision, Forward):
             seg.dst_position = decision.position
@@ -378,7 +381,11 @@ class NetNode:
         return disposition
 
     def _forward(self, seg: Segment, hop: str) -> str:
-        self._feed_capture(seg)
+        if self.capture is not None and (
+            seg.dst_dag.intent_xid().xtype in CONTENT_TYPES
+            or seg.src_dag.intent_xid().xtype in CONTENT_TYPES
+        ):
+            self.capture(seg)
         link = self.sim.links.get((self.name, hop))
         if link is None:
             self.sim._trace("drop", self.name, seg, reason="no-link", to=hop)
@@ -392,25 +399,32 @@ class NetNode:
         self.sim.schedule(link.delay_ms, lambda: target.on_segment(seg))
         return "forwarded"
 
-    def _feed_capture(self, seg: Segment) -> None:
-        if not self.capture_subs:
-            return
-        if (
-            seg.dst_dag.intent_xid().xtype in CONTENT_TYPES
-            or seg.src_dag.intent_xid().xtype in CONTENT_TYPES
-        ):
-            for sub in self.capture_subs:
-                sub(seg)
-
-    def _deliver(self, seg: Segment) -> None:
+    def _deliver(self, seg: Segment, arrived_at: int | None) -> None:
         self.sim._trace("deliver", self.name, seg)
         delivered_xid = seg.dst_dag.nodes[seg.dst_position].xid
         if seg.flags & SegFlags.SYN and delivered_xid.xtype in CONTENT_TYPES:
-            self.server_socket.on_syn(seg)
+            self._on_content_syn(seg, delivered_xid, arrived_at)
             return
         session = self.endpoints.get(delivered_xid)
         if session is not None:
             session.on_segment(seg)
+
+    def _on_content_syn(self, seg: Segment, xid: Xid, arrived_at: int | None) -> None:
+        # A client session under the same id is this node fetching from
+        # itself, not a duplicate SYN.
+        existing = self.sessions.get(seg.session)
+        if isinstance(existing, ServerSession):
+            existing.on_duplicate_syn()
+            return
+        data = self.serve(xid)
+        if data is None:
+            # The route outlived the content: withdraw it and let the SYN
+            # go on from where it arrived, never back toward the source.
+            self.routes.remove_local(xid)
+            seg.dst_position = arrived_at
+            self.on_segment(seg)
+            return
+        ServerSession(self, seg, data).send_synack()
 
     # -- application surface -----------------------------------------
 
@@ -427,47 +441,13 @@ class NetNode:
 
         return self.sim.submit(_start)
 
-    def connect_to_content(self, dag: DagAddress, idle_timeout: float = 5.0) -> "ClientSession":
+    def connect_to_content(self, dag: DagAddress) -> "ClientSession":
         """Open a session with whatever node can serve ``dag``'s intent.
         The SYN is the content request; returns an established session.
         """
         session = self.start_connect(dag)
-        session.wait_established(idle_timeout)
+        session.wait_established()
         return session
-
-
-class ContentServerSocket:
-    """A server socket bound to every content identifier published on
-    its node.  A SYN for bound content is answered inside event
-    processing, and once the handshake completes ``handler(session,
-    xid)`` is called to stream the requested content; whoever binds
-    content installs the handler."""
-
-    def __init__(self, node: NetNode):
-        self.node = node
-        self.handler = None
-        self.bound: dict[Xid, DagAddress] = {}
-
-    def bind(self, xid: Xid, serve_dag: DagAddress | None = None) -> None:
-        self.bound[xid] = serve_dag if serve_dag is not None else self.node.local_dag_for(xid)
-        self.node.routes.add_local(xid)
-
-    def unbind(self, xid: Xid) -> None:
-        self.bound.pop(xid, None)
-        self.node.routes.remove_local(xid)
-
-    def on_syn(self, seg: Segment) -> None:
-        # A client session under the same id is this node fetching from
-        # itself, not a duplicate SYN.
-        existing = self.node.sessions.get(seg.session)
-        if isinstance(existing, ServerSession):
-            existing.on_duplicate_syn()
-            return
-        xid = seg.intent
-        if xid is None or xid not in self.bound:
-            self.node.sim._trace("drop", self.node.name, seg, reason="unbound")
-            return
-        ServerSession(self.node, seg, self.bound[xid]).send_synack()
 
 
 _ENDED = frozenset(("complete", "done", "failed"))
@@ -658,43 +638,37 @@ class ClientSession(_Session):
         )
         self.node.on_segment(seg)
 
-    def wait_established(self, idle_timeout: float = 5.0) -> None:
-        self.sim.wait_for(
-            lambda: self.state in ("established", "complete", "failed"),
-            idle_timeout=idle_timeout,
-        )
+    def wait_established(self) -> None:
+        self.sim.wait_for(lambda: self.state in ("established", "complete", "failed"))
         if self.state == "failed":
             raise HandshakeTimeout(self.fail_reason or "connect failed")
 
-    def recv_chunk(self, idle_timeout: float = 5.0) -> bytes:
+    def recv_chunk(self) -> bytes:
         """Block until the sender's FIN lands; returns the exact byte
         sequence that was sent."""
-        self.sim.wait_for(
-            lambda: self.state in ("complete", "failed"), idle_timeout=idle_timeout
-        )
+        self.sim.wait_for(lambda: self.state in ("complete", "failed"))
         if self.state == "failed":
             raise TransferTimeout(self.fail_reason or "transfer failed")
         return b"".join(self.rx_payloads)
 
 
-
 class ServerSession(_Session):
     """Provider side: answers the handshake with the published chunk's
-    address as source, then streams the handler's bytes under a
+    address as source, then streams the bytes it was created with under a
     fixed-window Go-Back-N: cumulative ACKs advance the base, a timeout
     resends the whole outstanding window, and the FIN consumes the final
     sequence number."""
 
-    def __init__(self, node: NetNode, syn: Segment, serve_dag: DagAddress):
+    def __init__(self, node: NetNode, syn: Segment, data: bytes):
         super().__init__(node, syn.session)
         self.client_dag = syn.src_dag
-        self.requested = syn.intent
-        self.serve_dag = serve_dag
+        self.serve_dag = node.local_dag_for(syn.dst_dag.intent_xid())
         self.syn_hops = syn.hops
         self.state = "syn-rcvd"
 
-        self._payloads: list[bytes] | None = None
-        self._total = 0  # data segments plus the trailing FIN
+        size = self.sim.segment_payload
+        self._payloads = [data[i : i + size] for i in range(0, len(data), size)]
+        self._total = len(self._payloads) + 1  # data segments plus the trailing FIN
         self._base = 0
         self._next_seq = 0
 
@@ -733,22 +707,10 @@ class ServerSession(_Session):
             self.state = "established"
             self._progress()
             self.node.counters["sessions_served"] += 1
-            self.node.server_socket.handler(self, self.requested)
-        if self._payloads is not None:
+            self._pump()
+            self._arm(self.rto, self._send_timeout)
+        else:
             self._on_ack(seg.seq)
-
-    def start_send(self, data: bytes) -> None:
-        """Begin streaming ``data``; asynchronous, driven by ACKs and
-        retransmission timers."""
-        if self.state != "established":
-            raise SimError("session not established")
-        if self._payloads is not None:
-            raise SimError("send already in progress")
-        size = self.sim.segment_payload
-        self._payloads = [data[i : i + size] for i in range(0, len(data), size)]
-        self._total = len(self._payloads) + 1
-        self._pump()
-        self._arm(self.rto, self._send_timeout)
 
     def _pump(self) -> None:
         end = min(self._base + self.sim.window, self._total)

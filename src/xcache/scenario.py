@@ -52,7 +52,7 @@ from .daemon import (
     cache_flag,
     parse_config,
 )
-from .netsim import SimError, Simulator, build_simulator
+from .netsim import NetNode, SimError, Simulator, build_simulator
 from .urls import (
     LOCATOR_PUBCERT,
     NcidUrl,
@@ -231,6 +231,9 @@ class ScenarioRunner:
             raise ScenarioError(f"unknown node {node!r}")
         return self.daemons[node]
 
+    def _node(self, node: str) -> NetNode:
+        return self._daemon(node).node
+
     def _handle(self, node: str):
         self._daemon(node)
         return self.handles[node]
@@ -343,7 +346,7 @@ class ScenarioRunner:
     def _cmd_unroutefor(self, args):
         positional, options, _ = self._split_args(args)
         node, url = positional
-        self.sim.nodes[node].routes.remove_route(self._url_intent(url, options.get("key")))
+        self._node(node).routes.remove_route(self._url_intent(url, options.get("key")))
 
     def _cmd_route(self, args):
         node, xid_text, nxt = (self._subst(a) for a in args)
@@ -380,8 +383,9 @@ class ScenarioRunner:
             daemon.sweep_ttl()
 
     def _cmd_assert(self, args):
-        metric = args[0]
-        rest = args[1:]
+        if not args:
+            raise ScenarioError("assert needs a metric")
+        metric, rest = args[0], args[1:]
         if metric in ("provider", "hops", "bytes", "verify"):
             index, op, want = rest
             try:
@@ -398,7 +402,7 @@ class ScenarioRunner:
             }[metric]
         elif metric == "sessions":
             node, op, want = rest
-            actual = str(self.sim.nodes[node].counters["sessions_served"])
+            actual = str(self._node(node).counters["sessions_served"])
         elif metric == "cached":
             node, url, op, want = rest
             url = self._subst(url)

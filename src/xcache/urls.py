@@ -178,16 +178,16 @@ def parse_dag_url(url: str, allow_short: bool = False) -> DagAddress:
 # the URL is unambiguous; everything outside printable ASCII is encoded
 # as well (multi-byte UTF-8 falls out naturally).
 _RESERVED = frozenset(b"/&=%#")
+# The encoded form of each UTF-8 byte value.
+_PCT_TABLE = tuple(
+    f"%{byte:02x}" if byte in _RESERVED or byte <= 0x20 or byte > 0x7E else chr(byte)
+    for byte in range(256)
+)
 
 
 def pct_encode(text: str) -> str:
-    out = []
-    for byte in text.encode("utf-8"):
-        if byte in _RESERVED or byte <= 0x20 or byte > 0x7E:
-            out.append(f"%{byte:02x}")
-        else:
-            out.append(chr(byte))
-    return "".join(out)
+    table = _PCT_TABLE
+    return "".join([table[byte] for byte in text.encode("utf-8")])
 
 
 def pct_decode(text: str, base_offset: int = 0) -> str:

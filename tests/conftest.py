@@ -107,6 +107,14 @@ def make_cluster(topo: str, config=None, seed: int | None = None, **transport):
     return sim, daemons, handles
 
 
+def lone_daemon(config, clock=None):
+    """A daemon on the only node of a fresh simulator."""
+    from xcache.daemon import Xcached
+    from xcache.netsim import Simulator
+
+    return Xcached(config, node=Simulator().add_node("solo"), clock=clock)
+
+
 @pytest.fixture
 def line3():
     sim, daemons, handles = make_cluster(LINE3_TOPO)

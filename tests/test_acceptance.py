@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import record_criterion, random_dag
+from conftest import lone_daemon, record_criterion, random_dag
 from xcache.addressing import XidType, make_fallback_dag, symbolic_xid
 from xcache.chunking import (
     Chunk,
@@ -188,8 +188,8 @@ def test_criterion_6_reliability_under_loss():
             payload = random.Random(seed).randbytes(64 * 1024)
             cid = compute_cid(payload)
             pub = sim.nodes["pub"]
-            pub.server_socket.handler = lambda session, xid, pl=payload: session.start_send(pl)
-            pub.server_socket.bind(cid)
+            pub.serve = lambda xid, pl=payload: pl
+            pub.routes.add_local(cid)
             session = sim.nodes["client"].connect_to_content(pub.local_dag_for(cid))
             received = session.recv_chunk()
             if hashlib.sha256(received).digest() == hashlib.sha256(payload).digest():
@@ -223,7 +223,7 @@ def test_criterion_7_store_laws(tmp_path):
         # TTL: a 100 ms chunk expires at the 101 ms sweep with exactly
         # one eviction notification
         clock2 = LogicalClock()
-        daemon = Xcached(DaemonConfig(workers=0), clock=clock2)
+        daemon = lone_daemon(DaemonConfig(workers=0), clock=clock2)
         try:
             handle = daemon.init_handle()
             notifications = []

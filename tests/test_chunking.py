@@ -130,7 +130,7 @@ class TestSigning:
         assert not verify_named_signature(b"junk", "n", b"d", key.public)
 
     def test_signing_needs_private_half(self):
-        key = make_key().public_only()
+        key = PublisherKey(public=make_key().public)
         with pytest.raises(ChunkError):
             sign_named("n", b"d", key)
 

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from conftest import LINE3_TOPO, PAIR_TOPO, make_cluster
+from conftest import LINE3_TOPO, PAIR_TOPO, lone_daemon, make_cluster
 from xcache.addressing import make_fallback_dag
 from xcache.chunking import (
     Chunk,
@@ -84,7 +84,7 @@ class TestConfig:
 
 class TestHandles:
     def test_use_after_destroy_errors(self):
-        daemon = Xcached(DaemonConfig(workers=0))
+        daemon = lone_daemon(DaemonConfig(workers=0))
         handle = daemon.init_handle()
         handle.destroy()
         with pytest.raises(InvalidHandleError):
@@ -94,7 +94,7 @@ class TestHandles:
         daemon.shutdown()
 
     def test_handles_are_independent(self):
-        daemon = Xcached(DaemonConfig(workers=0))
+        daemon = lone_daemon(DaemonConfig(workers=0))
         h1, h2 = daemon.init_handle(), daemon.init_handle()
         h1.destroy()
         dag = h2.put_chunk(b"still fine", 1000)
@@ -143,7 +143,7 @@ class TestPublish:
             handles["pub"].put_chunk(b"x", 0)
 
     def test_oversize_payload_is_publish_error(self):
-        daemon = Xcached(DaemonConfig(workers=0, max_payload=64))
+        daemon = lone_daemon(DaemonConfig(workers=0, max_payload=64))
         handle = daemon.init_handle()
         with pytest.raises(PublishError):
             handle.put_chunk(b"y" * 100, 1000)
@@ -200,18 +200,16 @@ class TestFetchPaths:
         pending = handles["client"].fetch_chunk(dag, blocking=False)
         assert pending.result(timeout=10) == b"eventually"
 
-    def test_tampered_provider_rejected_and_not_cached(self, line3, monkeypatch):
+    def test_tampered_provider_rejected_and_not_cached(self, line3):
         sim, daemons, handles = line3
         dag = handles["pub"].put_chunk(b"honest bytes", 60000)
 
-        def corrupt_serve(session, xid):
-            chunk = daemons["pub"].manager.get(xid)
-            blob = bytearray(encode_chunk(chunk))
+        def corrupt_serve(xid):
+            blob = bytearray(encode_chunk(daemons["pub"].manager.get(xid)))
             blob[-1] ^= 0xFF  # payload corruption in flight
-            session.start_send(bytes(blob))
+            return bytes(blob)
 
-        monkeypatch.setattr(daemons["pub"], "_serve_session", corrupt_serve)
-        sim.nodes["pub"].server_socket.handler = corrupt_serve
+        sim.nodes["pub"].serve = corrupt_serve
         with pytest.raises(VerificationError):
             handles["client"].fetch_chunk(dag)
         assert not daemons["client"].manager.contains(dag.intent_xid())
@@ -417,18 +415,15 @@ class TestNamedContent:
         # mismatched request (certificate fetches stay honest)
         real_chunk = daemons["pub"].manager.get(content_dag.intent_xid())
         wrong_ncid = compute_ncid("fb.com/cmu", other_key.fingerprint())
-        honest_serve = daemons["pub"]._serve_session
+        honest_serve = daemons["pub"]._serve
 
-        def cross_serve(session, xid):
-            if xid == wrong_ncid:
-                session.start_send(encode_chunk(real_chunk))
-            else:
-                honest_serve(session, xid)
+        def cross_serve(xid):
+            return encode_chunk(real_chunk) if xid == wrong_ncid else honest_serve(xid)
 
-        sim.nodes["pub"].server_socket.handler = cross_serve
+        sim.nodes["pub"].serve = cross_serve
         sim.add_route("client", wrong_ncid, "router")
         sim.add_route("router", wrong_ncid, "pub")
-        sim.nodes["pub"].server_socket.bind(wrong_ncid)
+        sim.nodes["pub"].routes.add_local(wrong_ncid)
 
         url = serialize_ncid_url(
             NcidUrl("fb.com/cmu", (("PubCert", serialize_dag_url(other_cert)),))
@@ -513,7 +508,7 @@ class TestDestroy:
 class TestNotifications:
     def test_eviction_notification_via_lru(self, pair):
         sim, daemons, handles = pair
-        small = Xcached(DaemonConfig(workers=0, mem_capacity_chunks=2), node=None)
+        small = lone_daemon(DaemonConfig(workers=0, mem_capacity_chunks=2))
         try:
             handle = small.init_handle()
             seen = []
@@ -545,7 +540,7 @@ class TestNotifications:
         assert handles["pub"].process_notif() == 0
 
     def test_handlers_called_in_registration_order(self):
-        daemon = Xcached(DaemonConfig(workers=0, mem_capacity_chunks=1))
+        daemon = lone_daemon(DaemonConfig(workers=0, mem_capacity_chunks=1))
         try:
             handle = daemon.init_handle()
             calls = []
@@ -559,7 +554,7 @@ class TestNotifications:
             daemon.shutdown()
 
     def test_listener_thread_drains(self):
-        daemon = Xcached(DaemonConfig(workers=0, mem_capacity_chunks=1))
+        daemon = lone_daemon(DaemonConfig(workers=0, mem_capacity_chunks=1))
         try:
             handle = daemon.init_handle()
             got = queue.Queue()
@@ -574,7 +569,7 @@ class TestNotifications:
 
     def test_ttl_sweep_emits_one_eviction(self):
         clock = LogicalClock()
-        daemon = Xcached(DaemonConfig(workers=0), clock=clock)
+        daemon = lone_daemon(DaemonConfig(workers=0), clock=clock)
         try:
             handle = daemon.init_handle()
             seen = []
@@ -686,7 +681,7 @@ class TestOpportunisticCaching:
         admit = Xcached._admit
 
         def audited(daemon, chunk, origin):
-            admitted.append((daemon._name(), origin, verify_cid(chunk).accepted))
+            admitted.append((daemon.node.name, origin, verify_cid(chunk).accepted))
             return admit(daemon, chunk, origin)
 
         monkeypatch.setattr(Xcached, "_admit", audited)
@@ -776,8 +771,8 @@ class TestBoundedState:
             sim.step()
             for name, node in sim.nodes.items():
                 assert node.sessions == {} and node.endpoints == {}, name
-                bound = set(node.server_socket.bound)
-                assert node.routes.locals() == {node.ad, node.hid} | bound, name
+                held = set(daemons[name].manager.ids())
+                assert node.routes.locals() == {node.ad, node.hid} | held, name
                 assert daemons[name]._ingest_buffers == {}, name
         finally:
             shutdown_all(daemons)
@@ -785,12 +780,26 @@ class TestBoundedState:
 
 class TestServeEdgeCases:
     def test_vanished_content_fails_fast_and_unbinds(self, pair):
+        # no node holds the chunk any more, so the request finds no provider
         sim, daemons, handles = pair
         dag = handles["pub"].put_chunk(b"here then gone", 60000)
         daemons["pub"].manager.remove(dag.intent_xid())  # behind the daemon's back
-        with pytest.raises(VerificationError):
+        with pytest.raises(FetchTimeoutError):
             handles["client"].fetch_chunk(dag, timeout=10)
-        assert dag.intent_xid() not in sim.nodes["pub"].server_socket.bound
+        assert not sim.nodes["pub"].routes.is_local(dag.intent_xid())
+
+    def test_an_expired_copy_gives_way_to_a_fresh_one(self, line3):
+        # the client's and the router's cached copies have expired but no
+        # sweep has withdrawn their routes; the request goes on to the
+        # origin, which holds a republished copy
+        sim, daemons, handles = line3
+        dag = handles["pub"].put_chunk(b"short-lived", 100)
+        assert handles["client"].fetch_chunk(dag) == b"short-lived"
+        assert sim.nodes["client"].routes.is_local(dag.intent_xid())
+        sim.step(sim.now + 150)
+        assert handles["pub"].put_chunk(b"short-lived", 100) == dag
+        chunk, stats = daemons["client"].fetch_entry(handles["client"], dag)
+        assert (chunk.payload, stats.provider) == (b"short-lived", "pub")
 
     def test_injected_chunk_evicts_through_the_admission_path(self):
         sim, daemons, handles = make_cluster(
@@ -804,7 +813,7 @@ class TestServeEdgeCases:
             a = dag_a.intent_xid()
             assert handles["pub"].process_notif() == 1
             assert [n.addr.intent_xid() for n in evicted] == [a]
-            assert a not in sim.nodes["pub"].server_socket.bound
+            assert not daemons["pub"].manager.contains(a)
             assert not sim.nodes["pub"].routes.is_local(a)
             with pytest.raises(FetchTimeoutError):
                 handles["client"].fetch_chunk(dag_a, timeout=10)

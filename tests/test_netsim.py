@@ -30,11 +30,15 @@ route pub AD-client client
 
 
 def serve_bytes(node, payload: bytes):
-    """Bind a chunk of raw bytes on the node's server socket."""
+    """Make the node serve a chunk of raw bytes, and no other content."""
     cid = compute_cid(payload)
-    node.server_socket.handler = lambda session, xid: session.start_send(payload)
-    node.server_socket.bind(cid)
+    node.serve = lambda xid: payload if xid == cid else None
+    node.routes.add_local(cid)
     return node.local_dag_for(cid)
+
+
+def deliveries(sim):
+    return [rec for rec in sim.trace if rec[0] == "deliver"]
 
 
 class TestTopologyConfig:
@@ -81,7 +85,7 @@ class TestTopologyConfig:
 class TestEventEngine:
     def test_step_on_empty_queue(self):
         sim = Simulator()
-        assert sim.step(100) == []
+        sim.step(100)
         assert sim.now == 100
 
     def test_equal_time_events_run_in_insertion_order(self):
@@ -103,9 +107,12 @@ class TestEventEngine:
             dst_dag=make_fallback_dag(sim.nodes["pub"].ad, []),
         )
         sim.submit(lambda: sim.nodes["client"].on_segment(seg))
-        assert sim.step(4) == []  # link delay is 5
-        delivered = sim.step(5)
-        assert [(rec[1], rec[2], rec[5]) for rec in delivered] == [(5, "pub", seg.session.hex())]
+        sim.step(4)  # link delay is 5
+        assert deliveries(sim) == []
+        sim.step(5)
+        assert [(rec[1], rec[2], rec[5]) for rec in deliveries(sim)] == [
+            (5, "pub", seg.session.hex())
+        ]
 
     def test_identical_seeds_identical_traces(self):
         def run(seed):
@@ -211,7 +218,7 @@ class TestConnect:
 
 
 class TestAcceptAs:
-    """The server socket accepts content requests through its handler."""
+    """A node asks its owner for the content each request names."""
 
     def _pair_with_two_chunks(self):
         sim = build_simulator(PAIR_TOPO)
@@ -221,15 +228,15 @@ class TestAcceptAs:
         for text in (b"chunk CCC", b"chunk DDD"):
             cid = compute_cid(text)
             payloads[cid] = text
-            pub.server_socket.bind(cid)
+            pub.routes.add_local(cid)
             dags[cid] = pub.local_dag_for(cid)
         served = []
 
-        def handler(session, xid):
+        def serve(xid):
             served.append(xid)
-            session.start_send(payloads[xid])
+            return payloads.get(xid)
 
-        pub.server_socket.handler = handler
+        pub.serve = serve
         return sim, payloads, dags, served
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -262,6 +269,16 @@ class TestAcceptAs:
         with pytest.raises(HandshakeTimeout):
             sim.nodes["client"].connect_to_content(dag)
         assert pub.sessions == {}
+
+    def test_a_stale_route_is_withdrawn_and_the_syn_goes_on(self):
+        sim = build_simulator(LINE3_TOPO)
+        router = sim.nodes["router"]
+        dag = serve_bytes(sim.nodes["pub"], b"only the origin holds it")
+        router.routes.add_local(dag.intent_xid())  # but the router serves nothing
+        session = sim.nodes["client"].connect_to_content(dag)
+        assert (session.provider_name, session.syn_hops) == ("pub", 2)
+        assert session.recv_chunk() == b"only the origin holds it"
+        assert not router.routes.is_local(dag.intent_xid())
 
 
 class TestTransfer:
@@ -369,7 +386,8 @@ class TestRelease:
         assert server.state == "done" and server.retransmits == 1
         for node in (client_node, pub):
             assert node.sessions == {} and node.endpoints == {}
-            assert node.routes.locals() == {node.ad, node.hid} | set(node.server_socket.bound)
+        assert client_node.routes.locals() == {client_node.ad, client_node.hid}
+        assert pub.routes.locals() == {pub.ad, pub.hid, dag.intent_xid()}
 
     def test_connect_without_a_route_leaves_nothing(self):
         sim = build_simulator(PAIR_TOPO)
@@ -419,7 +437,7 @@ class TestRawCapture:
     def test_router_sees_content_session_segments(self):
         sim = build_simulator(LINE3_TOPO)
         captured = []
-        sim.nodes["router"].subscribe_capture(captured.append)
+        sim.nodes["router"].capture = captured.append
         payload = bytes(3000)
         dag = serve_bytes(sim.nodes["pub"], payload)
         session = sim.nodes["client"].connect_to_content(dag)
@@ -436,7 +454,7 @@ class TestRawCapture:
         sim = build_simulator(LINE3_TOPO)
         sim.trace = []
         captured = []
-        sim.nodes["router"].subscribe_capture(captured.append)
+        sim.nodes["router"].capture = captured.append
         seg = Segment(
             session=b"h" * 8,
             seq=0,
@@ -445,8 +463,8 @@ class TestRawCapture:
             dst_dag=make_fallback_dag(sim.nodes["pub"].ad, []),
         )
         sim.submit(lambda: sim.nodes["client"].on_segment(seg))
-        delivered = sim.step()
-        assert [(rec[2], rec[5]) for rec in delivered] == [("pub", seg.session.hex())]
+        sim.step()
+        assert [(rec[2], rec[5]) for rec in deliveries(sim)] == [("pub", seg.session.hex())]
         assert captured == []
 
     def test_capture_is_transparent(self):
@@ -454,7 +472,7 @@ class TestRawCapture:
             sim = build_simulator(LINE3_TOPO, seed=11)
             sim.trace = []
             if subscribe:
-                sim.nodes["router"].subscribe_capture(lambda seg: None)
+                sim.nodes["router"].capture = lambda seg: None
             payload = bytes(5000)
             dag = serve_bytes(sim.nodes["pub"], payload)
             session = sim.nodes["client"].connect_to_content(dag)
@@ -479,7 +497,7 @@ class TestRawCapture:
         """
         sim = build_simulator(topo, seed=5)
         captured = []
-        sim.nodes["router"].subscribe_capture(captured.append)
+        sim.nodes["router"].capture = captured.append
         payload = random.Random(5).randbytes(32 * 1024)
         dag = serve_bytes(sim.nodes["pub"], payload)
         session = sim.nodes["client"].connect_to_content(dag)

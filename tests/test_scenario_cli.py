@@ -205,13 +205,21 @@ class TestCliSim:
         script.write_text("topology missing.topo\n")
         assert cli.main(["sim", str(script)]) == cli.EX_USAGE
 
-    @pytest.mark.parametrize("line", ["config cache_policy sometimes", "config workers abc"])
+    BAD_LINES = {
+        "config cache_policy sometimes": "config line 1:",
+        "config workers abc": "config line 1:",
+        "assert": "line 1: assert needs a metric",
+        "assert sessions nosuch == 0": "line 1: unknown node 'nosuch'",
+        "unroutefor nosuch cid://0/CID-abc": "line 1: unknown node 'nosuch'",
+    }
+
+    @pytest.mark.parametrize("line", BAD_LINES)
     def test_bad_config_line_exits_2(self, tmp_path, capsys, line):
         script = write_scenario(
             tmp_path, "line3.topo", LINE3, "bad.xsim", line + "\n" + OPPORTUNISTIC
         )
         assert cli.main(["sim", str(script)]) == cli.EX_USAGE
-        assert "config line 1:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("sim: " + self.BAD_LINES[line])
 
     def test_empty_script_exits_0_with_empty_report(self, tmp_path, capsys):
         script = tmp_path / "empty.xsim"
@@ -307,6 +315,11 @@ class TestCliPublishFetch:
         assert (tmp_path / "doc.out").read_bytes() == b"certified doc"
         # and with no certificate source at all: usage error
         assert cli.main(["fetch", bare, "--out", "doc2.out"]) == cli.EX_USAGE
+
+    def test_fetch_with_a_non_content_certificate_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["fetch", "ncid://doc/", "--cert", "sid://0/SID-abc"]) == cli.EX_USAGE
+        assert "fetch: certificate address must point at" in capsys.readouterr().err
 
     def test_key_file_round_trip(self, tmp_path):
         key = PublisherKey.generate(rng=random.Random(71))

@@ -157,8 +157,8 @@ class TestDagUrlRoundTrip:
             dag = random_dag(rng, max_nodes=8)
             parsed = parse_dag_url(serialize_dag_url(dag))
             assert serialize_dag_url(parsed) == serialize_dag_url(dag)
-            assert sorted(x.value for x in parsed.xids()) == sorted(
-                x.value for x in dag.xids()
+            assert sorted(n.xid.value for n in parsed.nodes) == sorted(
+                n.xid.value for n in dag.nodes
             )
             assert parsed.intent_xid() == dag.intent_xid()
 
@@ -342,7 +342,22 @@ class TestParseMemo:
         assert parse.cache_info().misses == PARSE_MEMO_SIZE + 51
 
 
+def reference_pct_encode(text: str) -> str:
+    """The byte-at-a-time encoder that the table-driven one replaced."""
+    out = []
+    for byte in text.encode("utf-8"):
+        if byte in b"/&=%#" or byte <= 0x20 or byte > 0x7E:
+            out.append(f"%{byte:02x}")
+        else:
+            out.append(chr(byte))
+    return "".join(out)
+
+
 class TestPctEncoding:
+    @given(st.text())
+    def test_matches_the_reference_encoder(self, text):
+        assert pct_encode(text) == reference_pct_encode(text)
+
     def test_reserved_set(self):
         assert pct_encode("a/b&c=d%e#f") == "a%2fb%26c%3dd%25e%23f"
 
