@@ -10,8 +10,11 @@ ultimately wants to reach.
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Collection, Sequence
 
 XID_LEN = 20
@@ -79,34 +82,58 @@ _HEX_VALUE = re.compile(r"^[0-9a-f]{40}$")
 _SHORT_LABEL = re.compile(r"^[A-Za-z0-9_.]{1,20}$")
 
 
-@dataclass(frozen=True)
 class Xid:
     """A typed 20-byte principal identifier.
 
-    Equality is plain (type, value) byte equality.  The hash is computed
-    once, since every forwarding decision looks XIDs up in route tables.
+    XIDs are interned: constructing one equal in (type, value) to a live
+    XID returns that same object.  Equality is therefore identity and the
+    hash is the object's, both computed in C, since every forwarding
+    decision looks XIDs up in route tables.  The intern table holds its
+    XIDs weakly, so it never outgrows the XIDs in use.  An XID is
+    immutable and equals no object of another class.
     """
+
+    __slots__ = ("xtype", "value", "__weakref__")
 
     xtype: XidType
     value: bytes
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, bytes):
+    def __new__(cls, xtype: XidType, value: bytes) -> Xid:
+        if not isinstance(value, bytes):
             raise AddressError("XID value must be bytes")
-        if len(self.value) != XID_LEN:
-            raise AddressError(
-                f"XID value must be exactly {XID_LEN} bytes, got {len(self.value)}"
-            )
-        object.__setattr__(self, "_hash", hash((self.xtype, self.value)))
+        if len(value) != XID_LEN:
+            raise AddressError(f"XID value must be exactly {XID_LEN} bytes, got {len(value)}")
+        key = (xtype, value)
+        xid = _INTERNED.get(key)
+        if xid is None:
+            with _INTERN_LOCK:
+                xid = _INTERNED.get(key)
+                if xid is None:
+                    xid = object.__new__(cls)
+                    object.__setattr__(xid, "xtype", xtype)
+                    object.__setattr__(xid, "value", value)
+                    _INTERNED[key] = xid
+        return xid
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Xid is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Xid is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copies and unpickled XIDs go through the intern table too
+        return (Xid, (self.xtype, self.value))
 
     def text(self, short: bool = False) -> str:
         return format_xid(self, short=short)
 
     def __repr__(self) -> str:
         return f"Xid({self.text(short=True)})"
+
+
+_INTERNED: weakref.WeakValueDictionary[tuple[XidType, bytes], Xid] = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()  # held while a miss creates and enters a new XID
 
 
 def symbolic_xid(xtype: XidType | str, label: str) -> Xid:
@@ -183,6 +210,12 @@ class DagAddress:
 
     def intent_xid(self) -> Xid:
         return self.nodes[self.intent].xid
+
+    @cached_property
+    def names_content(self) -> bool:
+        """Whether the intent is a content principal; computed once, since
+        every forwarding hop with a capture tap asks."""
+        return self.nodes[self.intent].xid.xtype in CONTENT_TYPES
 
 
 def dag_address(
@@ -373,14 +406,20 @@ class RouteTable:
         return frozenset(self._local)
 
 
-@dataclass(frozen=True)
+# A decision is built for every segment a node handles, so decisions are
+# slotted dataclasses built positionally, about a third of the cost of a
+# frozen one.  Each equals only a decision of its own kind with equal
+# fields.
+
+
+@dataclass(slots=True)
 class DeliverLocal:
     """The intent is deliverable on this node."""
 
     node: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Forward:
     """Hand the segment to ``next_hop``; ``position`` is the traversal
     position after advancing through any locally-held intermediate nodes,
@@ -391,7 +430,7 @@ class Forward:
     via: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Unroutable:
     """No usable edge; a value, not a fault."""
 
@@ -426,12 +465,12 @@ def resolve_next(
                 continue
             if xid in local:
                 if target == dag.intent:
-                    return DeliverLocal(node=target)
+                    return DeliverLocal(target)
                 pos = target
                 edges = nodes[target].out_edges
                 break
             hop = next_hop.get(xid)
             if hop is not None:
-                return Forward(next_hop=hop, position=pos, via=target)
+                return Forward(hop, pos, target)
         else:
             return Unroutable()

@@ -14,10 +14,18 @@ treat it as read-only: the forwarding path goes on to mutate its
 
 The engine is a discrete-event loop over logical milliseconds.  Given a
 topology, a workload and a seed, the event trace is fully determined;
-equal-timestamp events run in enqueue order.  Recording that trace is
-opt-in (assign a list to ``Simulator.trace``).  The blocking client calls
-(connect/recv) pump the event loop under a shared engine lock, so they
-may be issued from multiple threads.  A call holds the lock for a batch
+equal-timestamp events run in enqueue order.  A queue entry is
+``(due time, enqueue number, fn, args)`` and runs as ``fn(*args)``, so
+no closure is built per event: a forwarded segment is queued with the
+node it lands on, a session timer with its arming epoch and handler.
+``step`` and ``wait_for`` run entries through one routine.  Recording
+the trace is opt-in (assign a list to ``Simulator.trace``).  Each point
+that records (a transmission, a drop, a delivery) first tests
+``trace is not None`` and only then builds its record, so an untraced
+run builds none and makes no call for it.
+
+The blocking client calls (connect/recv) pump the event loop under a
+shared engine lock, so they may be issued from multiple threads.  A call holds the lock for a batch
 of events, until its own condition holds or the queue drains, so calls
 are serialized per batch; events still run one at a time, in order.
 The serving side never blocks.  What a node serves is its route
@@ -55,10 +63,12 @@ Addressing of a session, once established:
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 import random
 import threading
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .addressing import (
@@ -177,8 +187,8 @@ class Simulator:
         self.stats: Counter = Counter()
 
         self._delay_sum = 0
-        self._heap: list[tuple[int, int, object]] = []
-        self._seq = 0
+        self._heap: list[tuple[int, int, Callable[..., object], tuple]] = []
+        self._seq = itertools.count()
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
 
@@ -232,12 +242,12 @@ class Simulator:
         """Simulated time, so a simulator can serve as a store's clock."""
         return self.now
 
-    def schedule(self, delay_ms: int, fn) -> None:
-        # Callers run inside submit, wait_for or step, which notify
-        # waiters once they are done.
+    def schedule(self, delay_ms: int, fn: Callable[..., object], *args) -> None:
+        """Run ``fn(*args)`` once ``delay_ms`` of simulated time have
+        passed.  Callers run inside submit, wait_for or step, which
+        notify waiters once they are done."""
         with self._lock:
-            self._seq += 1
-            heapq.heappush(self._heap, (self.now + delay_ms, self._seq, fn))
+            heapq.heappush(self._heap, (self.now + delay_ms, next(self._seq), fn, args))
 
     def submit(self, fn):
         """Run ``fn`` immediately under the engine lock; the entry point
@@ -247,14 +257,24 @@ class Simulator:
             self._cond.notify_all()
             return result
 
-    def _run_next(self) -> bool:
-        if not self._heap:
-            return False
-        when, _, fn = heapq.heappop(self._heap)
-        if when > self.now:
-            self.now = when
-        fn()
-        return True
+    def _run_events(self, predicate=None, until_ms: int | None = None) -> bool:
+        """Run events one at a time in (time, enqueue order) until
+        ``predicate()`` holds, the next one is due after ``until_ms``, or
+        the queue drains.  The caller holds the lock.  Returns whether
+        any event ran."""
+        heap, pop = self._heap, heapq.heappop
+        ran = False
+        while heap:
+            if until_ms is not None and heap[0][0] > until_ms:
+                break
+            if predicate is not None and predicate():
+                break
+            when, _, fn, args = pop(heap)
+            if when > self.now:
+                self.now = when
+            fn(*args)
+            ran = True
+        return ran
 
     def wait_for(self, predicate, idle_timeout: float = 5.0) -> None:
         """Pump events until the predicate holds.  Multiple threads may
@@ -267,13 +287,10 @@ class Simulator:
         idle = 0.0
         while True:
             with self._lock:
-                ran = False
-                while not (done := predicate()) and self._run_next():
-                    ran = True
-                if ran:
+                if self._run_events(predicate):
                     self._cond.notify_all()
                     idle = 0.0
-                if done:
+                if predicate():
                     return
                 self._cond.wait(0.05)
                 if predicate():
@@ -286,23 +303,24 @@ class Simulator:
         """Advance through all events due at or before ``until_ms``
         (all pending events when None)."""
         with self._lock:
-            while self._heap and (until_ms is None or self._heap[0][0] <= until_ms):
-                self._run_next()
+            self._run_events(until_ms=until_ms)
             if until_ms is not None and until_ms > self.now:
                 self.now = until_ms
             self._cond.notify_all()
 
-    def _trace(self, kind: str, node: str, seg: Segment, **extra) -> None:
-        if self.trace is None:
-            return
+    def _trace(
+        self, kind: str, node: str, seg: Segment, to: str | None = None, reason: str | None = None
+    ) -> None:
+        """Append one record; callers test ``trace is not None`` first, so
+        an untraced run builds no record and makes no call."""
         intent = seg.intent.text() if seg.intent is not None else None
         self.trace.append(
             (
                 kind,
                 self.now,
                 node,
-                extra.get("to"),
-                extra.get("reason"),
+                to,
+                reason,
                 seg.session.hex(),
                 seg.flags,
                 seg.seq,
@@ -314,6 +332,12 @@ class Simulator:
 
 def _serve_nothing(xid: Xid) -> None:
     return None
+
+
+def _arrive(node: NetNode, seg: Segment) -> None:
+    # ``on_segment`` is looked up when the segment lands, not when it is
+    # sent, so a wrapper installed on the method in between sees it.
+    node.on_segment(seg)
 
 
 class NetNode:
@@ -354,20 +378,21 @@ class NetNode:
     def on_segment(self, seg: Segment) -> str:
         arrived_at = seg.dst_position
         decision = resolve_next(seg.dst_dag, self.understood, self.routes, arrived_at)
+        if isinstance(decision, Forward):
+            seg.dst_position = decision.position
+            return self._forward(seg, decision.next_hop)
         if isinstance(decision, DeliverLocal):
             seg.dst_position = decision.node
             if seg.hops == 0:
                 # Sent to itself (a node fetching content it serves):
                 # deliver from the event loop, so that an ACK does not
                 # re-enter the sender's window pump.
-                self.sim.schedule(0, lambda: self._deliver(seg, arrived_at))
+                self.sim.schedule(0, self._deliver, seg, arrived_at)
             else:
                 self._deliver(seg, arrived_at)
             return "delivered"
-        if isinstance(decision, Forward):
-            seg.dst_position = decision.position
-            return self._forward(seg, decision.next_hop)
-        self.sim._trace("drop", self.name, seg, reason="unroutable")
+        if self.sim.trace is not None:
+            self.sim._trace("drop", self.name, seg, reason="unroutable")
         return "unroutable"
 
     def originate(self, seg: Segment) -> str:
@@ -381,26 +406,27 @@ class NetNode:
         return disposition
 
     def _forward(self, seg: Segment, hop: str) -> str:
-        if self.capture is not None and (
-            seg.dst_dag.intent_xid().xtype in CONTENT_TYPES
-            or seg.src_dag.intent_xid().xtype in CONTENT_TYPES
-        ):
+        sim = self.sim
+        if self.capture is not None and (seg.dst_dag.names_content or seg.src_dag.names_content):
             self.capture(seg)
-        link = self.sim.links.get((self.name, hop))
+        link = sim.links.get((self.name, hop))
         if link is None:
-            self.sim._trace("drop", self.name, seg, reason="no-link", to=hop)
+            if sim.trace is not None:
+                sim._trace("drop", self.name, seg, to=hop, reason="no-link")
             return "dropped"
         seg.hops += 1
-        if link.loss > 0.0 and self.sim.rng.random() < link.loss:
-            self.sim._trace("drop", self.name, seg, reason="loss", to=hop)
+        if link.loss > 0.0 and sim.rng.random() < link.loss:
+            if sim.trace is not None:
+                sim._trace("drop", self.name, seg, to=hop, reason="loss")
             return "dropped"
-        self.sim._trace("xmit", self.name, seg, to=hop)
-        target = self.sim.nodes[hop]
-        self.sim.schedule(link.delay_ms, lambda: target.on_segment(seg))
+        if sim.trace is not None:
+            sim._trace("xmit", self.name, seg, to=hop)
+        sim.schedule(link.delay_ms, _arrive, sim.nodes[hop], seg)
         return "forwarded"
 
     def _deliver(self, seg: Segment, arrived_at: int | None) -> None:
-        self.sim._trace("deliver", self.name, seg)
+        if self.sim.trace is not None:
+            self.sim._trace("deliver", self.name, seg)
         delivered_xid = seg.dst_dag.nodes[seg.dst_position].xid
         if seg.flags & SegFlags.SYN and delivered_xid.xtype in CONTENT_TYPES:
             self._on_content_syn(seg, delivered_xid, arrived_at)
@@ -481,19 +507,18 @@ class _Session:
 
     def _arm(self, delay_ms: int, fn) -> None:
         self._epoch += 1
-        epoch = self._armed = self._epoch
+        self._armed = self._epoch
+        self.sim.schedule(delay_ms, self._fire, self._epoch, fn)
 
-        def fire() -> None:
-            # Every later arming fires no earlier, so the last armed
-            # timer is the last event this session has on the queue.
-            if epoch == self._armed:
-                self._armed = None
-            if epoch == self._epoch:
-                fn()
-            elif self._armed is None and self.state in _ENDED:
-                self._release()
-
-        self.sim.schedule(delay_ms, fire)
+    def _fire(self, epoch: int, fn) -> None:
+        # Every later arming fires no earlier, so the last armed timer is
+        # the last event this session has on the queue.
+        if epoch == self._armed:
+            self._armed = None
+        if epoch == self._epoch:
+            fn()
+        elif self._armed is None and self.state in _ENDED:
+            self._release()
 
     def _end(self, state: str, reason: str | None = None) -> None:
         """Enter a terminal state.  The release waits for the last armed

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import shlex
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .addressing import Xid, parse_xid
@@ -66,6 +67,13 @@ from .urls import (
 
 class ScenarioError(Exception):
     """Malformed script or command that cannot run."""
+
+
+def _required(options: dict[str, str], command: str, key: str) -> str:
+    """The value of a ``key=value`` option the command cannot run without."""
+    if key not in options:
+        raise ScenarioError(f"{command} needs {key}=<value>")
+    return options[key]
 
 
 @dataclass
@@ -284,18 +292,20 @@ class ScenarioRunner:
     def _cmd_publish_named(self, args):
         positional, options, locators = self._split_args(args)
         (node,) = positional
-        key = self._key(options["key"])
-        cert_url = options["cert"]
-        name = canonical_name(options["name"], locators)
+        need = partial(_required, options, "publish_named")
+        key = self._key(need("key"))
+        cert_url = need("cert")
+        address = need("name")
+        name = canonical_name(address, locators)
         self._handle(node).put_named_content(
             name,
-            self._payload(options["payload"]),
+            self._payload(need("payload")),
             ttl_ms=int(options.get("ttl", 60000)),
             key=key,
             key_ref=cert_url,
         )
         url = serialize_ncid_url(
-            NcidUrl(options["name"], tuple(locators) + ((LOCATOR_PUBCERT, cert_url),))
+            NcidUrl(address, tuple(locators) + ((LOCATOR_PUBCERT, cert_url),))
         )
         self._record_publish(node, url, options.get("as"))
 
@@ -303,19 +313,20 @@ class ScenarioRunner:
         """Plant a poisoned chunk claiming an honest publisher's name."""
         positional, options, locators = self._split_args(args)
         (node,) = positional
-        victim = self._key(options["victim"])
-        attacker = self._key(options["attacker"])
-        name = canonical_name(options["name"], locators)
-        payload = self._payload(options["payload"])
+        need = partial(_required, options, "forge")
+        victim = self._key(need("victim"))
+        attacker = self._key(need("attacker"))
+        name = canonical_name(need("name"), locators)
+        payload = self._payload(need("payload"))
         ttl = int(options.get("ttl", 60000))
         victim_ncid = compute_ncid(name, victim.fingerprint())
-        mode = options["mode"]
+        mode = need("mode")
         if mode == "reuse-key":
             fp = victim.fingerprint()
-            key_ref = parse_dag_url(options["victimcert"], allow_short=True)
+            key_ref = parse_dag_url(need("victimcert"), allow_short=True)
         elif mode == "own-key":
             fp = attacker.fingerprint()
-            key_ref = parse_dag_url(options["attackercert"], allow_short=True)
+            key_ref = parse_dag_url(need("attackercert"), allow_short=True)
         else:
             raise ScenarioError(f"unknown forge mode {mode!r}")
         forged = Chunk(

@@ -1,8 +1,16 @@
+import copy
+import gc
+import os
+import pickle
 import random
+import sys
+import threading
 from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
+
+from xcache import addressing
 
 from conftest import random_dag, relabel
 from xcache.addressing import (
@@ -77,6 +85,100 @@ class TestXid:
             parse_xid("CID-" + "A" * 40)
 
 
+XID_TYPES = list(XidType)
+XID_VALUES = st.binary(min_size=20, max_size=20)
+
+
+class TestXidLaws:
+    @given(st.sampled_from(XID_TYPES), XID_VALUES)
+    def test_equal_pairs_are_equal_and_hash_alike(self, xtype, value):
+        xid, twin = Xid(xtype, value), Xid(xtype, bytes(bytearray(value)))
+        assert xid == twin and not xid != twin
+        assert hash(xid) == hash(twin)
+        assert {xid: 1}[twin] == 1 and twin in {xid}
+        assert xid is twin  # interned
+
+    @given(st.lists(st.sampled_from(XID_TYPES), min_size=2, max_size=2, unique=True), XID_VALUES)
+    def test_the_same_value_under_another_type_is_unequal(self, types, value):
+        first, second = (Xid(xtype, value) for xtype in types)
+        assert first != second and not first == second
+        assert len({first, second}) == 2
+
+    @given(st.sampled_from(XID_TYPES), XID_VALUES)
+    def test_never_equal_to_a_tuple_or_another_class(self, xtype, value):
+        xid = Xid(xtype, value)
+        for other in ((xtype, value), [xtype, value], value, xid.text(), xtype, None):
+            assert xid != other and other != xid
+            assert not xid == other
+
+    def test_copies_and_unpickled_xids_are_the_interned_one(self):
+        for twin in (copy.copy(C), copy.deepcopy(C), pickle.loads(pickle.dumps(C))):
+            assert twin is C
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            C.value = bytes(20)
+        with pytest.raises(AttributeError):
+            del C.xtype
+        assert C == symbolic_xid(XidType.CID, "C")
+
+    def test_intern_table_holds_only_live_xids(self):
+        gc.collect()
+        before = len(addressing._INTERNED)
+        kept = [Xid(XidType.SID, os.urandom(20)) for _ in range(2000)]
+        assert len(addressing._INTERNED) == before + 2000
+        del kept
+        for _ in range(2000):
+            Xid(XidType.SID, os.urandom(20))
+        gc.collect()
+        assert len(addressing._INTERNED) <= before
+
+    def test_threads_constructing_equal_xids_get_one_object(self):
+        values = [os.urandom(20) for _ in range(3000)]
+        workers = 2 * (os.cpu_count() or 1) + 4
+        results = [None] * workers
+        start = threading.Barrier(workers)
+
+        def build(slot):
+            start.wait(timeout=10)
+            results[slot] = [Xid(XidType.CID, bytes(bytearray(v))) for v in values]
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(old_interval)
+        for column in zip(*results):
+            assert all(xid is column[0] for xid in column)
+
+
+class TestDecisionValues:
+    def test_each_kind_equals_only_its_own_kind(self):
+        forward, local, nothing = Forward("hop", SOURCE, 0), DeliverLocal(0), Unroutable()
+        assert forward == Forward("hop", SOURCE, 0) and local == DeliverLocal(0)
+        assert nothing == Unroutable()
+        kinds = [forward, local, nothing]
+        for a, b in permutations(kinds, 2):
+            assert a != b and not a == b
+        for decision, fields in ((forward, ("hop", SOURCE, 0)), (local, (0,)), (nothing, ())):
+            assert decision != fields
+        assert Forward("hop", SOURCE, 0) != Forward("hop", 0, 0)
+        assert DeliverLocal(0) != DeliverLocal(1)
+
+    def test_isinstance_tells_the_kinds_apart(self):
+        routes = RouteTable()
+        routes.add_route(B, "border")
+        decision = resolve_next(make_fallback_dag(C, [B, P]), ALL, routes)
+        assert isinstance(decision, Forward) and not isinstance(decision, DeliverLocal)
+        assert (decision.next_hop, decision.position, decision.via) == ("border", SOURCE, 0)
+
+
 class TestFallbackDag:
     def test_standard_shape(self):
         dag = make_fallback_dag(C, [B, P])
@@ -93,6 +195,12 @@ class TestFallbackDag:
         assert len(dag.nodes) == 1
         assert dag.source_edges == (0,)
         assert dag.intent_xid() == C
+
+    def test_names_content_follows_the_intent_type(self):
+        assert make_fallback_dag(C, [B, P]).names_content
+        assert make_fallback_dag(Xid(XidType.NCID, bytes(20)), []).names_content
+        assert not make_fallback_dag(S, [B, P]).names_content
+        assert not make_fallback_dag(B, []).names_content
 
     def test_service_intent_same_shape(self):
         dag = make_fallback_dag(S, [B, P])

@@ -1,4 +1,4 @@
-"""Properties of the per-segment forwarding decision and of XID hashing.
+"""Properties of the per-segment forwarding decision.
 
 ``resolve_next`` reads the route table's set and dict directly and keeps
 no intermediate choice; ``reference_resolve_next`` below is the
@@ -17,7 +17,6 @@ from xcache.addressing import (
     Forward,
     RouteTable,
     Unroutable,
-    Xid,
     XidType,
     resolve_next,
 )
@@ -82,20 +81,3 @@ def test_understood_may_be_any_collection(case):
     dag, understood, routes = case
     assert resolve_next(dag, list(understood), routes) == resolve_next(dag, understood, routes)
 
-
-@given(st.sampled_from(XID_TYPES), st.binary(min_size=20, max_size=20))
-def test_equal_xids_hash_equal(xtype, value):
-    xid = Xid(xtype, value)
-    twin = Xid(xtype, bytes(bytearray(value)))
-    assert xid == twin and hash(xid) == hash(twin)
-    assert twin in {xid} and {xid: 1}[twin] == 1
-
-
-@given(
-    st.lists(st.sampled_from(XID_TYPES), min_size=2, max_size=2, unique=True),
-    st.binary(min_size=20, max_size=20),
-)
-def test_same_bytes_under_two_types_differ(types, value):
-    first, second = (Xid(xtype, value) for xtype in types)
-    assert first != second
-    assert len({first, second}) == 2

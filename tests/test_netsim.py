@@ -3,10 +3,12 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import LINE3_TOPO, PAIR_TOPO
+from conftest import LINE3_TOPO, PAIR_TOPO, make_cluster
 from xcache.addressing import XidType, make_fallback_dag, symbolic_xid
-from xcache.chunking import compute_cid
+from xcache.chunking import compute_cid, decode_chunk
+from xcache.daemon import DaemonConfig
 from xcache.netsim import (
     HandshakeTimeout,
     NoRouteError,
@@ -132,6 +134,80 @@ class TestEventEngine:
         dag = serve_bytes(sim.nodes["pub"], bytes(3000))
         assert sim.nodes["client"].connect_to_content(dag).recv_chunk() == bytes(3000)
         assert sim.trace is None
+
+    def test_a_lossy_transfer_records_only_while_a_trace_is_assigned(self):
+        sim = build_simulator(PAIR_LOSSY, seed=3)
+        calls = []
+        record = sim._trace
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            record(*args, **kwargs)
+
+        sim._trace = spy
+        payload = bytes(20_000)
+        dag = serve_bytes(sim.nodes["pub"], payload)
+        assert sim.nodes["client"].connect_to_content(dag).recv_chunk() == payload
+        assert sim.stats["retransmits"] > 0
+        assert (calls, sim.trace) == ([], None)  # not even a call is made
+
+        sim.trace = []
+        assert sim.nodes["client"].connect_to_content(dag).recv_chunk() == payload
+        assert {"xmit", "drop", "deliver"} <= {rec[0] for rec in sim.trace}
+        assert calls == [rec[0] for rec in sim.trace]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 4),  # delay; small, so that times collide
+                st.booleans(),  # scheduled as (fn, arg) rather than a closure
+                st.none() | st.integers(0, 4),  # delay of a follow-up it schedules
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        st.sampled_from(["step", "step-split", "wait_for"]),
+    )
+    def test_events_run_in_time_then_enqueue_order(self, events, run):
+        sim = Simulator()
+        ran = []
+        # reference: every event as [time, enqueue number, label], run by min()
+        queue, expected = [], []
+
+        def enqueue(delay, label, as_arg, child):
+            queue.append([sim.now + delay, len(queue), label])
+            if as_arg:
+                sim.schedule(delay, fire, label, child)
+            else:
+                sim.schedule(delay, lambda: fire(label, child))
+
+        def fire(label, child):
+            ran.append((sim.now, label))
+            if child is not None:
+                enqueue(child, label + "'", not label.endswith("a"), None)
+
+        for i, (delay, as_arg, child) in enumerate(events):
+            enqueue(delay, f"{i}{'a' if as_arg else 'c'}", as_arg, child)
+        expected_count = len(events) + sum(child is not None for _, _, child in events)
+
+        if run == "wait_for":
+            sim.wait_for(lambda: len(ran) == expected_count)
+        elif run == "step-split":
+            sim.step(2)
+            assert all(when <= 2 for when, _ in ran)
+            sim.step()
+        else:
+            sim.step()
+
+        pending = list(queue)
+        while pending:
+            first = min(pending, key=lambda event: (event[0], event[1]))
+            pending.remove(first)
+            expected.append((first[0], first[2]))
+        assert ran == expected
+        last = max(when for when, _ in expected)
+        assert sim.now == (max(last, 2) if run == "step-split" else last)
 
     def test_wait_for_stalls_cleanly(self):
         sim = Simulator()
@@ -431,6 +507,42 @@ class TestDeterminism:
         digest = hashlib.sha256(repr(sim.trace).encode()).hexdigest()
         observed = (sim.now, sim.stats["retransmits"], sim.stats["data_segments_sent"], digest)
         assert observed == self.PINNED
+
+    # Pinned from the transport as it stood before the per-hop path lost
+    # its closures and frozen decision values.  Unlike PINNED, this run
+    # goes through a capture tap, fallback edges and a self-fetch.
+    PINNED_LINE3 = (1230, 32, 98, "86ec67ce328423e35ebfc36246054113eaf1eb2cb43dc1a50b5709a7a65877a4")
+
+    def test_caching_fallback_and_self_fetch_trace_is_pinned(self):
+        sim, daemons, handles = make_cluster(
+            LINE3_TOPO.replace("loss=0.0", "loss=0.05"), DaemonConfig(workers=1), seed=2025
+        )
+        try:
+            sim.trace = []
+            daemons["client"].caching = False  # so the router's copy serves the repeats
+            rng = random.Random(2025)
+            payloads = [rng.randbytes(size) for size in (20_000, 9_000)]
+            dags = [handles["pub"].put_chunk(data, 600_000) for data in payloads]
+            providers = []
+            for dag, data in zip(dags * 2, payloads * 2):
+                # the client has no route to the CID, so the SYN leaves on
+                # the fallback edge toward AD-pub
+                chunk, stats = daemons["client"].fetch_entry(handles["client"], dag)
+                assert chunk.payload == data
+                providers.append(stats.provider)
+            # the router's tap admitted both chunks on their way past
+            assert providers == ["pub", "pub", "router", "router"]
+            # pub fetches content it serves: hops == 0 at the delivery
+            session = sim.nodes["pub"].connect_to_content(dags[1])
+            assert (session.provider_name, session.syn_hops) == ("pub", 0)
+            assert decode_chunk(session.recv_chunk()).payload == payloads[1]
+            sim.step()
+            digest = hashlib.sha256(repr(sim.trace).encode()).hexdigest()
+            observed = (sim.now, sim.stats["retransmits"], sim.stats["data_segments_sent"], digest)
+            assert observed == self.PINNED_LINE3
+        finally:
+            for daemon in daemons.values():
+                daemon.shutdown()
 
 
 class TestRawCapture:

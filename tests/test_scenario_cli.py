@@ -211,6 +211,13 @@ class TestCliSim:
         "assert": "line 1: assert needs a metric",
         "assert sessions nosuch == 0": "line 1: unknown node 'nosuch'",
         "unroutefor nosuch cid://0/CID-abc": "line 1: unknown node 'nosuch'",
+        "genkey k\npublish_named pub name=a payload=x": "line 2: publish_named needs key=<value>",
+        "genkey k\npublish_named pub key=k name=a payload=x": "line 2: publish_named needs cert=<value>",
+        "genkey k\nforge router victim=k attacker=k name=a payload=x": "line 2: forge needs mode=<value>",
+        "genkey k\nforge router victim=k name=a payload=x mode=own-key": "line 2: forge needs attacker=<value>",
+        "genkey k\nforge router victim=k attacker=k name=a payload=x mode=own-key": (
+            "line 2: forge needs attackercert=<value>"
+        ),
     }
 
     @pytest.mark.parametrize("line", BAD_LINES)
