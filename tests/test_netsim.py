@@ -172,11 +172,10 @@ class TestEventEngine:
     def test_events_run_in_time_then_enqueue_order(self, events, run):
         sim = Simulator()
         ran = []
-        # reference: every event as [time, enqueue number, label], run by min()
-        queue, expected = [], []
+        queue = []  # every event as (time, enqueue number, label)
 
         def enqueue(delay, label, as_arg, child):
-            queue.append([sim.now + delay, len(queue), label])
+            queue.append((sim.now + delay, len(queue), label))
             if as_arg:
                 sim.schedule(delay, fire, label, child)
             else:
@@ -184,7 +183,7 @@ class TestEventEngine:
 
         def fire(label, child):
             ran.append((sim.now, label))
-            if child is not None:
+            if child is not None:  # queued from inside the run, as the other kind
                 enqueue(child, label + "'", not label.endswith("a"), None)
 
         for i, (delay, as_arg, child) in enumerate(events):
@@ -200,11 +199,7 @@ class TestEventEngine:
         else:
             sim.step()
 
-        pending = list(queue)
-        while pending:
-            first = min(pending, key=lambda event: (event[0], event[1]))
-            pending.remove(first)
-            expected.append((first[0], first[2]))
+        expected = [(when, label) for when, _, label in sorted(queue)]
         assert ran == expected
         last = max(when for when, _ in expected)
         assert sim.now == (max(last, 2) if run == "step-split" else last)
