@@ -1,21 +1,23 @@
 """The content cache daemon.
 
 Applications talk to a daemon instance through handles.  Fetches that
-the local store can satisfy complete inline on the fast path.  A
-blocking miss runs the network transport on the caller's own thread,
-verifies what arrived, and caches it when the daemon's cache flag is
-set; concurrent misses for the same content wait for that one transfer.
-Non-blocking misses and deferred verifications of captured chunks are
-queued for a fixed pool of worker threads.  Nothing enters any store
-without passing ``Xcached.verify``, which is also what makes
-opportunistic caching safe: the daemon taps its node's forwarding path,
-reassembles content sessions it forwards, and becomes a provider for
-chunks that verify.
+the local store can satisfy complete inline on the fast path.  A miss
+starts its transfer on the caller's thread, in call order.  The event
+that ends the transfer verifies what arrived, caches it when the
+daemon's cache flag is set, and completes the fetch and every caller
+that coalesced onto it; a named chunk whose key chunk is not at hand
+fetches the key first, the same way.  Blocking callers and
+``PendingFetch`` results pump the simulator until their own fetch has
+finished, and the daemon starts no threads.  Event processing may take
+the daemon lock under the simulator's engine lock, never the reverse.
+Nothing enters any store without passing ``Xcached.verify``, which is
+also what makes opportunistic caching safe: the daemon taps its node's
+forwarding path, reassembles content sessions it forwards, and becomes
+a provider for chunks that verify.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import queue
@@ -47,21 +49,11 @@ from .chunking import (
     verify_ncid,
     verify_ncid_via,
 )
-from .netsim import (
-    HandshakeTimeout,
-    NetNode,
-    NoRouteError,
-    SegFlags,
-    Segment,
-    SimStalledError,
-    TransferTimeout,
-)
+from .netsim import NetNode, NoRouteError, SegFlags, Segment, SimStalledError
 from .store import StorageManager, StoreError
 from .urls import NcidUrl, canonical_name, parse_dag_url, parse_ncid_url
 
 log = logging.getLogger(__name__)
-
-_QUEUE_HIGH_WATER = 1024
 
 
 class XcacheError(Exception):
@@ -123,6 +115,8 @@ def cache_flag(policy: str) -> bool:
 
 @dataclass
 class DaemonConfig:
+    # validated but without effect, as the daemon starts no threads; kept
+    # so that configuration files and callers that set it still load
     workers: int = 4
     mem_capacity_chunks: int = 64
     disk_capacity_chunks: int = 0
@@ -170,17 +164,14 @@ def parse_config(text: str, base: DaemonConfig | None = None) -> DaemonConfig:
 
 
 class Request:
-    """One unit of work, run as ``work()`` by a worker or by a blocking
-    caller; reaches exactly one terminal state."""
+    """One fetch and the callers coalesced onto it (its followers);
+    reaches exactly one terminal state, which ``wait`` pumps ``sim`` for."""
 
-    _ids = itertools.count(1)
-
-    def __init__(self, handle, intent: Xid, work):
+    def __init__(self, handle, intent: Xid, sim):
         self.handle = handle
         self.intent = intent
-        self.work = work
+        self.sim = sim
         self.followers: list[Request] = []
-        self.seq = next(Request._ids)
         self._done = threading.Event()
         self._state_lock = threading.Lock()
         self.result = None
@@ -205,15 +196,21 @@ class Request:
         return self._done.is_set()
 
     def wait(self, timeout: float = 30.0):
-        if not self._done.wait(timeout):
-            raise FetchTimeoutError("request did not complete in time")
+        """Pump the simulator until this request has finished; ``timeout``
+        is the real-time stall bound of ``Simulator.wait_for``."""
+        if not self._done.is_set():
+            try:
+                self.sim.wait_for(self._done.is_set, idle_timeout=timeout)
+            except SimStalledError as exc:
+                raise FetchTimeoutError(str(exc)) from exc
         if self.error is not None:
             raise self.error
         return self.result
 
 
 class PendingFetch:
-    """Completion slot for a non-blocking fetch."""
+    """Completion slot for a non-blocking fetch.  ``done`` only looks;
+    ``result`` and ``entry`` pump the simulator until it has finished."""
 
     def __init__(self, request: Request):
         self._request = request
@@ -323,9 +320,9 @@ class XcacheHandle:
 
 
 class Xcached:
-    """One daemon instance on one simulated node: storage manager,
-    request queue, worker pool, notification fan-out, content serving and
-    opportunistic caching.  What the node serves is its route table's
+    """One daemon instance on one simulated node: storage manager, fetch
+    coalescing, notification fan-out, content serving and opportunistic
+    caching.  What the node serves is its route table's
     local content set: admitting a chunk adds its route, and eviction,
     expiry and removal withdraw it; the node asks ``_serve`` for the
     bytes when a request arrives.  The store's clock is the node's
@@ -345,22 +342,13 @@ class Xcached:
 
         self._lock = threading.RLock()
         self._handles: set[XcacheHandle] = set()
-        self._queue: queue.Queue = queue.Queue()
         self._inflight: dict[Xid, Request] = {}
         self._ingest_buffers: dict[bytes, _IngestBuffer] = {}
         self._ingest_sweep_at = math.inf  # no buffer expires before this
-        self._high_water_warned = False
         self._alive = True
 
         node.serve = self._serve
         node.capture = self._on_capture
-
-        self._workers = [
-            threading.Thread(target=self._worker_loop, name=f"xcache-worker-{i}", daemon=True)
-            for i in range(self.config.workers)
-        ]
-        for worker in self._workers:
-            worker.start()
 
     # -- handles -------------------------------------------------------
 
@@ -448,15 +436,16 @@ class Xcached:
         bytes (or a PendingFetch when non-blocking).
 
         Fast path: present and unexpired in the local store, returned
-        inline without touching the queue.  Slow path: the caller's own
-        thread (a worker's, when non-blocking) connects to the content,
-        verifies what arrives (discarding it on failure) and caches it if
-        the cache flag is set.  A miss for content another caller is
-        already fetching waits for that fetch instead.
+        inline without touching the network.  Slow path: the caller's
+        thread starts a session to the content; inside the event that
+        ends it, what arrived is verified (and discarded on failure) and
+        cached if the cache flag is set.  A miss for content another
+        caller is already fetching follows that fetch instead.
 
-        ``timeout`` bounds only that wait on another caller's fetch (and
-        a non-blocking result); a fetch run on the caller's thread is
-        bounded by the transport's retry budget and idle timeout.
+        The transfer is bounded in simulated time by the transport's
+        retry budget and idle timeout.  ``timeout`` bounds, in real
+        seconds, how long a wait pumps an empty event queue (see
+        ``Simulator.wait_for``).
         """
         result = self.fetch_entry(handle, addr, blocking=blocking, timeout=timeout)
         if blocking:
@@ -490,14 +479,12 @@ class Xcached:
                 self.counters["fast_path"] += 1
                 if blocking:
                     return chunk, LOCAL_STATS
-                done = Request(handle, intent, None)
+                done = Request(handle, intent, self.node.sim)
                 done.complete(result=(chunk, LOCAL_STATS))
                 return PendingFetch(done)
 
             self.counters["queued"] += 1
-            request = Request(
-                handle, intent, partial(self._fetch_remote, addr, intent, key_chunk)
-            )
+            request = Request(handle, intent, self.node.sim)
             handle._pending.add(request)
             leader = self._inflight.get(intent)
             following = leader is not None and not leader.finished()
@@ -505,12 +492,13 @@ class Xcached:
                 leader.followers.append(request)
             else:
                 self._inflight[intent] = request
-                if not blocking:
-                    self._enqueue(request)
+        if not following:
+            # outside the daemon lock: starting a session takes the engine lock
+            self._drive(
+                self._fetch_remote(addr, intent, key_chunk), partial(self._finish, request)
+            )
         if not blocking:
             return PendingFetch(request)
-        if not following:
-            self._run(request)
         return request.wait(timeout)
 
     def get_named_chunk(
@@ -579,45 +567,52 @@ class Xcached:
 
     def shutdown(self) -> None:
         self._alive = False
-        for _ in self._workers:
-            self._queue.put(None)
-        for worker in self._workers:
-            worker.join(timeout=2.0)
         self.manager.close()
 
     # -- internals -------------------------------------------------------
 
-    def _enqueue(self, request: Request) -> None:
-        self._queue.put(request)
-        if self._queue.qsize() > _QUEUE_HIGH_WATER and not self._high_water_warned:
-            self._high_water_warned = True
-            log.warning("request queue beyond %d entries", _QUEUE_HIGH_WATER)
-
-    def _worker_loop(self) -> None:
+    def _drive(self, steps, done, outcome=None) -> None:
+        """Run a fetch written as a generator.  Each ``yield addr`` starts
+        a session to ``addr``'s content; the generator resumes inside the
+        event that ends it, with ``(raw bytes, FetchStats)`` sent in or
+        the session's ``FetchError`` raised at the ``yield``.  ``done``
+        gets what the generator returns or raises, any error wrapped in a
+        ``FetchError``, so nothing reaches the thread that is pumping."""
         while True:
-            request = self._queue.get()
-            if request is None:
+            try:
+                if isinstance(outcome, Exception):
+                    addr = steps.throw(outcome)
+                else:
+                    addr = steps.send(outcome)
+            except StopIteration as stop:
+                done(stop.value)
                 return
-            if request.finished() and not request.followers:
-                with self._lock:
-                    if self._inflight.get(request.intent) is request:
-                        del self._inflight[request.intent]
-                continue
-            self._run(request)
+            except FetchError as exc:
+                done(error=exc)
+                return
+            except Exception as exc:  # a fault in the fetch, not in the network
+                log.exception("%s: fetch failed", self.node.name)
+                done(error=FetchError(f"internal error: {exc!r}"))
+                return
+            try:
+                self.node.start_connect(addr, on_end=partial(self._resume, steps, done))
+                return
+            except NoRouteError as exc:
+                outcome = UnroutableError(str(exc))
 
-    def _run(self, request: Request) -> None:
-        """Run a request's work on this thread and finish it, whatever
-        happens: workers and blocking callers both run requests here."""
-        result, error = None, CanceledError("request interrupted")
-        try:
-            result, error = request.work(), None
-        except XcacheError as exc:
-            error = exc
-        except Exception as exc:  # the running thread must survive anything
-            log.exception("request %d failed", request.seq)
-            error = XcacheError(str(exc))
-        finally:
-            self._finish(request, result, error)
+    def _resume(self, steps, done, session) -> None:
+        """A session's ``on_end``: go on with the fetch that started it."""
+        if session.state == "failed":
+            outcome = FetchTimeoutError(session.fail_reason)
+        else:
+            stats = FetchStats(
+                provider=session.provider_name or "?",
+                hops=session.syn_hops or 0,
+                segments=session.rx_segments,
+                retransmits=session.session_retransmits,
+            )
+            outcome = (b"".join(session.rx_payloads), stats)
+        self._drive(steps, done, outcome)
 
     def _finish(self, request: Request, result=None, error=None) -> None:
         with self._lock:
@@ -625,21 +620,17 @@ class Xcached:
                 del self._inflight[request.intent]
             request.complete(result, error)
             for done in (request, *request.followers):
-                if done.handle is not None:
-                    done.handle._pending.discard(done)
+                done.handle._pending.discard(done)
 
-    def _fetch_remote(
-        self, addr: DagAddress, intent: Xid, key_chunk: Chunk | None = None
-    ) -> tuple[Chunk, FetchStats]:
+    def _fetch_remote(self, addr: DagAddress, intent: Xid, held: Chunk | None):
+        """A miss, as ``_drive`` runs it: transfer, decode, verify, and
+        cache when the cache flag is set."""
         chunk = self.manager.get(intent)
         if chunk is not None:  # arrived since the miss
             return chunk, LOCAL_STATS
-        raw, stats = self._transfer(addr)
+        raw, stats = yield addr
         chunk = self._decode(raw)
-        fetch_key = None
-        if key_chunk is not None:
-            fetch_key = partial(self._fetch_key, chunk.key_ref, held=key_chunk)
-        result = self.verify(chunk, intent, fetch_key)
+        result = yield from self._verify_fetched(chunk, intent, held)
         if not result.accepted:
             raise VerificationError(result.reason or "rejected")
         if chunk.ttl_ms > 0 and self.caching:
@@ -647,70 +638,56 @@ class Xcached:
                 self._admit(chunk, origin="fetch")
         return chunk, stats
 
-    def _transfer(self, addr: DagAddress) -> tuple[bytes, FetchStats]:
+    def _verify_fetched(self, chunk: Chunk, intent: Xid, held: Chunk | None = None):
+        """``verify`` for a chunk from the network, as a step ``_drive``
+        runs.  A named chunk's key chunk is the local copy, else ``held``
+        (a verified certificate the caller already has) when it is that
+        key, else one fetched from the chunk's ``key_ref``, verified and
+        admitted.  ``verify_ncid_via`` asks only for plain chunks, so
+        verifying the key never fetches another key."""
+        missing = []
+
+        def fetch_key(key_cid: Xid) -> Chunk | None:
+            self.counters["key_fetches"] += 1
+            key = self.manager.get(key_cid)
+            if key is None and held is not None and held.id == key_cid:
+                key = held
+            if key is None:
+                missing.append(key_cid)
+            return key
+
+        result = self.verify(chunk, intent, fetch_key)
+        if not missing:
+            return result
+        raw, _ = yield chunk.key_ref
         try:
-            session = self.node.connect_to_content(addr)
-        except NoRouteError as exc:
-            raise UnroutableError(str(exc)) from exc
-        except (HandshakeTimeout, SimStalledError) as exc:
-            raise FetchTimeoutError(str(exc)) from exc
-        try:
-            raw = session.recv_chunk()
-        except (TransferTimeout, SimStalledError) as exc:
-            raise FetchTimeoutError(str(exc)) from exc
-        stats = FetchStats(
-            provider=session.provider_name or "?",
-            hops=session.syn_hops or 0,
-            segments=session.rx_segments,
-            retransmits=session.session_retransmits,
-        )
-        return raw, stats
+            key = self._decode(raw)
+        except VerificationError:
+            key = None
+        if key is not None and not self.verify(key, missing[0]):
+            key = None
+        if key is not None and key.ttl_ms > 0 and self.caching:
+            with self._lock:
+                self._admit(key, origin="fetch")
+        return self.verify(chunk, intent, lambda key_cid: key)
 
     def verify(self, chunk: Chunk, intent: Xid, fetch_key=None) -> VerifyResult:
         """The one check a chunk passes before it enters a store or reaches
         an application: its id must be the requested ``intent``; a plain
         chunk must then hash to it, and a named chunk must verify against
         the key chunk ``fetch_key(key_cid)`` returns (by default the local
-        copy, or one fetched from the chunk's ``key_ref``)."""
+        copy)."""
         if chunk.id != intent:
             return reject(REASON_HASH if intent.xtype is XidType.CID else REASON_NCID)
         if intent.xtype is XidType.CID:
             return verify_cid(chunk)
-        if fetch_key is None:
-            fetch_key = partial(self._fetch_key, chunk.key_ref)
-        return verify_ncid_via(chunk, fetch_key)
+        return verify_ncid_via(chunk, fetch_key or self.manager.get)
 
     def _decode(self, raw: bytes) -> Chunk:
         try:
             return decode_chunk(raw, max_payload=self.config.max_payload)
         except ChunkDecodeError as exc:
             raise VerificationError(f"undecodable chunk ({exc.kind})") from exc
-
-    def _fetch_key(
-        self, key_ref: DagAddress, key_cid: Xid, held: Chunk | None = None
-    ) -> Chunk | None:
-        """The key chunk a named chunk's verification needs: the local
-        copy, else ``held`` (a verified certificate the caller already
-        has) when it is that key, else one fetched from ``key_ref``,
-        verified and admitted.  ``verify_ncid_via`` asks only for plain
-        chunks, so verifying the key never fetches another key."""
-        self.counters["key_fetches"] += 1
-        local = self.manager.get(key_cid)
-        if local is not None:
-            return local
-        if held is not None and held.id == key_cid:
-            return held
-        raw, _ = self._transfer(key_ref)
-        try:
-            key_chunk = self._decode(raw)
-        except VerificationError:
-            return None
-        if not self.verify(key_chunk, key_cid):
-            return None
-        if key_chunk.ttl_ms > 0 and self.caching:
-            with self._lock:
-                self._admit(key_chunk, origin="fetch")
-        return key_chunk
 
     def _admit(self, chunk: Chunk, origin: str) -> bool:
         """Single chokepoint through which chunks enter the store (verified
@@ -807,10 +784,9 @@ class Xcached:
                 self._ingest_sweep_at = min(self._ingest_sweep_at, buf.last_seen + horizon + 1)
 
     def _ingest(self, raw: bytes, intent: Xid) -> None:
-        """Verify a reassembled capture against the local store alone and
-        adopt it.  A named chunk whose key chunk is not local needs a
-        network fetch, which cannot run inside event processing, so a
-        worker verifies it instead."""
+        """Verify a reassembled capture and adopt it.  A named chunk whose
+        key chunk is not local fetches the key first, as a fetch does; its
+        SYN leaves before the captured FIN is forwarded on."""
         try:
             chunk = self._decode(raw)
         except VerificationError as exc:
@@ -818,17 +794,19 @@ class Xcached:
             return
         if chunk.ttl_ms == 0:
             return
-        result = self._adopt(chunk, intent, fetch_key=self.manager.get)
+        result = self.verify(chunk, intent)
         # a decoded named chunk always has a key_ref
         if result.reason == REASON_KEY and not self.manager.contains(chunk.key_ref.intent_xid()):
-            self._enqueue(Request(None, intent, partial(self._adopt, chunk, intent)))
+            self._drive(self._verify_fetched(chunk, intent), partial(self._adopt, chunk))
+        else:
+            self._adopt(chunk, result)
 
-    def _adopt(self, chunk: Chunk, intent: Xid, fetch_key=None) -> VerifyResult:
-        result = self.verify(chunk, intent, fetch_key)
-        if result.accepted:
+    def _adopt(self, chunk: Chunk, result: VerifyResult | None = None, error=None) -> None:
+        if error is not None:
+            log.warning("%s: discarding capture: %s", self.node.name, error)
+        elif result.accepted:
             with self._lock:
                 self._admit(chunk, origin="opportunistic")
-        return result
 
 
 def _fallback_chain(dag: DagAddress) -> list[Xid]:

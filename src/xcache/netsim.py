@@ -12,8 +12,7 @@ feeds on.  The tap receives the live segment, not a copy, and must
 treat it as read-only: the forwarding path goes on to mutate its
 ``hops`` and ``dst_position``.
 
-The engine is a discrete-event loop over logical milliseconds.  Given a
-topology, a workload and a seed, the event trace is fully determined;
+The engine is a discrete-event loop over logical milliseconds;
 equal-timestamp events run in enqueue order.  A queue entry is
 ``(due time, enqueue number, fn, args)`` and runs as ``fn(*args)``, so
 no closure is built per event: a forwarded segment is queued with the
@@ -24,18 +23,24 @@ that records (a transmission, a drop, a delivery) first tests
 ``trace is not None`` and only then builds its record, so an untraced
 run builds none and makes no call for it.
 
-The blocking client calls (connect/recv) pump the event loop under a
-shared engine lock, so they may be issued from multiple threads.  A call holds the lock for a batch
-of events, until its own condition holds or the queue drains, so calls
-are serialized per batch; events still run one at a time, in order.
-The serving side never blocks.  What a node serves is its route
-table's local content set: when a SYN for a local content route is
-delivered, the node asks its owner's ``serve`` callable for the bytes
-inside event processing and answers with a session that streams them
-once the handshake completes.  If the owner no longer holds the content,
-the node withdraws the stale route and forwards the SYN on from the DAG
-position it arrived with, so a fallback edge can still reach a node that
-holds it.
+Events run only while a caller pumps the loop (``step``, ``wait_for``).
+``start_connect`` draws a session's ids and sends its SYN on the
+caller's thread, and its ``on_end`` callback runs inside the event that
+ends the session.  So when one thread starts sessions and pumps, the
+event trace is fully determined by the topology, the workload and the
+seed, however many sessions are in flight.  The blocking calls pump
+under a shared engine lock, one batch of events per call, so several
+threads may make them; the trace is then determined only while one
+fetch is in flight at a time.
+
+The serving side never blocks.  What a node serves is its route table's
+local content set: when a SYN for a local content route is delivered,
+the node asks its owner's ``serve`` callable for the bytes inside event
+processing and answers with a session that streams them once the
+handshake completes.  If the owner no longer holds the content, the node
+withdraws the stale route and forwards the SYN on from the DAG position
+it arrived with, so a fallback edge can still reach a node that holds
+it.
 
 Each end of a session registers itself on its node when it is created:
 under its session id, under its endpoint SID, and with that SID as a
@@ -281,8 +286,11 @@ class Simulator:
         wait concurrently; one event runs at a time.  Each acquisition
         of the lock runs events until the predicate holds or the queue
         drains, then wakes the other waiters if any event ran.  Raises
-        if the queue stays empty too long (real time) with the predicate
-        false.
+        ``SimStalledError`` once the queue has stayed empty for
+        ``idle_timeout`` real seconds with the predicate false.  The bound
+        is in real time, not at once: another thread may yet start the
+        session a waiter follows, and a client whose sender gave up
+        before any data arrived has no timer left to end it.
         """
         idle = 0.0
         while True:
@@ -454,15 +462,19 @@ class NetNode:
 
     # -- application surface -----------------------------------------
 
-    def start_connect(self, dag: DagAddress) -> "ClientSession":
+    def start_connect(self, dag: DagAddress, on_end=None) -> "ClientSession":
         """Emit the SYN/content-request and return the (not yet
-        established) session; completion is driven by the event loop."""
+        established) session; completion is driven by the event loop.
+        ``on_end(session)``, if given, runs inside the event that
+        completes or fails the session; a start that raises
+        ``NoRouteError`` never calls it."""
         if dag.intent_xid().xtype not in CONTENT_TYPES:
             raise SimError("can only connect to content intents")
 
         def _start():
             session = ClientSession(self, dag)
             session.start()
+            session.on_end = on_end  # set once started: a start that raises never reports
             return session
 
         return self.sim.submit(_start)
@@ -486,7 +498,8 @@ class _Session:
     end's retransmissions.  Arming the timer again, or making progress,
     retires the previous arming.  A session registers itself on its node
     here and releases itself once it has ended and its last armed timer
-    has fired."""
+    has fired.  ``on_end(session)``, once set, runs when this end has
+    completed or failed."""
 
     def __init__(self, node: NetNode, session_id: bytes):
         self.node = node
@@ -501,6 +514,7 @@ class _Session:
         self._epoch = 0
         self._armed: int | None = None  # the epoch of the last armed timer, until it fires
         self._retries = 0
+        self.on_end = None
         node.endpoints[self.endpoint_sid] = self
         node.sessions[session_id] = self
         node.routes.add_local(self.endpoint_sid)
@@ -527,6 +541,8 @@ class _Session:
         self.fail_reason = reason
         if self._armed is None:
             self._release()
+        if self.on_end is not None:
+            self.on_end(self)
 
     def _release(self) -> None:
         node = self.node
@@ -632,11 +648,11 @@ class ClientSession(_Session):
         if self.state not in ("established", "complete"):
             return
         if seg.seq == self.rx_expected and self.state == "established":
+            self.rx_expected += 1
             if seg.flags & SegFlags.FIN:
                 if not self.rx_segments:
                     self._arm_idle()  # the linger; with no data none is armed yet
                 self._progress()
-                self._end("complete")
                 # the server end keeps its endpoint until after this one completes
                 server = self.sim.nodes[self.provider_name].endpoints.get(
                     self.provider_endpoint.intent_xid()
@@ -644,11 +660,12 @@ class ClientSession(_Session):
                 self.session_retransmits = self.retransmits + (
                     server.retransmits if server is not None else 0
                 )
-            else:
-                self.rx_payloads.append(seg.payload)
-                self.rx_segments += 1
-                self._arm_idle()
-            self.rx_expected += 1
+                self._send_ack()  # before on_end, which may start a session
+                self._end("complete")
+                return
+            self.rx_payloads.append(seg.payload)
+            self.rx_segments += 1
+            self._arm_idle()
         self._send_ack()
 
     def _send_ack(self) -> None:

@@ -24,6 +24,7 @@ from xcache.daemon import (
     CanceledError,
     CertificateRequiredError,
     DaemonConfig,
+    FetchError,
     FetchTimeoutError,
     InvalidHandleError,
     NotifEvent,
@@ -33,7 +34,7 @@ from xcache.daemon import (
     Xcached,
     parse_config,
 )
-from xcache.netsim import TransferTimeout, build_simulator
+from xcache.netsim import SegFlags, TransferTimeout, build_simulator
 from xcache.store import LogicalClock
 from xcache.urls import NcidUrl, canonical_name, parse_dag_url, serialize_dag_url, serialize_ncid_url
 
@@ -81,6 +82,13 @@ class TestConfig:
         assert (cfg.workers, cfg.window, cfg.cache_policy) == (1, 3, "never")
         assert base.workers == 4
 
+    def test_a_daemon_starts_no_thread(self):
+        before = threading.active_count()
+        daemon = lone_daemon(DaemonConfig(workers=4))
+        assert threading.active_count() == before
+        daemon.shutdown()
+        assert threading.active_count() == before
+
 
 class TestHandles:
     def test_use_after_destroy_errors(self):
@@ -102,16 +110,18 @@ class TestHandles:
         daemon.shutdown()
 
     def test_destroy_cancels_pending_fetch(self):
-        # no workers: the queued request deterministically never runs
         sim = build_simulator(PAIR_TOPO)
-        daemon = Xcached(DaemonConfig(workers=0), node=sim.nodes["client"])
-        handle = daemon.init_handle()
-        ghost = make_fallback_dag(compute_cid(b"missing"), [sim.nodes["pub"].ad])
-        pending = handle.fetch_chunk(ghost, blocking=False)
-        handle.destroy()
-        with pytest.raises(CanceledError):
-            pending.result(timeout=1.0)
-        daemon.shutdown()
+        daemon = Xcached(DaemonConfig(), node=sim.nodes["client"])
+        try:
+            handle = daemon.init_handle()
+            ghost = make_fallback_dag(compute_cid(b"missing"), [sim.nodes["pub"].ad])
+            pending = handle.fetch_chunk(ghost, blocking=False)
+            handle.destroy()
+            with pytest.raises(CanceledError):
+                pending.result(timeout=1.0)
+            assert handle._pending == set()
+        finally:
+            daemon.shutdown()
 
 
 class TestPublish:
@@ -148,6 +158,52 @@ class TestPublish:
         with pytest.raises(PublishError):
             handle.put_chunk(b"y" * 100, 1000)
         daemon.shutdown()
+
+
+class TestConcurrentFetches:
+    def test_a_burst_of_nonblocking_fetches_repeats(self):
+        # eight misses in flight at once over lossy links: the sessions
+        # start in call order and complete inside event processing, so
+        # every run gives the same clock, counts and bytes
+        topo = LINE3_TOPO.replace("loss=0.0", "loss=0.05")
+        outcomes = set()
+        for _ in range(6):
+            sim, daemons, handles = make_cluster(topo, config=DaemonConfig(workers=4), seed=7)
+            try:
+                rng = random.Random(7)
+                payloads = [rng.randbytes(5000) for _ in range(8)]
+                dags = [handles["pub"].put_chunk(data, 600_000) for data in payloads]
+                pendings = [handles["client"].fetch_chunk(dag, blocking=False) for dag in dags]
+                assert [pending.result(timeout=30) for pending in pendings] == payloads
+                stats = sim.stats
+                outcomes.add((sim.now, stats["retransmits"], stats["data_segments_sent"]))
+            finally:
+                shutdown_all(daemons)
+        assert len(outcomes) == 1
+
+    def test_a_fault_while_completing_fails_only_that_fetch(self, line3, monkeypatch):
+        # one fetch's completion raises inside event processing, while the
+        # caller pumps for another fetch: the fault ends only its own fetch,
+        # as a FetchError, and never reaches the pumping caller
+        sim, daemons, handles = line3
+        client = daemons["client"]
+        good = handles["pub"].put_chunk(b"good bytes", 60000)
+        bad = handles["pub"].put_chunk(b"bad bytes", 60000)
+        decode = client._decode
+
+        def faulty(raw):
+            chunk = decode(raw)
+            if chunk.payload == b"bad bytes":
+                raise RuntimeError("decoder fault")
+            return chunk
+
+        monkeypatch.setattr(client, "_decode", faulty)
+        pending = handles["client"].fetch_chunk(bad, blocking=False)
+        assert handles["client"].fetch_chunk(good) == b"good bytes"
+        assert pending.done()
+        with pytest.raises(FetchError, match="decoder fault"):
+            pending.result(timeout=10)
+        assert client._inflight == {} and handles["client"]._pending == set()
 
 
 class TestFetchPaths:
@@ -288,51 +344,35 @@ class TestFetchPaths:
             t.join(timeout=15)
         assert results == payloads
 
-    def test_followers_leave_their_handles_pending(self):
-        sim, daemons, handles = make_cluster(PAIR_TOPO, config=DaemonConfig(workers=0))
-        try:
-            dag = handles["pub"].put_chunk(b"asked for twice", 60000)
-            h1, h2 = daemons["client"].init_handle(), daemons["client"].init_handle()
-            p1 = h1.fetch_chunk(dag, blocking=False)
-            p2 = h2.fetch_chunk(dag, blocking=False)
-            # drain the queue on this thread: the leader, then the stop marker
-            daemons["client"]._queue.put(None)
-            daemons["client"]._worker_loop()
-            assert p1.result(timeout=1) == p2.result(timeout=1) == b"asked for twice"
-            assert h1._pending == set() and h2._pending == set()
-        finally:
-            shutdown_all(daemons)
-
-    def test_fifo_dequeue_order(self, pair, monkeypatch):
+    def test_followers_leave_their_handles_pending(self, pair):
         sim, daemons, handles = pair
+        dag = handles["pub"].put_chunk(b"asked for twice", 60000)
+        h1, h2 = daemons["client"].init_handle(), daemons["client"].init_handle()
+        p1 = h1.fetch_chunk(dag, blocking=False)
+        p2 = h2.fetch_chunk(dag, blocking=False)
+        assert p2.result(timeout=10) == p1.result(timeout=10) == b"asked for twice"
+        assert sim.nodes["pub"].counters["sessions_served"] == 1
+        assert h1._pending == set() and h2._pending == set()
 
-        class RecordingQueue(queue.Queue):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.dequeued = []
-
-            def get(self, *args, **kwargs):
-                item = super().get(*args, **kwargs)
-                self.dequeued.append(item)
-                return item
-
-        monkeypatch.setattr(queue, "Queue", RecordingQueue)
-        # single worker so queue order is observable end to end
-        single = Xcached(DaemonConfig(workers=1), node=sim.nodes["client"])
-        monkeypatch.undo()
+    def test_fifo_dequeue_order(self):
+        # sessions start in the order their fetches were issued: the
+        # client's first SYN of each session names the intents in call order
+        sim, daemons, handles = make_cluster(PAIR_TOPO, config=DaemonConfig(workers=1))
         try:
-            handle = single.init_handle()
             payloads = {i: f"queued {i}".encode() for i in range(6)}
             dags = {i: handles["pub"].put_chunk(payloads[i], 60000) for i in payloads}
-            pendings = [
-                (i, handle.fetch_chunk(dags[i], blocking=False)) for i in payloads
-            ]
-            for i, pending in pendings:
+            sim.trace = []
+            pendings = [handles["client"].fetch_chunk(dags[i], blocking=False) for i in payloads]
+            for i, pending in enumerate(pendings):
                 assert pending.result(timeout=10) == payloads[i]
-            dequeue_log = [request.seq for request in single._queue.dequeued]
-            assert dequeue_log == sorted(dequeue_log)
+            syn_intents = []
+            for kind, _, node, _, _, _, flags, _, intent, _ in sim.trace:
+                if kind == "xmit" and node == "client" and flags == SegFlags.SYN:
+                    if intent not in syn_intents:
+                        syn_intents.append(intent)
+            assert syn_intents == [dags[i].intent_xid().text() for i in payloads]
         finally:
-            single.shutdown()
+            shutdown_all(daemons)
 
 
 class TestNamedContent:
@@ -468,6 +508,40 @@ class TestNamedContent:
         # one session for the certificate, one for the named chunk
         assert sum(node.counters["sessions_served"] for node in sim.nodes.values()) == 2
         assert daemons["client"].counters["key_fetches"] == 1
+
+    # Pinned from the daemon as it stood when the key's transfer ran on the
+    # caller's thread after the named chunk's transfer had returned.  The
+    # key's session now starts inside the event that ends the named
+    # chunk's session, after that event's last ACK, and leaves this trace.
+    PINNED_KEY_AFTER_CHUNK = (
+        470,
+        4,
+        11,
+        "bc9862f1b51d3d22dbc61a5a21f5768965c8baed9c8fbbaf4c8eea3428233215",
+    )
+
+    def test_a_key_fetched_after_its_named_chunk_is_pinned(self):
+        topo = PAIR_TOPO.replace("loss=0.0", "loss=0.05")
+        sim, daemons, handles = make_cluster(topo, seed=31)
+        try:
+            sim.trace = []
+            key = PublisherKey.generate(rng=random.Random(31))
+            cert_dag = handles["pub"].put_chunk(key.public, 600_000)
+            payload = random.Random(31).randbytes(6000)
+            content_dag = handles["pub"].put_named_content(
+                "pinned/name", payload, 600_000, key, cert_dag
+            )
+            # fetched by its address, with no certificate at hand
+            chunk, _ = daemons["client"].fetch_entry(handles["client"], content_dag)
+            assert chunk.payload == payload
+            assert daemons["client"].manager.contains(cert_dag.intent_xid())
+            assert daemons["client"].counters["key_fetches"] == 1
+            sim.step()
+            digest = hashlib.sha256(repr(sim.trace).encode()).hexdigest()
+            observed = (sim.now, sim.stats["retransmits"], sim.stats["data_segments_sent"], digest)
+            assert observed == self.PINNED_KEY_AFTER_CHUNK
+        finally:
+            shutdown_all(daemons)
 
     def test_exactly_one_key_fetch_per_verification(self, line3):
         _, daemons, handles = line3
@@ -646,34 +720,53 @@ class TestOpportunisticCaching:
         finally:
             shutdown_all(daemons)
 
-    def test_named_chunk_ingest_with_deferred_key_fetch(self, line3):
+    def publish_key_held_by_the_client(self, handles):
         # the client holds its own copy of the certificate, so it never
         # crosses the router and is not on the router when the named
-        # chunk flies past; verification must fetch it through a worker
-        # before caching
-        sim, daemons, handles = line3
-        daemons["client"].caching = False
+        # chunk flies past
         key = PublisherKey.generate(rng=random.Random(11))
         cert_dag = handles["pub"].put_chunk(key.public, 600_000)
         handles["client"].put_chunk(key.public, 600_000)
         content_dag = handles["pub"].put_named_content(
             "news/front", b"headline bytes", 600_000, key, cert_dag
         )
+        return cert_dag, content_dag
+
+    def test_named_chunk_ingest_with_deferred_key_fetch(self, line3):
+        # the router's verification fetches the key first: its session
+        # starts when the capture completes, and the chunk is admitted in
+        # the event that ends it
+        sim, daemons, handles = line3
+        router = daemons["router"]
+        daemons["client"].caching = False
+        cert_dag, content_dag = self.publish_key_held_by_the_client(handles)
         url = serialize_ncid_url(
             NcidUrl("news/front", (("PubCert", serialize_dag_url(cert_dag)),))
         )
         assert handles["client"].get_named_chunk(url) == b"headline bytes"
-        # drain the router's deferred verification
-        deadline = 50
-        import time
+        assert not router.manager.contains(content_dag.intent_xid())
+        sim.step()
+        assert router.manager.contains(content_dag.intent_xid())
+        assert router.manager.contains(cert_dag.intent_xid())
+        assert router.counters["key_fetches"] == 1
+        assert router._inflight == {} and router._ingest_buffers == {}
 
-        for _ in range(deadline):
-            if daemons["router"].manager.contains(content_dag.intent_xid()):
-                break
-            time.sleep(0.05)
-        assert daemons["router"].manager.contains(content_dag.intent_xid())
-        assert daemons["router"].manager.contains(cert_dag.intent_xid())
-        assert daemons["router"].counters["key_fetches"] == 1
+    def test_a_failed_deferred_key_fetch_admits_nothing(self, line3):
+        sim, daemons, handles = line3
+        router = daemons["router"]
+        daemons["client"].caching = False
+        cert_dag, content_dag = self.publish_key_held_by_the_client(handles)
+        pending = handles["client"].fetch_chunk(content_dag, blocking=False)
+        # the data segment has crossed the router and the FIN has not:
+        # without its route to AD-pub the router cannot fetch the key
+        sim.wait_for(lambda: any(buf.segments for buf in router._ingest_buffers.values()))
+        sim.nodes["router"].routes.remove_route(sim.nodes["pub"].ad)
+        assert pending.result(timeout=10) == b"headline bytes"
+        sim.step()
+        assert router.counters["key_fetches"] == 1
+        assert not router.manager.contains(content_dag.intent_xid())
+        assert not router.manager.contains(cert_dag.intent_xid())
+        assert router._inflight == {} and router._ingest_buffers == {}
 
     def test_verify_before_cache_audit(self, line3, monkeypatch):
         sim, daemons, handles = line3
