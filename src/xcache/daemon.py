@@ -8,12 +8,14 @@ daemon's cache flag is set, and completes the fetch and every caller
 that coalesced onto it; a named chunk whose key chunk is not at hand
 fetches the key first, the same way.  Blocking callers and
 ``PendingFetch`` results pump the simulator until their own fetch has
-finished, and the daemon starts no threads.  Event processing may take
-the daemon lock under the simulator's engine lock, never the reverse.
-Nothing enters any store without passing ``Xcached.verify``, which is
-also what makes opportunistic caching safe: the daemon taps its node's
-forwarding path, reassembles content sessions it forwards, and becomes
-a provider for chunks that verify.
+finished, and the daemon starts no threads.  The daemon's lock is its
+node's engine lock, so a miss registers itself and starts its session
+in one critical section: a caller that finds a fetch in flight finds
+its session started, and a wait that drains the event queue is a
+stall.  Nothing enters any store without passing ``Xcached.verify``,
+which is also what makes opportunistic caching safe: the daemon taps
+its node's forwarding path, reassembles content sessions it forwards,
+and becomes a provider for chunks that verify.
 """
 
 from __future__ import annotations
@@ -165,42 +167,42 @@ def parse_config(text: str, base: DaemonConfig | None = None) -> DaemonConfig:
 
 class Request:
     """One fetch and the callers coalesced onto it (its followers);
-    reaches exactly one terminal state, which ``wait`` pumps ``sim`` for."""
+    reaches exactly one terminal state, which ``wait`` pumps ``sim`` for.
+    It changes state only under the engine lock."""
 
     def __init__(self, handle, intent: Xid, sim):
         self.handle = handle
         self.intent = intent
         self.sim = sim
         self.followers: list[Request] = []
-        self._done = threading.Event()
-        self._state_lock = threading.Lock()
+        self._done = False
         self.result = None
         self.error: Exception | None = None
 
     def complete(self, result=None, error: Exception | None = None) -> None:
-        with self._state_lock:
-            if not self._done.is_set():
-                self.result = result
-                self.error = error
-                self._done.set()
+        if not self._done:
+            self.result = result
+            self.error = error
+            self._done = True
         for follower in self.followers:
             follower.complete(result, error)
 
     def cancel(self) -> None:
-        with self._state_lock:
-            if not self._done.is_set():
-                self.error = CanceledError("handle destroyed while request pending")
-                self._done.set()
+        if not self._done:
+            self.error = CanceledError("handle destroyed while request pending")
+            self._done = True
 
     def finished(self) -> bool:
-        return self._done.is_set()
+        return self._done
 
-    def wait(self, timeout: float = 30.0):
-        """Pump the simulator until this request has finished; ``timeout``
-        is the real-time stall bound of ``Simulator.wait_for``."""
-        if not self._done.is_set():
+    def wait(self):
+        """Pump the simulator until this request has finished.  A session
+        ends within its retry budget or idle timeout in simulated time,
+        so an event queue that drains first is a stall, raised as
+        ``FetchTimeoutError``."""
+        if not self._done:
             try:
-                self.sim.wait_for(self._done.is_set, idle_timeout=timeout)
+                self.sim.wait_for(self.finished)
             except SimStalledError as exc:
                 raise FetchTimeoutError(str(exc)) from exc
         if self.error is not None:
@@ -218,12 +220,12 @@ class PendingFetch:
     def done(self) -> bool:
         return self._request.finished()
 
-    def result(self, timeout: float = 30.0) -> bytes:
-        chunk, _ = self._request.wait(timeout)
+    def result(self) -> bytes:
+        chunk, _ = self._request.wait()
         return chunk.payload
 
-    def entry(self, timeout: float = 30.0):
-        return self._request.wait(timeout)
+    def entry(self):
+        return self._request.wait()
 
 
 @dataclass
@@ -264,11 +266,11 @@ class XcacheHandle:
     def put_named_content(self, name, data, ttl_ms, key, key_ref) -> DagAddress:
         return self._daemon.put_named_content(self, name, data, ttl_ms, key, key_ref)
 
-    def fetch_chunk(self, addr, blocking: bool = True, timeout: float = 30.0):
-        return self._daemon.fetch_chunk(self, addr, blocking=blocking, timeout=timeout)
+    def fetch_chunk(self, addr, blocking: bool = True):
+        return self._daemon.fetch_chunk(self, addr, blocking=blocking)
 
-    def get_named_chunk(self, url, cert=None, timeout: float = 30.0) -> bytes:
-        return self._daemon.get_named_chunk(self, url, cert=cert, timeout=timeout)
+    def get_named_chunk(self, url, cert=None) -> bytes:
+        return self._daemon.get_named_chunk(self, url, cert=cert)
 
     def destroy_chunk(self, addr) -> None:
         self._daemon.destroy_chunk(self, addr)
@@ -340,7 +342,7 @@ class Xcached:
         self.caching = cache_flag(self.config.cache_policy)
         self.counters: Counter = Counter()
 
-        self._lock = threading.RLock()
+        self._lock = node.sim.lock
         self._handles: set[XcacheHandle] = set()
         self._inflight: dict[Xid, Request] = {}
         self._ingest_buffers: dict[bytes, _IngestBuffer] = {}
@@ -430,7 +432,6 @@ class Xcached:
         handle: XcacheHandle,
         addr: DagAddress | str,
         blocking: bool = True,
-        timeout: float = 30.0,
     ):
         """Fetch the content the address points at; returns the payload
         bytes (or a PendingFetch when non-blocking).
@@ -443,11 +444,10 @@ class Xcached:
         caller is already fetching follows that fetch instead.
 
         The transfer is bounded in simulated time by the transport's
-        retry budget and idle timeout.  ``timeout`` bounds, in real
-        seconds, how long a wait pumps an empty event queue (see
-        ``Simulator.wait_for``).
+        retry budget and idle timeout; a wait that drains the event queue
+        first raises ``FetchTimeoutError`` at once.
         """
-        result = self.fetch_entry(handle, addr, blocking=blocking, timeout=timeout)
+        result = self.fetch_entry(handle, addr, blocking=blocking)
         if blocking:
             chunk, _ = result
             return chunk.payload
@@ -458,7 +458,6 @@ class Xcached:
         handle: XcacheHandle,
         addr: DagAddress | str,
         blocking: bool = True,
-        timeout: float = 30.0,
         *,
         key_chunk: Chunk | None = None,
     ):
@@ -487,26 +486,22 @@ class Xcached:
             request = Request(handle, intent, self.node.sim)
             handle._pending.add(request)
             leader = self._inflight.get(intent)
-            following = leader is not None and not leader.finished()
-            if following:
+            if leader is not None and not leader.finished():
                 leader.followers.append(request)
             else:
                 self._inflight[intent] = request
-        if not following:
-            # outside the daemon lock: starting a session takes the engine lock
-            self._drive(
-                self._fetch_remote(addr, intent, key_chunk), partial(self._finish, request)
-            )
+                self._drive(
+                    self._fetch_remote(addr, intent, key_chunk), partial(self._finish, request)
+                )
         if not blocking:
             return PendingFetch(request)
-        return request.wait(timeout)
+        return request.wait()
 
     def get_named_chunk(
         self,
         handle: XcacheHandle,
         url: NcidUrl | str,
         cert: DagAddress | str | None = None,
-        timeout: float = 30.0,
     ) -> bytes:
         """Fetch named content by URL.
 
@@ -514,7 +509,7 @@ class Xcached:
         the explicit ``cert`` argument.  The publisher fingerprint taken
         from the certificate chunk pins down the content identifier, and
         the fetch then verifies against that same certificate."""
-        chunk, _ = self.get_named_entry(handle, url, cert=cert, timeout=timeout)
+        chunk, _ = self.get_named_entry(handle, url, cert=cert)
         return chunk.payload
 
     def get_named_entry(
@@ -522,7 +517,6 @@ class Xcached:
         handle: XcacheHandle,
         url: NcidUrl | str,
         cert: DagAddress | str | None = None,
-        timeout: float = 30.0,
     ):
         self.check_handle(handle)
         if isinstance(url, str):
@@ -536,11 +530,11 @@ class Xcached:
         cert_dag = parse_dag_url(cert, allow_short=True) if isinstance(cert, str) else cert
         if cert_dag.intent_xid().xtype is not XidType.CID:
             raise FetchError("certificate address must point at a plain content chunk")
-        key_chunk, _ = self.fetch_entry(handle, cert_dag, timeout=timeout)
+        key_chunk, _ = self.fetch_entry(handle, cert_dag)
         name = canonical_name(url.address, url.locators)
         ncid = compute_ncid(name, fingerprint(key_chunk.payload))
         fetch_dag = make_fallback_dag(ncid, _fallback_chain(cert_dag))
-        return self.fetch_entry(handle, fetch_dag, timeout=timeout, key_chunk=key_chunk)
+        return self.fetch_entry(handle, fetch_dag, key_chunk=key_chunk)
 
     def destroy_chunk(self, handle: XcacheHandle, addr: DagAddress | str | Xid) -> None:
         """Remove locally held content and withdraw its route.  Absent

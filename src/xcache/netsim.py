@@ -28,10 +28,12 @@ Events run only while a caller pumps the loop (``step``, ``wait_for``).
 caller's thread, and its ``on_end`` callback runs inside the event that
 ends the session.  So when one thread starts sessions and pumps, the
 event trace is fully determined by the topology, the workload and the
-seed, however many sessions are in flight.  The blocking calls pump
-under a shared engine lock, one batch of events per call, so several
-threads may make them; the trace is then determined only while one
-fetch is in flight at a time.
+seed, however many sessions are in flight.  Every call that touches the
+engine holds its one reentrant lock (``Simulator.lock``) throughout, so
+several threads may make them; the trace is then determined only while
+one fetch is in flight at a time.  A waiter pumps until its predicate
+holds, and a queue that drains first is a stall: every session holds a
+timer until it ends, so nothing but an event can end a wait.
 
 The serving side never blocks.  What a node serves is its route table's
 local content set: when a SYN for a local content route is delivered,
@@ -48,9 +50,9 @@ local route.  Once the end has completed or failed, its last armed
 timer releases all three when it fires, so the release adds no event.
 For a completed client that is its idle timer, which outlasts every
 retransmission the sender can still make, so a late duplicate FIN is
-still acknowledged (TCP's TIME-WAIT); a transfer without data arms it
-on the FIN.  For a finished sender it is its last retransmission timer.
-An end that fails, or has no timer left, is released at once.
+still acknowledged (TCP's TIME-WAIT); a transfer without data re-arms
+it on the FIN.  For a finished sender it is its last retransmission
+timer.  An end that fails, or has no timer left, is released at once.
 
 Addressing of a session, once established:
 
@@ -194,8 +196,7 @@ class Simulator:
         self._delay_sum = 0
         self._heap: list[tuple[int, int, Callable[..., object], tuple]] = []
         self._seq = itertools.count()
-        self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
+        self.lock = threading.RLock()  # the engine lock
 
     # -- topology ----------------------------------------------------
 
@@ -249,26 +250,21 @@ class Simulator:
 
     def schedule(self, delay_ms: int, fn: Callable[..., object], *args) -> None:
         """Run ``fn(*args)`` once ``delay_ms`` of simulated time have
-        passed.  Callers run inside submit, wait_for or step, which
-        notify waiters once they are done."""
-        with self._lock:
+        passed."""
+        with self.lock:
             heapq.heappush(self._heap, (self.now + delay_ms, next(self._seq), fn, args))
 
     def submit(self, fn):
         """Run ``fn`` immediately under the engine lock; the entry point
         for application threads that originate traffic."""
-        with self._lock:
-            result = fn()
-            self._cond.notify_all()
-            return result
+        with self.lock:
+            return fn()
 
-    def _run_events(self, predicate=None, until_ms: int | None = None) -> bool:
+    def _run_events(self, predicate=None, until_ms: int | None = None) -> None:
         """Run events one at a time in (time, enqueue order) until
         ``predicate()`` holds, the next one is due after ``until_ms``, or
-        the queue drains.  The caller holds the lock.  Returns whether
-        any event ran."""
+        the queue drains.  The caller holds the lock."""
         heap, pop = self._heap, heapq.heappop
-        ran = False
         while heap:
             if until_ms is not None and heap[0][0] > until_ms:
                 break
@@ -278,43 +274,23 @@ class Simulator:
             if when > self.now:
                 self.now = when
             fn(*args)
-            ran = True
-        return ran
 
-    def wait_for(self, predicate, idle_timeout: float = 5.0) -> None:
-        """Pump events until the predicate holds.  Multiple threads may
-        wait concurrently; one event runs at a time.  Each acquisition
-        of the lock runs events until the predicate holds or the queue
-        drains, then wakes the other waiters if any event ran.  Raises
-        ``SimStalledError`` once the queue has stayed empty for
-        ``idle_timeout`` real seconds with the predicate false.  The bound
-        is in real time, not at once: another thread may yet start the
-        session a waiter follows, and a client whose sender gave up
-        before any data arrived has no timer left to end it.
-        """
-        idle = 0.0
-        while True:
-            with self._lock:
-                if self._run_events(predicate):
-                    self._cond.notify_all()
-                    idle = 0.0
-                if predicate():
-                    return
-                self._cond.wait(0.05)
-                if predicate():
-                    return
-            idle += 0.05
-            if idle >= idle_timeout:
-                raise SimStalledError("event queue idle while a call was waiting")
+    def wait_for(self, predicate) -> None:
+        """Run events under the engine lock until the predicate holds.
+        A queue that drains while it is still false is a stall: raises
+        ``SimStalledError`` at once, with the clock at the last event."""
+        with self.lock:
+            self._run_events(predicate)
+            if not predicate():
+                raise SimStalledError("event queue drained while a call was waiting")
 
     def step(self, until_ms: int | None = None) -> None:
         """Advance through all events due at or before ``until_ms``
         (all pending events when None)."""
-        with self._lock:
+        with self.lock:
             self._run_events(until_ms=until_ms)
             if until_ms is not None and until_ms > self.now:
                 self.now = until_ms
-            self._cond.notify_all()
 
     def _trace(
         self, kind: str, node: str, seg: Segment, to: str | None = None, reason: str | None = None
@@ -621,10 +597,8 @@ class ClientSession(_Session):
         self._end("failed", "transfer-timeout")
 
     def _arm_idle(self) -> None:
-        # Liveness guard for an in-flight transfer.  Armed on data
-        # arrival (not at establishment, so a provider applying
-        # real-world think time between accept and send is not raced by
-        # logical-time fast-forward) and re-armed on every in-order
+        # Liveness guard for an established transfer: armed when the
+        # SYNACK establishes the session and re-armed on every in-order
         # segment.
         self._arm(self._idle_ms, self._idle_timeout)
 
@@ -641,6 +615,7 @@ class ClientSession(_Session):
                     return
                 self.state = "established"
                 self._progress()
+                self._arm_idle()
             self._send_ack()
             return
         if seg.flags & SegFlags.ACK:
@@ -651,7 +626,7 @@ class ClientSession(_Session):
             self.rx_expected += 1
             if seg.flags & SegFlags.FIN:
                 if not self.rx_segments:
-                    self._arm_idle()  # the linger; with no data none is armed yet
+                    self._arm_idle()  # the linger; with no data the last arming was the SYNACK's
                 self._progress()
                 # the server end keeps its endpoint until after this one completes
                 server = self.sim.nodes[self.provider_name].endpoints.get(

@@ -118,7 +118,7 @@ class TestHandles:
             pending = handle.fetch_chunk(ghost, blocking=False)
             handle.destroy()
             with pytest.raises(CanceledError):
-                pending.result(timeout=1.0)
+                pending.result()
             assert handle._pending == set()
         finally:
             daemon.shutdown()
@@ -174,12 +174,28 @@ class TestConcurrentFetches:
                 payloads = [rng.randbytes(5000) for _ in range(8)]
                 dags = [handles["pub"].put_chunk(data, 600_000) for data in payloads]
                 pendings = [handles["client"].fetch_chunk(dag, blocking=False) for dag in dags]
-                assert [pending.result(timeout=30) for pending in pendings] == payloads
+                assert [pending.result() for pending in pendings] == payloads
                 stats = sim.stats
                 outcomes.add((sim.now, stats["retransmits"], stats["data_segments_sent"]))
             finally:
                 shutdown_all(daemons)
         assert len(outcomes) == 1
+
+    def test_a_fetch_whose_sender_goes_silent_ends_in_simulated_time(self, pair):
+        # the client is established but the sender can no longer reach it,
+        # so no data segment ever lands: the client's idle timer ends the
+        # fetch, and the wait never drains the queue
+        sim, daemons, handles = pair
+        client_node, pub = sim.nodes["client"], sim.nodes["pub"]
+        dag = handles["pub"].put_chunk(b"never delivered", 60000)
+        pending = handles["client"].fetch_chunk(dag, blocking=False)
+        sim.wait_for(lambda: any(s.state == "established" for s in client_node.sessions.values()))
+        pub.routes.remove_route(client_node.ad)
+        with pytest.raises(FetchTimeoutError, match="transfer-timeout"):
+            pending.result()
+        sim.step()
+        assert client_node.sessions == {} and pub.sessions == {}
+        assert daemons["client"]._inflight == {} and handles["client"]._pending == set()
 
     def test_a_fault_while_completing_fails_only_that_fetch(self, line3, monkeypatch):
         # one fetch's completion raises inside event processing, while the
@@ -202,7 +218,7 @@ class TestConcurrentFetches:
         assert handles["client"].fetch_chunk(good) == b"good bytes"
         assert pending.done()
         with pytest.raises(FetchError, match="decoder fault"):
-            pending.result(timeout=10)
+            pending.result()
         assert client._inflight == {} and handles["client"]._pending == set()
 
 
@@ -254,7 +270,7 @@ class TestFetchPaths:
         _, _, handles = line3
         dag = handles["pub"].put_chunk(b"eventually", 60000)
         pending = handles["client"].fetch_chunk(dag, blocking=False)
-        assert pending.result(timeout=10) == b"eventually"
+        assert pending.result() == b"eventually"
 
     def test_tampered_provider_rejected_and_not_cached(self, line3):
         sim, daemons, handles = line3
@@ -309,7 +325,7 @@ class TestFetchPaths:
 
                 def fetch(i):
                     barrier.wait(timeout=10)
-                    results[i] = fetchers[i].fetch_chunk(dag, timeout=30)
+                    results[i] = fetchers[i].fetch_chunk(dag)
 
                 threads = [
                     threading.Thread(target=fetch, args=(i,))
@@ -350,7 +366,7 @@ class TestFetchPaths:
         h1, h2 = daemons["client"].init_handle(), daemons["client"].init_handle()
         p1 = h1.fetch_chunk(dag, blocking=False)
         p2 = h2.fetch_chunk(dag, blocking=False)
-        assert p2.result(timeout=10) == p1.result(timeout=10) == b"asked for twice"
+        assert p2.result() == p1.result() == b"asked for twice"
         assert sim.nodes["pub"].counters["sessions_served"] == 1
         assert h1._pending == set() and h2._pending == set()
 
@@ -364,7 +380,7 @@ class TestFetchPaths:
             sim.trace = []
             pendings = [handles["client"].fetch_chunk(dags[i], blocking=False) for i in payloads]
             for i, pending in enumerate(pendings):
-                assert pending.result(timeout=10) == payloads[i]
+                assert pending.result() == payloads[i]
             syn_intents = []
             for kind, _, node, _, _, _, flags, _, intent, _ in sim.trace:
                 if kind == "xmit" and node == "client" and flags == SegFlags.SYN:
@@ -426,7 +442,7 @@ class TestNamedContent:
         )
         daemons["pub"].inject_unverified_chunk(forged)
         with pytest.raises(VerificationError) as info:
-            handles["client"].fetch_chunk(sim.nodes["pub"].local_dag_for(forged.id), timeout=10)
+            handles["client"].fetch_chunk(sim.nodes["pub"].local_dag_for(forged.id))
         assert info.value.reason == "key-chunk-invalid"
 
     def test_multiform_locators_select_representations(self, line3):
@@ -761,7 +777,7 @@ class TestOpportunisticCaching:
         # without its route to AD-pub the router cannot fetch the key
         sim.wait_for(lambda: any(buf.segments for buf in router._ingest_buffers.values()))
         sim.nodes["router"].routes.remove_route(sim.nodes["pub"].ad)
-        assert pending.result(timeout=10) == b"headline bytes"
+        assert pending.result() == b"headline bytes"
         sim.step()
         assert router.counters["key_fetches"] == 1
         assert not router.manager.contains(content_dag.intent_xid())
@@ -815,7 +831,7 @@ class TestChurn:
                 try:
                     for n in range(8):
                         i = rng.randrange(12)
-                        results[(worker_id, n)] = (i, handle.fetch_chunk(dags[i], timeout=30))
+                        results[(worker_id, n)] = (i, handle.fetch_chunk(dags[i]))
                 except Exception as exc:  # surfaced below
                     errors.append(exc)
 
@@ -878,7 +894,7 @@ class TestServeEdgeCases:
         dag = handles["pub"].put_chunk(b"here then gone", 60000)
         daemons["pub"].manager.remove(dag.intent_xid())  # behind the daemon's back
         with pytest.raises(FetchTimeoutError):
-            handles["client"].fetch_chunk(dag, timeout=10)
+            handles["client"].fetch_chunk(dag)
         assert not sim.nodes["pub"].routes.is_local(dag.intent_xid())
 
     def test_an_expired_copy_gives_way_to_a_fresh_one(self, line3):
@@ -909,6 +925,6 @@ class TestServeEdgeCases:
             assert not daemons["pub"].manager.contains(a)
             assert not sim.nodes["pub"].routes.is_local(a)
             with pytest.raises(FetchTimeoutError):
-                handles["client"].fetch_chunk(dag_a, timeout=10)
+                handles["client"].fetch_chunk(dag_a)
         finally:
             shutdown_all(daemons)

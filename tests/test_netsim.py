@@ -205,9 +205,16 @@ class TestEventEngine:
         assert sim.now == (max(last, 2) if run == "step-split" else last)
 
     def test_wait_for_stalls_cleanly(self):
+        # a queue that drains before the predicate holds raises at once,
+        # with the clock where the last event left it
         sim = Simulator()
+        sim.schedule(3, lambda: None)
         with pytest.raises(SimStalledError):
-            sim.wait_for(lambda: False, idle_timeout=0.2)
+            sim.wait_for(lambda: False)
+        assert sim.now == 3
+        with pytest.raises(SimStalledError):
+            sim.wait_for(lambda: False)
+        assert sim.now == 3
 
     def test_wait_for_stops_at_the_event_that_satisfies_it(self):
         sim = Simulator()
@@ -427,6 +434,20 @@ class TestGiveUp:
         sim.step()
         assert (server.state, server.fail_reason) == ("failed", "retry-limit")
         assert client.rx_segments < 64
+
+    def test_receiver_gives_up_when_no_data_follows_the_handshake(self):
+        # the sender cannot reach the client once the client is
+        # established, so no data segment ever lands: the idle timer armed
+        # at the SYNACK ends the client, and both ends are released
+        sim = build_simulator(PAIR_TOPO)
+        client_node, pub = sim.nodes["client"], sim.nodes["pub"]
+        client = client_node.start_connect(serve_bytes(pub, bytes(3000)))
+        sim.wait_for(lambda: client.state == "established")
+        pub.routes.remove_route(client_node.ad)
+        sim.step()
+        assert (client.state, client.fail_reason) == ("failed", "transfer-timeout")
+        for node in (client_node, pub):
+            assert node.sessions == {} and node.endpoints == {}
 
     def test_receiver_idle_timer_fails_transfer(self):
         sim, client, server = self._midway()
