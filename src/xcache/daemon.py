@@ -600,8 +600,8 @@ class Xcached:
             outcome = FetchTimeoutError(session.fail_reason)
         else:
             stats = FetchStats(
-                provider=session.provider_name or "?",
-                hops=session.syn_hops or 0,
+                provider=session.reply.node,
+                hops=session.reply.hops,
                 segments=session.rx_segments,
                 retransmits=session.session_retransmits,
             )

@@ -58,8 +58,9 @@ Addressing of a session, once established:
 
 * SYN:           src = client session address, dst = content address
 * SYNACK:        src = published chunk address, dst = client session
-                 address; the payload carries the provider's reply
-                 endpoint, node name and observed hop count
+                 address; its ``reply`` field carries a ``SynAck`` value
+                 (the provider's reply endpoint, node name and the hop
+                 count of the SYN) and its payload is empty
 * data and FIN:  src = published chunk address (so on-path taps can
                  attribute the bytes), dst = client session address
 * ACKs:          src = client session address, dst = provider reply
@@ -71,7 +72,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import logging
 import random
 import threading
 from collections import Counter
@@ -94,9 +94,6 @@ from .addressing import (
     resolve_next,
     symbolic_xid,
 )
-from .urls import parse_dag_url, serialize_dag_url
-
-log = logging.getLogger(__name__)
 
 DEFAULT_SEGMENT_PAYLOAD = 1024
 DEFAULT_WINDOW = 8
@@ -139,11 +136,22 @@ class SegFlags:
     FIN = 8
 
 
+@dataclass(frozen=True, slots=True)
+class SynAck:
+    """What a SYNACK tells its client: the provider's reply endpoint,
+    which the client's ACKs address, the provider's node name, and the
+    number of hops its SYN took."""
+
+    endpoint_dag: DagAddress
+    node: str
+    hops: int
+
+
 @dataclass
 class Segment:
-    """Transport unit.  ``intent`` is present on SYN only (the request).
-    ``dst_position`` and ``hops`` are forwarding state that travels with
-    the segment."""
+    """Transport unit.  ``intent`` is present on SYN only (the request),
+    ``reply`` on SYNACK only.  ``dst_position`` and ``hops`` are
+    forwarding state that travels with the segment."""
 
     session: bytes
     seq: int
@@ -152,6 +160,7 @@ class Segment:
     dst_dag: DagAddress
     intent: Xid | None = None
     payload: bytes = b""
+    reply: SynAck | None = None
     dst_position: int | None = SOURCE
     hops: int = 0
 
@@ -555,9 +564,7 @@ class ClientSession(_Session):
         self.content_dag = content_dag
         self._idle_ms = self.sim.idle_timeout_ms
 
-        self.provider_name: str | None = None
-        self.provider_endpoint: DagAddress | None = None
-        self.syn_hops: int | None = None
+        self.reply: SynAck | None = None  # set by the SYNACK
 
         self.rx_payloads: list[bytes] = []
         self.rx_expected = 0
@@ -605,14 +612,7 @@ class ClientSession(_Session):
     def on_segment(self, seg: Segment) -> None:
         if seg.flags & SegFlags.SYNACK:
             if self.state == "syn-sent":
-                try:
-                    endpoint_url, provider, hops = seg.payload.decode("utf-8").split("\n")
-                    self.provider_endpoint = parse_dag_url(endpoint_url)
-                    self.provider_name = provider
-                    self.syn_hops = int(hops)
-                except (ValueError, UnicodeDecodeError) as exc:
-                    log.warning("%s: malformed SYNACK meta: %s", self.node.name, exc)
-                    return
+                self.reply = seg.reply
                 self.state = "established"
                 self._progress()
                 self._arm_idle()
@@ -629,9 +629,8 @@ class ClientSession(_Session):
                     self._arm_idle()  # the linger; with no data the last arming was the SYNACK's
                 self._progress()
                 # the server end keeps its endpoint until after this one completes
-                server = self.sim.nodes[self.provider_name].endpoints.get(
-                    self.provider_endpoint.intent_xid()
-                )
+                reply = self.reply
+                server = self.sim.nodes[reply.node].endpoints.get(reply.endpoint_dag.intent_xid())
                 self.session_retransmits = self.retransmits + (
                     server.retransmits if server is not None else 0
                 )
@@ -644,14 +643,12 @@ class ClientSession(_Session):
         self._send_ack()
 
     def _send_ack(self) -> None:
-        if self.provider_endpoint is None:
-            return
         seg = Segment(
             session=self.session_id,
             seq=self.rx_expected,
             flags=SegFlags.ACK,
             src_dag=self.endpoint_dag,
-            dst_dag=self.provider_endpoint,
+            dst_dag=self.reply.endpoint_dag,
         )
         self.node.on_segment(seg)
 
@@ -680,7 +677,7 @@ class ServerSession(_Session):
         super().__init__(node, syn.session)
         self.client_dag = syn.src_dag
         self.serve_dag = node.local_dag_for(syn.dst_dag.intent_xid())
-        self.syn_hops = syn.hops
+        self.reply = SynAck(self.endpoint_dag, node.name, syn.hops)
         self.state = "syn-rcvd"
 
         size = self.sim.segment_payload
@@ -694,16 +691,13 @@ class ServerSession(_Session):
         self._arm(self.rto, self._synack_timeout)
 
     def _emit_synack(self) -> None:
-        meta = "\n".join(
-            [serialize_dag_url(self.endpoint_dag), self.node.name, str(self.syn_hops)]
-        ).encode("utf-8")
         seg = Segment(
             session=self.session_id,
             seq=0,
             flags=SegFlags.SYNACK,
             src_dag=self.serve_dag,
             dst_dag=self.client_dag,
-            payload=meta,
+            reply=self.reply,
         )
         self.node.on_segment(seg)
 
