@@ -113,16 +113,8 @@ class NoRouteError(SimError):
     """The origin node has no usable edge toward the destination."""
 
 
-class HandshakeTimeout(SimError):
-    """SYN (or SYNACK) retry budget exhausted without an answer."""
-
-
-class TransferTimeout(SimError):
-    """An established session stopped making progress."""
-
-
 class SimStalledError(SimError):
-    """The event queue drained while a blocking call was still waiting."""
+    """The event queue drained while ``wait_for`` was still waiting."""
 
 
 class SegFlags:
@@ -262,12 +254,6 @@ class Simulator:
         passed."""
         with self.lock:
             heapq.heappush(self._heap, (self.now + delay_ms, next(self._seq), fn, args))
-
-    def submit(self, fn):
-        """Run ``fn`` immediately under the engine lock; the entry point
-        for application threads that originate traffic."""
-        with self.lock:
-            return fn()
 
     def _run_events(self, predicate=None, until_ms: int | None = None) -> None:
         """Run events one at a time in (time, enqueue order) until
@@ -448,28 +434,19 @@ class NetNode:
     # -- application surface -----------------------------------------
 
     def start_connect(self, dag: DagAddress, on_end=None) -> "ClientSession":
-        """Emit the SYN/content-request and return the (not yet
-        established) session; completion is driven by the event loop.
-        ``on_end(session)``, if given, runs inside the event that
-        completes or fails the session; a start that raises
-        ``NoRouteError`` never calls it."""
+        """Emit the SYN/content-request under the engine lock and return
+        the (not yet established) session; the event loop drives the
+        rest.  ``on_end(session)``, if given, is how the session reports:
+        it runs inside the event that ends it, with ``state`` either
+        ``"complete"`` (the bytes are ``rx_payloads`` and the SYNACK's
+        ``reply`` says who sent them) or ``"failed"`` (``fail_reason``
+        says why).  A start that raises ``NoRouteError`` never calls it."""
         if dag.intent_xid().xtype not in CONTENT_TYPES:
             raise SimError("can only connect to content intents")
-
-        def _start():
+        with self.sim.lock:
             session = ClientSession(self, dag)
             session.start()
             session.on_end = on_end  # set once started: a start that raises never reports
-            return session
-
-        return self.sim.submit(_start)
-
-    def connect_to_content(self, dag: DagAddress) -> "ClientSession":
-        """Open a session with whatever node can serve ``dag``'s intent.
-        The SYN is the content request; returns an established session.
-        """
-        session = self.start_connect(dag)
-        session.wait_established()
         return session
 
 
@@ -651,19 +628,6 @@ class ClientSession(_Session):
             dst_dag=self.reply.endpoint_dag,
         )
         self.node.on_segment(seg)
-
-    def wait_established(self) -> None:
-        self.sim.wait_for(lambda: self.state in ("established", "complete", "failed"))
-        if self.state == "failed":
-            raise HandshakeTimeout(self.fail_reason or "connect failed")
-
-    def recv_chunk(self) -> bytes:
-        """Block until the sender's FIN lands; returns the exact byte
-        sequence that was sent."""
-        self.sim.wait_for(lambda: self.state in ("complete", "failed"))
-        if self.state == "failed":
-            raise TransferTimeout(self.fail_reason or "transfer failed")
-        return b"".join(self.rx_payloads)
 
 
 class ServerSession(_Session):

@@ -107,6 +107,15 @@ def make_cluster(topo: str, config=None, seed: int | None = None, **transport):
     return sim, daemons, handles
 
 
+def run_session(node, dag):
+    """Start a content session from ``node`` and pump the simulator until
+    the session reports its end through ``on_end``; returns the session."""
+    ended = []
+    session = node.start_connect(dag, on_end=ended.append)
+    node.sim.wait_for(lambda: ended)
+    return session
+
+
 def lone_daemon(config, clock=None):
     """A daemon on the only node of a fresh simulator."""
     from xcache.daemon import Xcached

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import lone_daemon, record_criterion, random_dag
+from conftest import lone_daemon, random_dag, record_criterion, run_session
 from xcache.addressing import XidType, make_fallback_dag, symbolic_xid
 from xcache.chunking import (
     Chunk,
@@ -190,9 +190,9 @@ def test_criterion_6_reliability_under_loss():
             pub = sim.nodes["pub"]
             pub.serve = lambda xid, pl=payload: pl
             pub.routes.add_local(cid)
-            session = sim.nodes["client"].connect_to_content(pub.local_dag_for(cid))
-            received = session.recv_chunk()
-            if hashlib.sha256(received).digest() == hashlib.sha256(payload).digest():
+            session = run_session(sim.nodes["client"], pub.local_dag_for(cid))
+            received = b"".join(session.rx_payloads)
+            if session.state == "complete" and hashlib.sha256(received).digest() == hashlib.sha256(payload).digest():
                 delivered += 1
             total_retransmits += sim.stats["retransmits"]
         assert delivered == 100

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from conftest import LINE3_TOPO, PAIR_TOPO, lone_daemon, make_cluster
+from conftest import LINE3_TOPO, PAIR_TOPO, lone_daemon, make_cluster, run_session
 from xcache.addressing import make_fallback_dag
 from xcache.chunking import (
     Chunk,
@@ -34,7 +34,7 @@ from xcache.daemon import (
     Xcached,
     parse_config,
 )
-from xcache.netsim import SegFlags, TransferTimeout, build_simulator
+from xcache.netsim import SegFlags, build_simulator
 from xcache.store import LogicalClock
 from xcache.urls import NcidUrl, canonical_name, parse_dag_url, serialize_dag_url, serialize_ncid_url
 
@@ -725,16 +725,19 @@ class TestOpportunisticCaching:
             stalled = client.start_connect(big)
             sim.wait_for(lambda: stalled.rx_segments >= 10)
             pub.routes.remove_route(client.ad)  # no FIN will cross the router
-            with pytest.raises(TransferTimeout):
-                stalled.recv_chunk()
+            sim.wait_for(lambda: stalled.state in ("complete", "failed"))
+            assert (stalled.state, stalled.fail_reason) == ("failed", "transfer-timeout")
             assert set(daemons["router"]._ingest_buffers) == {stalled.session_id}
             sim.step(sim.now + sim.idle_timeout_ms + 1)
 
             pub.routes.add_route(client.ad, "router")
             fresh = client.start_connect(small)
-            fresh.wait_established()
+            sim.wait_for(lambda: fresh.state != "syn-sent")
+            assert fresh.state == "established"
             assert set(daemons["router"]._ingest_buffers) == {fresh.session_id}
-            assert fresh.recv_chunk()
+            sim.wait_for(lambda: fresh.state in ("complete", "failed"))
+            assert fresh.state == "complete"
+            assert decode_chunk(b"".join(fresh.rx_payloads)).payload == b"the next session"
             assert daemons["router"]._ingest_buffers == {}
         finally:
             shutdown_all(daemons)
@@ -875,9 +878,9 @@ class TestBoundedState:
             ghost = sim.nodes["pub"].local_dag_for(compute_cid(b"never published"))
             with pytest.raises(FetchTimeoutError):
                 handles["client"].fetch_chunk(ghost)
-            session = sim.nodes["pub"].connect_to_content(dags[0])
-            assert session.reply.node == "pub"
-            assert verify_cid(decode_chunk(session.recv_chunk())).accepted
+            session = run_session(sim.nodes["pub"], dags[0])
+            assert (session.state, session.reply.node) == ("complete", "pub")
+            assert verify_cid(decode_chunk(b"".join(session.rx_payloads))).accepted
             assert sim.stats["retransmits"] > 0
 
             sim.step()

@@ -1,26 +1,28 @@
+import ast
 import hashlib
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import LINE3_TOPO, PAIR_TOPO, make_cluster
+from conftest import LINE3_TOPO, PAIR_TOPO, make_cluster, run_session
 from xcache.addressing import XidType, make_fallback_dag, symbolic_xid
 from xcache.chunking import compute_cid, decode_chunk
+from xcache import netsim
 from xcache.daemon import DaemonConfig
 from xcache.netsim import (
-    HandshakeTimeout,
     NoRouteError,
     SegFlags,
     Segment,
     SimStalledError,
     Simulator,
     TopologyError,
-    TransferTimeout,
     build_simulator,
     parse_topology,
 )
+from xcache.urls import parse_dag_url
 
 PAIR_LOSSY = """
 node client
@@ -108,7 +110,8 @@ class TestEventEngine:
             src_dag=make_fallback_dag(sim.nodes["client"].ad, []),
             dst_dag=make_fallback_dag(sim.nodes["pub"].ad, []),
         )
-        sim.submit(lambda: sim.nodes["client"].on_segment(seg))
+        with sim.lock:
+            sim.nodes["client"].on_segment(seg)
         sim.step(4)  # link delay is 5
         assert deliveries(sim) == []
         sim.step(5)
@@ -122,8 +125,8 @@ class TestEventEngine:
             sim.trace = []
             payload = bytes(1000)
             dag = serve_bytes(sim.nodes["pub"], payload)
-            session = sim.nodes["client"].connect_to_content(dag)
-            assert session.recv_chunk() == payload
+            session = run_session(sim.nodes["client"], dag)
+            assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
             return list(sim.trace)
 
         assert run(7) == run(7)
@@ -132,7 +135,8 @@ class TestEventEngine:
     def test_trace_is_off_unless_assigned(self):
         sim = build_simulator(LINE3_TOPO)
         dag = serve_bytes(sim.nodes["pub"], bytes(3000))
-        assert sim.nodes["client"].connect_to_content(dag).recv_chunk() == bytes(3000)
+        session = run_session(sim.nodes["client"], dag)
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", bytes(3000))
         assert sim.trace is None
 
     def test_a_lossy_transfer_records_only_while_a_trace_is_assigned(self):
@@ -147,12 +151,14 @@ class TestEventEngine:
         sim._trace = spy
         payload = bytes(20_000)
         dag = serve_bytes(sim.nodes["pub"], payload)
-        assert sim.nodes["client"].connect_to_content(dag).recv_chunk() == payload
+        session = run_session(sim.nodes["client"], dag)
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
         assert sim.stats["retransmits"] > 0
         assert (calls, sim.trace) == ([], None)  # not even a call is made
 
         sim.trace = []
-        assert sim.nodes["client"].connect_to_content(dag).recv_chunk() == payload
+        session = run_session(sim.nodes["client"], dag)
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
         assert {"xmit", "drop", "deliver"} <= {rec[0] for rec in sim.trace}
         assert calls == [rec[0] for rec in sim.trace]
 
@@ -244,10 +250,9 @@ class TestConnect:
         sim = build_simulator(LINE3_TOPO)
         payload = b"from the origin"
         dag = serve_bytes(sim.nodes["pub"], payload)
-        session = sim.nodes["client"].connect_to_content(dag)
-        assert session.reply.node == "pub"
-        assert session.reply.hops == 2
-        assert session.recv_chunk() == payload
+        session = run_session(sim.nodes["client"], dag)
+        assert (session.reply.node, session.reply.hops) == ("pub", 2)
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
         assert sim.nodes["pub"].counters["sessions_served"] == 1
 
     def test_session_terminates_at_cache(self):
@@ -255,25 +260,24 @@ class TestConnect:
         payload = b"cached copy"
         serve_bytes(sim.nodes["pub"], payload)
         dag = serve_bytes(sim.nodes["router"], payload)
-        session = sim.nodes["client"].connect_to_content(dag)
-        assert session.reply.node == "router"
-        assert session.reply.hops == 1
-        assert session.recv_chunk() == payload
+        session = run_session(sim.nodes["client"], dag)
+        assert (session.reply.node, session.reply.hops) == ("router", 1)
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
         assert sim.nodes["pub"].counters["sessions_served"] == 0
 
     def test_no_route_fails_immediately(self):
         sim = build_simulator(PAIR_TOPO)
         stranger = make_fallback_dag(symbolic_xid(XidType.CID, "ghost"), [])
         with pytest.raises(NoRouteError):
-            sim.nodes["client"].connect_to_content(stranger)
+            sim.nodes["client"].start_connect(stranger)
 
     def test_black_hole_times_out(self):
         sim = build_simulator(LINE3_TOPO, max_retries=3)
         cid = compute_cid(b"nowhere")
         sim.add_route("client", cid, "router")  # router has no idea
         dag = make_fallback_dag(cid, [])
-        with pytest.raises(HandshakeTimeout):
-            sim.nodes["client"].connect_to_content(dag)
+        session = run_session(sim.nodes["client"], dag)
+        assert (session.state, session.fail_reason) == ("failed", "handshake-timeout")
 
     def test_node_fetches_content_it_serves(self):
         # the SYN is delivered on the client's own node, where the
@@ -282,9 +286,9 @@ class TestConnect:
         pub = sim.nodes["pub"]
         payload = random.Random(4).randbytes(1024 * 1024)
         dag = serve_bytes(pub, payload)
-        session = pub.connect_to_content(dag)
+        session = run_session(pub, dag)
         assert session.reply.node == "pub"
-        assert session.recv_chunk() == payload
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
         assert sim.stats["data_segments_sent"] == 1025  # each segment once
         assert sim.stats["retransmits"] == 0
 
@@ -292,7 +296,7 @@ class TestConnect:
         sim = build_simulator(PAIR_TOPO)
         host_dag = make_fallback_dag(sim.nodes["pub"].hid, [])
         with pytest.raises(Exception, match="content"):
-            sim.nodes["client"].connect_to_content(host_dag)
+            sim.nodes["client"].start_connect(host_dag)
 
 
 class TestAcceptAs:
@@ -325,17 +329,20 @@ class TestAcceptAs:
             order.reverse()
 
         # both requests in flight before either is served
-        clients = {cid: sim.nodes["client"].start_connect(dags[cid]) for cid in order}
-
-        for cid in order:
-            assert clients[cid].recv_chunk() == payloads[cid]
+        ended = []
+        clients = {
+            cid: sim.nodes["client"].start_connect(dags[cid], on_end=ended.append) for cid in order
+        }
+        sim.wait_for(lambda: len(ended) == len(clients))
+        for cid, client in clients.items():
+            assert (client.state, b"".join(client.rx_payloads)) == ("complete", payloads[cid])
         assert served == order  # served in arrival order
 
     def test_accept_returns_requested_xid(self):
         sim, payloads, dags, served = self._pair_with_two_chunks()
         target = list(dags)[1]
-        client = sim.nodes["client"].start_connect(dags[target])
-        assert client.recv_chunk() == payloads[target]
+        client = run_session(sim.nodes["client"], dags[target])
+        assert (client.state, b"".join(client.rx_payloads)) == ("complete", payloads[target])
         assert served == [target]
 
     def test_syn_for_unbound_content_not_delivered(self):
@@ -344,8 +351,8 @@ class TestAcceptAs:
         serve_bytes(pub, b"something")
         ghost = compute_cid(b"not bound")
         dag = pub.local_dag_for(ghost)
-        with pytest.raises(HandshakeTimeout):
-            sim.nodes["client"].connect_to_content(dag)
+        session = run_session(sim.nodes["client"], dag)
+        assert (session.state, session.fail_reason) == ("failed", "handshake-timeout")
         assert pub.sessions == {}
 
     def test_a_stale_route_is_withdrawn_and_the_syn_goes_on(self):
@@ -353,9 +360,9 @@ class TestAcceptAs:
         router = sim.nodes["router"]
         dag = serve_bytes(sim.nodes["pub"], b"only the origin holds it")
         router.routes.add_local(dag.intent_xid())  # but the router serves nothing
-        session = sim.nodes["client"].connect_to_content(dag)
+        session = run_session(sim.nodes["client"], dag)
         assert (session.reply.node, session.reply.hops) == ("pub", 2)
-        assert session.recv_chunk() == b"only the origin holds it"
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", b"only the origin holds it")
         assert not router.routes.is_local(dag.intent_xid())
 
 
@@ -364,24 +371,24 @@ class TestTransfer:
         sim = build_simulator(PAIR_TOPO)
         payload = random.Random(1).randbytes(64 * 1024)
         dag = serve_bytes(sim.nodes["pub"], payload)
-        session = sim.nodes["client"].connect_to_content(dag)
-        assert session.recv_chunk() == payload
+        session = run_session(sim.nodes["client"], dag)
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
         assert session.rx_segments == 64  # ceil(64KiB / 1KiB)
         assert sim.stats["retransmits"] == 0
 
     def test_empty_payload_fin_only(self):
         sim = build_simulator(PAIR_TOPO)
         dag = serve_bytes(sim.nodes["pub"], b"")
-        session = sim.nodes["client"].connect_to_content(dag)
-        assert session.recv_chunk() == b""
+        session = run_session(sim.nodes["client"], dag)
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", b"")
         assert session.rx_segments == 0
 
     def test_custom_segment_size(self):
         sim = build_simulator(PAIR_TOPO, segment_payload=100)
         payload = bytes(950)
         dag = serve_bytes(sim.nodes["pub"], payload)
-        session = sim.nodes["client"].connect_to_content(dag)
-        assert session.recv_chunk() == payload
+        session = run_session(sim.nodes["client"], dag)
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
         assert session.rx_segments == 10
 
     def test_lossy_delivery_seeded_trials(self):
@@ -390,8 +397,9 @@ class TestTransfer:
             sim = build_simulator(PAIR_LOSSY, seed=seed)
             payload = random.Random(seed).randbytes(64 * 1024)
             dag = serve_bytes(sim.nodes["pub"], payload)
-            session = sim.nodes["client"].connect_to_content(dag)
-            received = session.recv_chunk()
+            session = run_session(sim.nodes["client"], dag)
+            assert session.state == "complete"
+            received = b"".join(session.rx_payloads)
             assert hashlib.sha256(received).digest() == hashlib.sha256(payload).digest()
             total_retransmits += sim.stats["retransmits"]
         assert total_retransmits > 0
@@ -401,8 +409,8 @@ class TestTransfer:
         sim = build_simulator(topo, seed=3, max_retries=64)
         payload = random.Random(3).randbytes(16 * 1024)
         dag = serve_bytes(sim.nodes["pub"], payload)
-        session = sim.nodes["client"].connect_to_content(dag)
-        assert session.recv_chunk() == payload
+        session = run_session(sim.nodes["client"], dag)
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
 
 
 class TestGiveUp:
@@ -452,8 +460,7 @@ class TestGiveUp:
     def test_receiver_idle_timer_fails_transfer(self):
         sim, client, server = self._midway()
         sim.nodes["pub"].routes.remove_route(sim.nodes["client"].ad)
-        with pytest.raises(TransferTimeout, match="transfer-timeout"):
-            client.recv_chunk()
+        sim.wait_for(lambda: client.state in ("complete", "failed"))
         assert (client.state, client.fail_reason) == ("failed", "transfer-timeout")
 
 
@@ -520,8 +527,8 @@ class TestDeterminism:
         sim.trace = []
         payload = random.Random(2024).randbytes(64 * 1024)
         dag = serve_bytes(sim.nodes["pub"], payload)
-        session = sim.nodes["client"].connect_to_content(dag)
-        assert session.recv_chunk() == payload
+        session = run_session(sim.nodes["client"], dag)
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
         sim.step()
         digest = hashlib.sha256(repr(sim.trace).encode()).hexdigest()
         observed = (sim.now, sim.stats["retransmits"], sim.stats["data_segments_sent"], digest)
@@ -552,9 +559,9 @@ class TestDeterminism:
             # the router's tap admitted both chunks on their way past
             assert providers == ["pub", "pub", "router", "router"]
             # pub fetches content it serves: hops == 0 at the delivery
-            session = sim.nodes["pub"].connect_to_content(dags[1])
-            assert (session.reply.node, session.reply.hops) == ("pub", 0)
-            assert decode_chunk(session.recv_chunk()).payload == payloads[1]
+            session = run_session(sim.nodes["pub"], dags[1])
+            assert (session.state, session.reply.node, session.reply.hops) == ("complete", "pub", 0)
+            assert decode_chunk(b"".join(session.rx_payloads)).payload == payloads[1]
             sim.step()
             digest = hashlib.sha256(repr(sim.trace).encode()).hexdigest()
             observed = (sim.now, sim.stats["retransmits"], sim.stats["data_segments_sent"], digest)
@@ -571,8 +578,7 @@ class TestRawCapture:
         sim.nodes["router"].capture = captured.append
         payload = bytes(3000)
         dag = serve_bytes(sim.nodes["pub"], payload)
-        session = sim.nodes["client"].connect_to_content(dag)
-        session.recv_chunk()
+        assert run_session(sim.nodes["client"], dag).state == "complete"
         flags = {int(seg.flags) for seg in captured}
         assert int(SegFlags.SYN) in flags
         assert int(SegFlags.SYNACK) in flags
@@ -593,7 +599,8 @@ class TestRawCapture:
             src_dag=make_fallback_dag(sim.nodes["client"].ad, []),
             dst_dag=make_fallback_dag(sim.nodes["pub"].ad, []),
         )
-        sim.submit(lambda: sim.nodes["client"].on_segment(seg))
+        with sim.lock:
+            sim.nodes["client"].on_segment(seg)
         sim.step()
         assert [(rec[2], rec[5]) for rec in deliveries(sim)] == [("pub", seg.session.hex())]
         assert captured == []
@@ -606,8 +613,7 @@ class TestRawCapture:
                 sim.nodes["router"].capture = lambda seg: None
             payload = bytes(5000)
             dag = serve_bytes(sim.nodes["pub"], payload)
-            session = sim.nodes["client"].connect_to_content(dag)
-            session.recv_chunk()
+            assert run_session(sim.nodes["client"], dag).state == "complete"
             return list(sim.trace)
 
         assert run(False) == run(True)
@@ -631,8 +637,8 @@ class TestRawCapture:
         sim.nodes["router"].capture = captured.append
         payload = random.Random(5).randbytes(32 * 1024)
         dag = serve_bytes(sim.nodes["pub"], payload)
-        session = sim.nodes["client"].connect_to_content(dag)
-        assert session.recv_chunk() == payload
+        session = run_session(sim.nodes["client"], dag)
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
         data = [seg for seg in captured if seg.flags == SegFlags.NONE]
         assert {seg.seq for seg in data} == set(range(32))
         reassembled = {}
@@ -646,8 +652,7 @@ class TestHandshakeDuality:
         sim = build_simulator(LINE3_TOPO)
         sim.trace = []
         dag = serve_bytes(sim.nodes["pub"], bytes(2048))
-        session = sim.nodes["client"].connect_to_content(dag)
-        session.recv_chunk()
+        assert run_session(sim.nodes["client"], dag).state == "complete"
         for record in sim.trace:
             kind, flags, intent = record[0], record[6], record[8]
             if kind == "drop":
@@ -656,3 +661,30 @@ class TestHandshakeDuality:
                 assert intent is not None  # the SYN carries the request
             else:
                 assert intent is None  # nothing else resembles a request
+
+
+class TestSynAckIsAValue:
+    """The SYNACK hands its client the reply endpoint as a value, so the
+    transport neither writes nor parses URL text."""
+
+    def test_a_transfer_handles_no_url_text(self):
+        sim = build_simulator(PAIR_TOPO)
+        sim.trace = []
+        dag = serve_bytes(sim.nodes["pub"], bytes(3000))
+        before = parse_dag_url.cache_info()
+        session = run_session(sim.nodes["client"], dag)
+        after = parse_dag_url.cache_info()
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", bytes(3000))
+        assert after.hits + after.misses == before.hits + before.misses
+        synacks = [rec for rec in sim.trace if rec[6] == SegFlags.SYNACK]
+        assert synacks and all(rec[9] == 0 for rec in synacks)  # payload length
+
+    def test_netsim_imports_nothing_of_xcache_but_addressing(self):
+        imported = set()
+        for node in ast.walk(ast.parse(Path(netsim.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        ours = {name for name in imported if name.startswith(".") or name.split(".")[0] == "xcache"}
+        assert ours == {".addressing"}
