@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import lone_daemon, random_dag, record_criterion, run_session
+from conftest import lone_daemon, record_criterion, random_dag, run_session
 from xcache.addressing import XidType, make_fallback_dag, symbolic_xid
 from xcache.chunking import (
     Chunk,
@@ -192,7 +192,8 @@ def test_criterion_6_reliability_under_loss():
             pub.routes.add_local(cid)
             session = run_session(sim.nodes["client"], pub.local_dag_for(cid))
             received = b"".join(session.rx_payloads)
-            if session.state == "complete" and hashlib.sha256(received).digest() == hashlib.sha256(payload).digest():
+            same = hashlib.sha256(received).digest() == hashlib.sha256(payload).digest()
+            if session.state == "complete" and same:
                 delivered += 1
             total_retransmits += sim.stats["retransmits"]
         assert delivered == 100

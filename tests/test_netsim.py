@@ -362,7 +362,8 @@ class TestAcceptAs:
         router.routes.add_local(dag.intent_xid())  # but the router serves nothing
         session = run_session(sim.nodes["client"], dag)
         assert (session.reply.node, session.reply.hops) == ("pub", 2)
-        assert (session.state, b"".join(session.rx_payloads)) == ("complete", b"only the origin holds it")
+        received = (session.state, b"".join(session.rx_payloads))
+        assert received == ("complete", b"only the origin holds it")
         assert not router.routes.is_local(dag.intent_xid())
 
 
