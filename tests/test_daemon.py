@@ -8,9 +8,10 @@ import threading
 import pytest
 
 from conftest import LINE3_TOPO, PAIR_TOPO, lone_daemon, make_cluster, run_session
-from xcache.addressing import make_fallback_dag
+from xcache.addressing import XidType, make_fallback_dag
 from xcache.chunking import (
     Chunk,
+    ChunkError,
     PublisherKey,
     build_cid_chunk,
     compute_cid,
@@ -411,6 +412,40 @@ class TestNamedContent:
         unpublished_ref = make_fallback_dag(compute_cid(key.public), [])
         with pytest.raises(PublishError, match="not published"):
             handles["pub"].put_named_content("a/name", b"data", 60000, key, unpublished_ref)
+
+    @staticmethod
+    def assert_nothing_named(sim, daemons):
+        for name, daemon in daemons.items():
+            assert all(x.xtype is not XidType.NCID for x in daemon.manager.ids()), name
+            assert all(x.xtype is not XidType.NCID for x in sim.nodes[name].routes.locals()), name
+
+    def test_a_key_whose_halves_differ_is_refused(self, pair):
+        sim, daemons, handles = pair
+        one, two = (PublisherKey.generate(rng=random.Random(s)) for s in (11, 12))
+        cert_dag = handles["pub"].put_chunk(one.public, 600_000)
+        with pytest.raises((PublishError, ChunkError)):
+            mixed = PublisherKey(public=one.public, private=two.private)
+            handles["pub"].put_named_content("a/name", b"data", 600_000, mixed, cert_dag)
+        self.assert_nothing_named(sim, daemons)
+
+    def test_a_planted_key_chunk_is_refused(self, pair):
+        sim, daemons, handles = pair
+        key = PublisherKey.generate(rng=random.Random(13))
+        planted = Chunk(id=compute_cid(key.public), ttl_ms=600_000, payload=b"not the key")
+        daemons["pub"].inject_unverified_chunk(planted)
+        cert_dag = sim.nodes["pub"].local_dag_for(planted.id)
+        with pytest.raises((PublishError, ChunkError)):
+            handles["pub"].put_named_content("a/name", b"data", 600_000, key, cert_dag)
+        self.assert_nothing_named(sim, daemons)
+
+    def test_a_key_ref_to_another_keys_chunk_is_refused(self, pair):
+        sim, daemons, handles = pair
+        key, other = (PublisherKey.generate(rng=random.Random(s)) for s in (14, 15))
+        handles["pub"].put_chunk(key.public, 600_000)
+        other_dag = handles["pub"].put_chunk(other.public, 600_000)
+        with pytest.raises((PublishError, ChunkError)):
+            handles["pub"].put_named_content("a/name", b"data", 600_000, key, other_dag)
+        self.assert_nothing_named(sim, daemons)
 
     def test_same_name_two_publishers_distinct_content(self, line3):
         _, _, handles = line3
