@@ -91,12 +91,27 @@ def compute_ncid(name: str, fp: bytes) -> Xid:
     return Xid(XidType.NCID, content_hash(frame(name.encode("utf-8")) + fp))
 
 
+def public_half(private: bytes) -> bytes:
+    """The raw public key of a raw Ed25519 private key."""
+    return (
+        Ed25519PrivateKey.from_private_bytes(private)
+        .public_key()
+        .public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+    )
+
+
 @dataclass(frozen=True)
 class PublisherKey:
-    """An Ed25519 keypair; the private half stays on the publisher side."""
+    """An Ed25519 keypair; the private half stays on the publisher side.
+    A key with a private half is refused unless its public half is the
+    one derived from it, so what it signs verifies under ``public``."""
 
     public: bytes
     private: bytes | None = None
+
+    def __post_init__(self) -> None:
+        if self.private is not None and public_half(self.private) != self.public:
+            raise ChunkError("public key does not match the private key")
 
     @classmethod
     def generate(cls, rng=None) -> "PublisherKey":
@@ -111,10 +126,7 @@ class PublisherKey:
             serialization.PrivateFormat.Raw,
             serialization.NoEncryption(),
         )
-        pub = key.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
-        return cls(public=pub, private=priv)
+        return cls(public=public_half(priv), private=priv)
 
     def fingerprint(self) -> bytes:
         return fingerprint(self.public)

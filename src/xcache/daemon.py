@@ -12,10 +12,11 @@ finished, and the daemon starts no threads.  The daemon's lock is its
 node's engine lock, so a miss registers itself and starts its session
 in one critical section: a caller that finds a fetch in flight finds
 its session started, and a wait that drains the event queue is a
-stall.  Nothing enters any store without passing ``Xcached.verify``,
-which is also what makes opportunistic caching safe: the daemon taps
-its node's forwarding path, reassembles content sessions it forwards,
-and becomes a provider for chunks that verify.
+stall.  Nothing enters any store, and nothing read from the disk tier
+reaches a caller, without passing ``Xcached.verify``, which is also
+what makes opportunistic caching safe: the daemon taps its node's
+forwarding path, reassembles content sessions it forwards, and becomes
+a provider for chunks that verify.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .chunking import (
     DEFAULT_MAX_PAYLOAD,
     PublisherKey,
     REASON_HASH,
-    REASON_KEY,
     REASON_NCID,
     VerifyResult,
     build_cid_chunk,
@@ -48,11 +48,10 @@ from .chunking import (
     fingerprint,
     reject,
     verify_cid,
-    verify_ncid,
     verify_ncid_via,
 )
 from .netsim import NetNode, NoRouteError, SegFlags, Segment, SimStalledError
-from .store import StorageManager, StoreError
+from .store import DiskStore, StorageManager, StoreError
 from .urls import NcidUrl, canonical_name, parse_dag_url, parse_ncid_url
 
 log = logging.getLogger(__name__)
@@ -351,6 +350,8 @@ class Xcached:
 
         node.serve = self._serve
         node.capture = self._on_capture
+        for xid in self.manager.ids():  # entries reloaded from the disk tier
+            node.routes.add_local(xid)
 
     # -- handles -------------------------------------------------------
 
@@ -404,8 +405,10 @@ class Xcached:
         key_ref: DagAddress | str,
     ) -> DagAddress:
         """Publish named content.  The public key chunk referenced by
-        ``key_ref`` must already be published on this node; the daemon
-        self-verifies before serving anything."""
+        ``key_ref`` must already be published on this node and hold
+        ``key.public``.  A ``PublisherKey`` refuses a public half that is
+        not its private half's, so the chunk signed here verifies under
+        that key chunk by construction and is not verified again."""
         self.check_handle(handle)
         if isinstance(key_ref, str):
             key_ref = parse_dag_url(key_ref, allow_short=True)
@@ -414,15 +417,14 @@ class Xcached:
         key_chunk = self.manager.get(key_ref.intent_xid())
         if key_chunk is None:
             raise PublishError("public key chunk is not published here yet")
+        if key_chunk.payload != key.public:
+            raise PublishError("the key chunk does not hold the publisher's public key")
         try:
             chunk = build_ncid_chunk(
                 name, data, ttl_ms, key, key_ref, max_payload=self.config.max_payload
             )
         except ChunkError as exc:
             raise PublishError(str(exc)) from exc
-        result = verify_ncid(chunk, key_chunk)
-        if not result.accepted:
-            raise PublishError(f"self-verification failed: {result.reason}")
         return self._publish(chunk)
 
     # -- fetch ---------------------------------------------------------
@@ -437,11 +439,16 @@ class Xcached:
         bytes (or a PendingFetch when non-blocking).
 
         Fast path: present and unexpired in the local store, returned
-        inline without touching the network.  Slow path: the caller's
-        thread starts a session to the content; inside the event that
-        ends it, what arrived is verified (and discarded on failure) and
-        cached if the cache flag is set.  A miss for content another
-        caller is already fetching follows that fetch instead.
+        without a transfer.  A memory hit was verified when it was
+        admitted and returns inline; a disk hit is verified again, since
+        its file can change behind the store, fetching its key chunk
+        first if a named chunk's key is not at hand, and one that fails
+        is dropped with its route and raises ``VerificationError``.  Slow
+        path: the caller's thread starts a session to the content; inside
+        the event that ends it, what arrived is verified (and discarded
+        on failure) and cached if the cache flag is set.  A fetch of
+        content another caller is already fetching or verifying follows
+        that fetch instead.
 
         The transfer is bounded in simulated time by the transport's
         retry budget and idle timeout; a wait that drains the event queue
@@ -463,9 +470,9 @@ class Xcached:
     ):
         """Like fetch_chunk but returns ``(Chunk, FetchStats)`` so
         front-ends can report where the bytes came from.  ``key_chunk`` is
-        a verified certificate the caller already holds: a fetched named
-        chunk whose key it is verifies against it instead of fetching it
-        again."""
+        a verified certificate the caller already holds: a named chunk
+        whose key it is, fetched or read from disk, verifies against it
+        instead of fetching the key again."""
         self.check_handle(handle)
         if isinstance(addr, str):
             addr = parse_dag_url(addr, allow_short=True)
@@ -474,15 +481,14 @@ class Xcached:
             raise FetchError(f"cannot fetch a {intent.xtype.value} intent")
         with self._lock:
             chunk = self.manager.get(intent)
-            if chunk is not None:
-                self.counters["fast_path"] += 1
+            self.counters["queued" if chunk is None else "fast_path"] += 1
+            if chunk is not None and self.manager.placement(intent) != DiskStore.store_id:
                 if blocking:
                     return chunk, LOCAL_STATS
                 done = Request(handle, intent, self.node.sim)
                 done.complete(result=(chunk, LOCAL_STATS))
                 return PendingFetch(done)
 
-            self.counters["queued"] += 1
             request = Request(handle, intent, self.node.sim)
             handle._pending.add(request)
             leader = self._inflight.get(intent)
@@ -490,9 +496,11 @@ class Xcached:
                 leader.followers.append(request)
             else:
                 self._inflight[intent] = request
-                self._drive(
-                    self._fetch_remote(addr, intent, key_chunk), partial(self._finish, request)
-                )
+                if chunk is None:
+                    steps = self._fetch_remote(addr, intent, key_chunk)
+                else:
+                    steps = self._verify_disk_hit(chunk, intent, key_chunk)
+                self._drive(steps, partial(self._finish, request))
         if not blocking:
             return PendingFetch(request)
         return request.wait()
@@ -619,9 +627,6 @@ class Xcached:
     def _fetch_remote(self, addr: DagAddress, intent: Xid, held: Chunk | None):
         """A miss, as ``_drive`` runs it: transfer, decode, verify, and
         cache when the cache flag is set."""
-        chunk = self.manager.get(intent)
-        if chunk is not None:  # arrived since the miss
-            return chunk, LOCAL_STATS
         raw, stats = yield addr
         chunk = self._decode(raw)
         result = yield from self._verify_fetched(chunk, intent, held)
@@ -632,13 +637,25 @@ class Xcached:
                 self._admit(chunk, origin="fetch")
         return chunk, stats
 
+    def _verify_disk_hit(self, chunk: Chunk, intent: Xid, held: Chunk | None):
+        """A hit on the disk tier, as ``_drive`` runs it: the file can change
+        behind the store, so the chunk is verified as a fetched one is, and
+        one that fails is dropped with its local route."""
+        result = yield from self._verify_fetched(chunk, intent, held)
+        if not result.accepted:
+            with self._lock:
+                self.manager.remove(intent)
+                self.node.routes.remove_local(intent)
+            raise VerificationError(result.reason or "rejected")
+        return chunk, LOCAL_STATS
+
     def _verify_fetched(self, chunk: Chunk, intent: Xid, held: Chunk | None = None):
-        """``verify`` for a chunk from the network, as a step ``_drive``
-        runs.  A named chunk's key chunk is the local copy, else ``held``
-        (a verified certificate the caller already has) when it is that
-        key, else one fetched from the chunk's ``key_ref``, verified and
-        admitted.  ``verify_ncid_via`` asks only for plain chunks, so
-        verifying the key never fetches another key."""
+        """``verify`` for a chunk from the network or the disk tier, as a
+        step ``_drive`` runs.  A named chunk's key chunk is the local copy,
+        else ``held`` (a verified certificate the caller already has) when
+        it is that key, else one fetched from the chunk's ``key_ref``,
+        verified and admitted.  ``verify_ncid_via`` asks only for plain
+        chunks, so verifying the key never fetches another key."""
         missing = []
 
         def fetch_key(key_cid: Xid) -> Chunk | None:
@@ -666,11 +683,15 @@ class Xcached:
         return self.verify(chunk, intent, lambda key_cid: key)
 
     def verify(self, chunk: Chunk, intent: Xid, fetch_key=None) -> VerifyResult:
-        """The one check a chunk passes before it enters a store or reaches
-        an application: its id must be the requested ``intent``; a plain
-        chunk must then hash to it, and a named chunk must verify against
-        the key chunk ``fetch_key(key_cid)`` returns (by default the local
-        copy)."""
+        """The one check a chunk passes where it crosses a trust boundary:
+        a chunk from the network before it enters a store or reaches an
+        application, and a disk hit before it reaches an application, both
+        through ``_verify_fetched``.  Its id must be the requested
+        ``intent``; a plain chunk must then hash to it, and a named chunk
+        must verify against the key chunk ``fetch_key(key_cid)`` returns
+        (by default the local copy).  Memory hits were checked on
+        admission, ``_serve`` leaves the check to the receiver, and a
+        publish builds a chunk that verifies by construction."""
         if chunk.id != intent:
             return reject(REASON_HASH if intent.xtype is XidType.CID else REASON_NCID)
         if intent.xtype is XidType.CID:
@@ -778,9 +799,10 @@ class Xcached:
                 self._ingest_sweep_at = min(self._ingest_sweep_at, buf.last_seen + horizon + 1)
 
     def _ingest(self, raw: bytes, intent: Xid) -> None:
-        """Verify a reassembled capture and adopt it.  A named chunk whose
-        key chunk is not local fetches the key first, as a fetch does; its
-        SYN leaves before the captured FIN is forwarded on."""
+        """Verify a reassembled capture as a fetched chunk is verified, and
+        adopt it.  A named chunk whose key chunk is not local fetches the
+        key first; its SYN leaves before the captured FIN is forwarded
+        on."""
         try:
             chunk = self._decode(raw)
         except VerificationError as exc:
@@ -788,12 +810,7 @@ class Xcached:
             return
         if chunk.ttl_ms == 0:
             return
-        result = self.verify(chunk, intent)
-        # a decoded named chunk always has a key_ref
-        if result.reason == REASON_KEY and not self.manager.contains(chunk.key_ref.intent_xid()):
-            self._drive(self._verify_fetched(chunk, intent), partial(self._adopt, chunk))
-        else:
-            self._adopt(chunk, result)
+        self._drive(self._verify_fetched(chunk, intent), partial(self._adopt, chunk))
 
     def _adopt(self, chunk: Chunk, result: VerifyResult | None = None, error=None) -> None:
         if error is not None:

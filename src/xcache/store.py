@@ -335,6 +335,12 @@ class StorageManager:
                 self._read_on_disk.add(xid)
             return chunk
 
+    def placement(self, xid: Xid) -> str | None:
+        """The id of the store holding the entry, or None; looks only."""
+        with self._lock:
+            entry = self._entries.get(xid)
+            return entry.store_id if entry is not None else None
+
     def contains(self, xid: Xid) -> bool:
         with self._lock:
             entry = self._entries.get(xid)

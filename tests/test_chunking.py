@@ -134,6 +134,12 @@ class TestSigning:
         with pytest.raises(ChunkError):
             sign_named("n", b"d", key)
 
+    def test_a_key_refuses_halves_of_two_keys(self):
+        one, two = make_key(1), make_key(2)
+        with pytest.raises(ChunkError, match="does not match"):
+            PublisherKey(public=one.public, private=two.private)
+        assert PublisherKey(public=one.public, private=one.private) == one
+
     def test_keypair_deterministic_from_rng(self):
         assert make_key(9) == make_key(9)
         assert make_key(9) != make_key(10)

@@ -1,13 +1,19 @@
+import ast
 import hashlib
 import os
 import queue
 import random
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import LINE3_TOPO, PAIR_TOPO, lone_daemon, make_cluster, run_session
+import xcache
+from xcache import chunking
 from xcache.addressing import XidType, make_fallback_dag
 from xcache.chunking import (
     Chunk,
@@ -606,6 +612,192 @@ class TestNamedContent:
         before = daemons["client"].counters.get("key_fetches", 0)
         handles["client"].get_named_chunk(url)
         assert daemons["client"].counters["key_fetches"] - before == 1
+
+    def test_a_publish_verifies_no_signature(self, pair, monkeypatch):
+        _, _, handles = pair
+        checked = []
+        real = chunking.verify_named_signature
+        monkeypatch.setattr(
+            chunking, "verify_named_signature", lambda *args: checked.append(args) or real(*args)
+        )
+        key, cert_dag, _ = self.publish_named(handles)
+        for i in range(3):
+            handles["pub"].put_named_content(f"more/{i}", b"bytes", 600_000, key, cert_dag)
+        assert checked == []
+
+
+class TestDiskTier:
+    TTL = 600_000
+
+    @staticmethod
+    def disk_config(directory):
+        return DaemonConfig(mem_capacity_chunks=0, disk_capacity_chunks=32, disk_dir=str(directory))
+
+    @staticmethod
+    def flip(path, offset, mask=0xFF):
+        blob = bytearray(path.read_bytes())
+        blob[offset] ^= mask
+        path.write_bytes(bytes(blob))
+
+    def test_a_reopened_daemon_serves_its_disk_tier(self, tmp_path):
+        sim = build_simulator(PAIR_TOPO)
+        pub = Xcached(self.disk_config(tmp_path), node=sim.nodes["pub"])
+        dag = pub.init_handle().put_chunk(b"kept on disk", self.TTL)
+        pub.shutdown()
+
+        sim = build_simulator(PAIR_TOPO)
+        pub = Xcached(self.disk_config(tmp_path), node=sim.nodes["pub"])
+        client = Xcached(DaemonConfig(), node=sim.nodes["client"])
+        try:
+            assert sim.nodes["pub"].routes.is_local(dag.intent_xid())
+            chunk, stats = client.fetch_entry(client.init_handle(), dag)
+            assert (chunk.payload, stats.provider) == (b"kept on disk", "pub")
+        finally:
+            pub.shutdown()
+            client.shutdown()
+
+    def test_only_a_disk_hit_is_verified(self, monkeypatch, tmp_path):
+        calls = []
+        real = Xcached.verify
+        monkeypatch.setattr(Xcached, "verify", lambda *args: calls.append(args) or real(*args))
+        memory = lone_daemon(DaemonConfig())
+        disk = lone_daemon(self.disk_config(tmp_path))
+        try:
+            for daemon in (memory, disk):
+                handle = daemon.init_handle()
+                dag = handle.put_chunk(b"held here", self.TTL)
+                assert handle.fetch_chunk(dag) == b"held here"
+            assert [args[0] for args in calls] == [disk]
+        finally:
+            memory.shutdown()
+            disk.shutdown()
+
+    @pytest.mark.parametrize("named", [False, True], ids=["cid", "ncid"])
+    def test_a_tampered_disk_hit_is_dropped(self, tmp_path, named):
+        daemon = lone_daemon(self.disk_config(tmp_path))
+        try:
+            handle = daemon.init_handle()
+            if named:
+                key = PublisherKey.generate(rng=random.Random(21))
+                cert_dag = handle.put_chunk(key.public, self.TTL)
+                dag = handle.put_named_content("on/disk", b"signed", self.TTL, key, cert_dag)
+            else:
+                dag = handle.put_chunk(b"hashed", self.TTL)
+            xid = dag.intent_xid()
+            self.flip(next(tmp_path.glob(f"{xid.xtype.scheme}-*.chunk")), -1)
+            with pytest.raises(VerificationError) as info:
+                handle.fetch_chunk(dag)
+            assert info.value.reason == ("signature-invalid" if named else "hash-mismatch")
+            assert not daemon.manager.contains(xid)
+            assert not daemon.node.routes.is_local(xid)
+        finally:
+            daemon.shutdown()
+
+    def test_a_named_disk_hit_whose_key_was_evicted_fetches_the_key(self, tmp_path):
+        sim = build_simulator(PAIR_TOPO)
+        pub = Xcached(DaemonConfig(), node=sim.nodes["pub"])
+        config = DaemonConfig(mem_capacity_chunks=0, disk_capacity_chunks=3, disk_dir=str(tmp_path))
+        client = Xcached(config, node=sim.nodes["client"])
+        try:
+            publisher, reader = pub.init_handle(), client.init_handle()
+            key = PublisherKey.generate(rng=random.Random(22))
+            cert_dag = publisher.put_chunk(key.public, self.TTL)
+            dag = publisher.put_named_content("kept/name", b"signed", self.TTL, key, cert_dag)
+            client.fetch_entry(reader, dag)  # admits the key, then the named chunk
+            for i in range(2):  # the key is the least recently used: evicted first
+                reader.fetch_chunk(publisher.put_chunk(bytes([i]) * 10, self.TTL))
+            assert not client.manager.contains(cert_dag.intent_xid())
+            assert client.manager.placement(dag.intent_xid()) == "disk"
+            chunk, stats = client.fetch_entry(reader, dag)
+            assert (chunk.payload, stats.provider) == (b"signed", "local")
+            assert client.manager.contains(cert_dag.intent_xid())
+        finally:
+            pub.shutdown()
+            client.shutdown()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        plain=st.lists(st.binary(max_size=48), max_size=3),
+        named=st.lists(st.binary(max_size=48), max_size=3),
+        key_seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_no_tampered_bytes_reach_a_caller(self, plain, named, key_seed, data):
+        # a byte flipped anywhere in one chunk file of a reopened store:
+        # every fetch returns the published bytes or fails, and only the
+        # tampered chunk and the named chunks its key signs may fail.  A
+        # flip that leaves a file unreadable as its chunk makes a miss,
+        # which a lone node cannot serve
+        assume(plain or named)
+        with tempfile.TemporaryDirectory() as work:
+            config = self.disk_config(work)
+            daemon = lone_daemon(config)
+            handle = daemon.init_handle()
+            published, signed_by = {}, {}
+            for payload in plain:
+                published[handle.put_chunk(payload, self.TTL)] = payload
+            if named:
+                key = PublisherKey.generate(rng=random.Random(key_seed))
+                cert_dag = handle.put_chunk(key.public, self.TTL)
+                published[cert_dag] = key.public
+                for i, payload in enumerate(named):
+                    dag = handle.put_named_content(f"n/{i}", payload, self.TTL, key, cert_dag)
+                    published[dag] = payload
+                    signed_by[dag.intent_xid()] = cert_dag.intent_xid()
+            daemon.shutdown()
+
+            daemon = lone_daemon(config)
+            handle = daemon.init_handle()
+            victim = data.draw(st.sampled_from(sorted(Path(work).glob("*.chunk"))))
+            self.flip(
+                victim,
+                data.draw(st.integers(0, victim.stat().st_size - 1)),
+                data.draw(st.integers(1, 255)),
+            )
+            try:
+                for dag in data.draw(st.permutations(list(published))):
+                    xid = dag.intent_xid()
+                    key = signed_by.get(xid)
+                    affected = any(
+                        victim.name.endswith(f"{x.value.hex()}.chunk") for x in (xid, key) if x
+                    )
+                    try:
+                        chunk, _ = daemon.fetch_entry(handle, dag)
+                    except (VerificationError, FetchTimeoutError, UnroutableError):
+                        assert affected
+                    else:
+                        assert chunk.payload == published[dag]
+            finally:
+                daemon.shutdown()
+
+
+class TestOneVerificationPath:
+    VERIFIERS = {"verify_cid", "verify_ncid", "verify_ncid_via"}
+
+    @staticmethod
+    def references(tree, scope=()):
+        """Every name or attribute the tree reads, with the qualified name
+        of the function or class it is read in."""
+        for node in ast.iter_child_nodes(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from TestOneVerificationPath.references(node, scope + (node.name,))
+                continue
+            if isinstance(node, ast.Name):
+                yield ".".join(scope), node.id
+            elif isinstance(node, ast.Attribute):
+                yield ".".join(scope), node.attr
+            yield from TestOneVerificationPath.references(node, scope)
+
+    def test_only_xcached_verify_calls_the_chunk_checks(self):
+        source = Path(xcache.__file__).parent
+        for path in sorted(source.glob("*.py")):
+            if path.name == "chunking.py":
+                continue
+            for scope, name in self.references(ast.parse(path.read_text())):
+                if name in self.VERIFIERS:
+                    assert (path.name, scope) == ("daemon.py", "Xcached.verify"), (path.name, scope)
+                if path.name == "cli.py":
+                    assert not name.startswith("verify"), (scope, name)
 
 
 class TestDestroy:

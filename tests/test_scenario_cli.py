@@ -272,6 +272,33 @@ class TestCliPublishFetch:
         victim.write_bytes(bytes(blob))
         assert cli.main(["fetch", url, "--out", "f.bin"]) == cli.EX_VERIFY
 
+    def test_tampered_named_store_exits_5(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        key = PublisherKey.generate(rng=random.Random(74))
+        cli.save_key_files(key, "pub.key", "priv.key")
+        (tmp_path / "o.bin").write_bytes(b"genuine named content")
+        cli.main(["publish", "o.bin", "--name", "docs/tamper", "--key", "pub.key,priv.key"])
+        url = capsys.readouterr().out.strip()
+        victim = next((tmp_path / ".xcache-store").glob("ncid-*.chunk"))
+        blob = bytearray(victim.read_bytes())
+        blob[-3] ^= 0xFF  # corrupt payload bytes in place
+        victim.write_bytes(bytes(blob))
+        assert cli.main(["fetch", url, "--out", "f.bin"]) == cli.EX_VERIFY
+        assert "signature-invalid" in capsys.readouterr().err
+        assert not (tmp_path / "f.bin").exists()
+
+    def test_publish_with_key_files_of_two_keys_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        one = PublisherKey.generate(rng=random.Random(75))
+        two = PublisherKey.generate(rng=random.Random(76))
+        cli.save_key_files(one, "one.pub", "one.priv")
+        cli.save_key_files(two, "two.pub", "two.priv")
+        (tmp_path / "page.bin").write_bytes(b"page")
+        code = cli.main(["publish", "page.bin", "--name", "a/page", "--key", "one.pub,two.priv"])
+        assert code == cli.EX_USAGE
+        assert "does not match" in capsys.readouterr().err
+        assert list(tmp_path.glob(".xcache-store/*.chunk")) == []
+
     def test_publish_oversize_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "xc.conf"
