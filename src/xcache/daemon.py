@@ -480,7 +480,7 @@ class Xcached:
         if intent.xtype not in CONTENT_TYPES:
             raise FetchError(f"cannot fetch a {intent.xtype.value} intent")
         with self._lock:
-            chunk = self.manager.get(intent)
+            chunk = self._held(intent)  # a miss withdraws the route before any SYN leaves
             self.counters["queued" if chunk is None else "fast_path"] += 1
             if chunk is not None and self.manager.placement(intent) != DiskStore.store_id:
                 if blocking:
@@ -660,7 +660,7 @@ class Xcached:
 
         def fetch_key(key_cid: Xid) -> Chunk | None:
             self.counters["key_fetches"] += 1
-            key = self.manager.get(key_cid)
+            key = self._held(key_cid)
             if key is None and held is not None and held.id == key_cid:
                 key = held
             if key is None:
@@ -697,6 +697,16 @@ class Xcached:
         if intent.xtype is XidType.CID:
             return verify_cid(chunk)
         return verify_ncid_via(chunk, fetch_key or self.manager.get)
+
+    def _held(self, xid: Xid) -> Chunk | None:
+        """The store's copy of ``xid``.  On a miss the node's local route
+        for it is withdrawn, since a local route must mean held content:
+        the store drops a disk entry that no longer reads without telling
+        the daemon."""
+        chunk = self.manager.get(xid)
+        if chunk is None:
+            self.node.routes.remove_local(xid)
+        return chunk
 
     def _decode(self, raw: bytes) -> Chunk:
         try:

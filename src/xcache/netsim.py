@@ -5,12 +5,13 @@ their route tables.  A client "connects" to content: the handshake SYN
 doubles as the content request, carrying the requested identifier, and
 whichever node holds that content (origin publisher or an on-path
 cache) terminates routing and answers.  Bytes then flow over a
-Go-Back-N sliding window with cumulative ACKs and retransmission
-timers.  A node's owner can install a raw capture tap that sees every
-content segment the node forwards, which is what opportunistic caching
-feeds on.  The tap receives the live segment, not a copy, and must
-treat it as read-only: the forwarding path goes on to mutate its
-``hops`` and ``dst_position``.
+Go-Back-N sliding window with cumulative ACKs: a lost segment's window
+is resent on the third duplicate ACK or when the retransmission timer
+fires, whichever comes first.  A node's owner can install a raw capture
+tap that sees every content segment the node forwards, which is what
+opportunistic caching feeds on.  The tap receives the live segment, not
+a copy, and must treat it as read-only: the forwarding path goes on to
+mutate its ``hops`` and ``dst_position``.
 
 The engine is a discrete-event loop over logical milliseconds;
 equal-timestamp events run in enqueue order.  A queue entry is
@@ -99,6 +100,9 @@ DEFAULT_SEGMENT_PAYLOAD = 1024
 DEFAULT_WINDOW = 8
 DEFAULT_RTO_MULTIPLIER = 4
 DEFAULT_MAX_RETRIES = 16
+# Duplicate ACKs that make a sender resend its window before its timer
+# fires (fast retransmit, RFC 5681 section 3.2).
+DUPACK_THRESHOLD = 3
 
 
 class SimError(Exception):
@@ -633,9 +637,10 @@ class ClientSession(_Session):
 class ServerSession(_Session):
     """Provider side: answers the handshake with the published chunk's
     address as source, then streams the bytes it was created with under a
-    fixed-window Go-Back-N: cumulative ACKs advance the base, a timeout
-    resends the whole outstanding window, and the FIN consumes the final
-    sequence number."""
+    fixed-window Go-Back-N: cumulative ACKs advance the base, and the
+    whole outstanding window is resent on the third duplicate ACK for the
+    base (once per base) or on a timeout, whichever comes first.  The FIN
+    consumes the final sequence number."""
 
     def __init__(self, node: NetNode, syn: Segment, data: bytes):
         super().__init__(node, syn.session)
@@ -649,6 +654,7 @@ class ServerSession(_Session):
         self._total = len(self._payloads) + 1  # data segments plus the trailing FIN
         self._base = 0
         self._next_seq = 0
+        self._dupacks = 0  # duplicate ACKs for the current base
 
     def send_synack(self) -> None:
         self._emit_synack()
@@ -712,9 +718,19 @@ class ServerSession(_Session):
         self.node.on_segment(seg)
 
     def _on_ack(self, acked: int) -> None:
-        if self.state != "established" or acked <= self._base:
+        if self.state != "established" or acked < self._base:
+            return
+        if acked == self._base:
+            # A duplicate: an established sender always has data out.  At
+            # most one fast resend per base, and it spends no retry, since
+            # the duplicates show that the receiver is alive.
+            self._dupacks += 1
+            if self._dupacks == DUPACK_THRESHOLD:
+                self._resend_window()
+                self._arm(self.rto, self._send_timeout)
             return
         self._base = acked
+        self._dupacks = 0
         self._progress()
         if self._base >= self._total:
             self._end("done")
@@ -722,10 +738,13 @@ class ServerSession(_Session):
         self._pump()
         self._arm(self.rto, self._send_timeout)
 
+    def _resend_window(self) -> None:
+        for seq in range(self._base, self._next_seq):
+            self._emit(seq, retransmit=True)
+
     def _send_timeout(self) -> None:
         if self._retry("retry-limit"):
-            for seq in range(self._base, self._next_seq):
-                self._emit(seq, retransmit=True)
+            self._resend_window()
             self._arm(self.rto, self._send_timeout)
 
 

@@ -16,6 +16,7 @@ import xcache
 from xcache import chunking
 from xcache.addressing import XidType, make_fallback_dag
 from xcache.chunking import (
+    CHUNK_MAGIC,
     Chunk,
     ChunkError,
     PublisherKey,
@@ -690,6 +691,32 @@ class TestDiskTier:
             assert info.value.reason == ("signature-invalid" if named else "hash-mismatch")
             assert not daemon.manager.contains(xid)
             assert not daemon.node.routes.is_local(xid)
+        finally:
+            daemon.shutdown()
+
+    @pytest.mark.parametrize("named", [False, True], ids=["chunk", "key"])
+    def test_an_unreadable_disk_entry_takes_its_route_with_it(self, tmp_path, named):
+        # the store drops an entry whose file no longer decodes; its local
+        # route goes too, so a lone node refuses the fetch before a SYN
+        # leaves instead of waiting out a handshake toward itself
+        daemon = lone_daemon(self.disk_config(tmp_path))
+        try:
+            handle = daemon.init_handle()
+            dag = unreadable = handle.put_chunk(b"on disk", self.TTL)
+            if named:
+                key = PublisherKey.generate(rng=random.Random(23))
+                unreadable = handle.put_chunk(key.public, self.TTL)
+                dag = handle.put_named_content("on/disk", b"signed", self.TTL, key, unreadable)
+            xid = unreadable.intent_xid()
+            path = tmp_path / f"{xid.xtype.scheme}-{xid.value.hex()}.chunk"
+            self.flip(path, path.read_bytes().index(CHUNK_MAGIC))
+            sim = daemon.node.sim
+            before = sim.now
+            with pytest.raises(UnroutableError):
+                handle.fetch_chunk(dag)
+            assert sim.now == before
+            assert not daemon.node.routes.is_local(xid)
+            assert daemon.node.sessions == {}
         finally:
             daemon.shutdown()
 
