@@ -9,6 +9,7 @@ ultimately wants to reach.
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
 import weakref
@@ -19,6 +20,12 @@ from typing import Collection, Sequence
 
 XID_LEN = 20
 MAX_DAG_NODES = 16
+# Most forwarding decisions one address remembers (``DagAddress.decisions``).
+# An address is in flight at a few nodes at a time, each at one route-table
+# state, so a full memo is cleared, not trimmed: a clear costs one miss per
+# state still in use.  The URL parse memos keep addresses alive, and this
+# bound is what keeps their decisions small.
+DECISION_MEMO_MAX = MAX_DAG_NODES
 
 #: Traversal position meaning "no DAG node reached yet".
 SOURCE = None
@@ -202,6 +209,12 @@ class DagAddress:
 
     ``nodes`` excludes the implicit source; ``source_edges`` are the
     source's outgoing edges.  ``intent`` indexes the unique sink.
+
+    ``decisions`` memoizes forwarding over this address: it maps a route
+    table's ``state`` and a traversal position to what ``resolve_next``
+    returned there.  A state number belongs to one table at one moment,
+    so an entry never goes stale; it only stops being asked for.  Keys
+    are plain numbers, so the memo keeps no node or simulator alive.
     """
 
     nodes: tuple[DagNode, ...]
@@ -216,6 +229,12 @@ class DagAddress:
         """Whether the intent is a content principal; computed once, since
         every forwarding hop with a capture tap asks."""
         return self.nodes[self.intent].xid.xtype in CONTENT_TYPES
+
+    @cached_property
+    def decisions(self) -> dict[tuple[int, int | None], Decision]:
+        """The forwarding memo; callers clear it once it holds
+        ``DECISION_MEMO_MAX`` entries."""
+        return {}
 
 
 def dag_address(
@@ -372,9 +391,19 @@ def canonical_numbering(dag: DagAddress) -> list[int]:
     return order
 
 
+_ROUTE_STATES = itertools.count()
+
+
 class RouteTable:
     """Per-node forwarding state: at most one next hop per XID, plus the
     set of XIDs deliverable on this node.
+
+    ``state`` names the table's contents: every table takes a fresh
+    number from one process-wide counter when it is built and on every
+    mutation, so no two tables, and no two contents of one table, share
+    a number.  Forwarding memos (``DagAddress.decisions``) key on it.
+    Only these methods may change ``_next_hop`` and ``_local``; a write
+    that bypassed them would leave ``state`` naming old contents.
 
     Mutation is confined to the owning simulated node; reads are safe
     from anywhere.
@@ -383,21 +412,26 @@ class RouteTable:
     def __init__(self) -> None:
         self._next_hop: dict[Xid, str] = {}
         self._local: set[Xid] = set()
+        self.state = next(_ROUTE_STATES)
 
     def add_route(self, xid: Xid, next_hop: str) -> None:
         self._next_hop[xid] = next_hop
+        self.state = next(_ROUTE_STATES)
 
     def remove_route(self, xid: Xid) -> None:
         self._next_hop.pop(xid, None)
+        self.state = next(_ROUTE_STATES)
 
     def next_hop(self, xid: Xid) -> str | None:
         return self._next_hop.get(xid)
 
     def add_local(self, xid: Xid) -> None:
         self._local.add(xid)
+        self.state = next(_ROUTE_STATES)
 
     def remove_local(self, xid: Xid) -> None:
         self._local.discard(xid)
+        self.state = next(_ROUTE_STATES)
 
     def is_local(self, xid: Xid) -> bool:
         return xid in self._local
@@ -406,20 +440,19 @@ class RouteTable:
         return frozenset(self._local)
 
 
-# A decision is built for every segment a node handles, so decisions are
-# slotted dataclasses built positionally, about a third of the cost of a
-# frozen one.  Each equals only a decision of its own kind with equal
-# fields.
+# Decisions are memoized per address and shared by every segment that
+# carries it, so they are frozen.  Each equals only a decision of its own
+# kind with equal fields.
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class DeliverLocal:
     """The intent is deliverable on this node."""
 
     node: int
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Forward:
     """Hand the segment to ``next_hop``; ``position`` is the traversal
     position after advancing through any locally-held intermediate nodes,
@@ -430,7 +463,7 @@ class Forward:
     via: int
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Unroutable:
     """No usable edge; a value, not a fault."""
 

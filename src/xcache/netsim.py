@@ -13,6 +13,14 @@ opportunistic caching feeds on.  The tap receives the live segment, not
 a copy, and must treat it as read-only: the forwarding path goes on to
 mutate its ``hops`` and ``dst_position``.
 
+A node resolves a hop once per route-table state.  The decision is
+memoized on the segment's destination address (``DagAddress.decisions``)
+under the node's ``RouteTable.state`` and the position the segment
+arrived at, so the segments of one session, which share that address
+object, skip the edge scan at every hop until a route on the way
+changes.  Every route mutation takes a new state, so an entry is never
+stale, and a full memo is cleared, so it stays bounded.
+
 The engine is a discrete-event loop over logical milliseconds;
 equal-timestamp events run in enqueue order.  A queue entry is
 ``(due time, enqueue number, fn, args)`` and runs as ``fn(*args)``, so
@@ -32,9 +40,12 @@ event trace is fully determined by the topology, the workload and the
 seed, however many sessions are in flight.  Every call that touches the
 engine holds its one reentrant lock (``Simulator.lock``) throughout, so
 several threads may make them; the trace is then determined only while
-one fetch is in flight at a time.  A waiter pumps until its predicate
-holds, and a queue that drains first is a stall: every session holds a
-timer until it ends, so nothing but an event can end a wait.
+one fetch is in flight at a time.  Forwarding runs only inside such a
+call, so it queues a segment's arrival without taking the lock again;
+``schedule``, which timers and self-delivery use, takes it.  A waiter
+pumps until its predicate holds, and a queue that drains first is a
+stall: every session holds a timer until it ends, so nothing but an
+event can end a wait.
 
 The serving side never blocks.  What a node serves is its route table's
 local content set: when a SYN for a local content route is delivered,
@@ -82,6 +93,7 @@ from dataclasses import dataclass
 from .addressing import (
     ALL_XID_TYPES,
     CONTENT_TYPES,
+    DECISION_MEMO_MAX,
     SOURCE,
     AddressError,
     DagAddress,
@@ -338,7 +350,7 @@ class NetNode:
         self.name = name
         self.ad = symbolic_xid(XidType.AD, name)
         self.hid = symbolic_xid(XidType.HID, name)
-        self.understood = frozenset(understood) if understood else ALL_XID_TYPES
+        self._understood = frozenset(understood) if understood else ALL_XID_TYPES
         self.routes = RouteTable()
         self.routes.add_local(self.ad)
         self.routes.add_local(self.hid)
@@ -351,6 +363,12 @@ class NetNode:
     def __repr__(self) -> str:
         return f"NetNode({self.name})"
 
+    @property
+    def understood(self) -> frozenset[XidType]:
+        """The principal types this node can route on.  Fixed at
+        construction: memoized decisions do not key on it."""
+        return self._understood
+
     def local_dag_for(self, xid: Xid) -> DagAddress:
         """The address this node publishes for content it holds: direct
         intent edge plus a fallback chain through the node identity."""
@@ -359,8 +377,22 @@ class NetNode:
     # -- forwarding --------------------------------------------------
 
     def on_segment(self, seg: Segment) -> str:
+        """Act on one segment at this node: forward it, deliver it here,
+        or drop it as unroutable.  The decision comes from the memo of
+        the segment's ``dst_dag`` under this node's route-table state and
+        the segment's position; ``resolve_next`` runs only on a miss.
+        Callers hold the engine lock (see ``_forward``)."""
         arrived_at = seg.dst_position
-        decision = resolve_next(seg.dst_dag, self.understood, self.routes, arrived_at)
+        dag = seg.dst_dag
+        routes = self.routes
+        key = (routes.state, arrived_at)
+        decisions = dag.decisions
+        decision = decisions.get(key)
+        if decision is None:
+            decision = resolve_next(dag, self._understood, routes, arrived_at)
+            if len(decisions) >= DECISION_MEMO_MAX:
+                decisions.clear()
+            decisions[key] = decision
         if isinstance(decision, Forward):
             seg.dst_position = decision.position
             return self._forward(seg, decision.next_hop)
@@ -389,6 +421,12 @@ class NetNode:
         return disposition
 
     def _forward(self, seg: Segment, hop: str) -> str:
+        """Tap, then send ``seg`` over the link to ``hop``, which may lose
+        it.  The arrival goes straight onto the event queue, as
+        ``schedule`` would put it but without entering the engine lock:
+        every caller already holds it, since forwarding runs only inside
+        an event, inside ``start_connect``, or inside a daemon call made
+        under ``sim.lock``."""
         sim = self.sim
         if self.capture is not None and (seg.dst_dag.names_content or seg.src_dag.names_content):
             self.capture(seg)
@@ -404,7 +442,8 @@ class NetNode:
             return "dropped"
         if sim.trace is not None:
             sim._trace("xmit", self.name, seg, to=hop)
-        sim.schedule(link.delay_ms, _arrive, sim.nodes[hop], seg)
+        arrival = (sim.now + link.delay_ms, next(sim._seq), _arrive, (sim.nodes[hop], seg))
+        heapq.heappush(sim._heap, arrival)
         return "forwarded"
 
     def _deliver(self, seg: Segment, arrived_at: int | None) -> None:

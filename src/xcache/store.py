@@ -154,7 +154,9 @@ class DiskStore(ContentStore):
     def store(self, entry: CacheEntry) -> None:
         """Write to a temporary file, then rename it over the chunk's file,
         so a reader or a reopen never sees a half-written chunk.  The
-        temporary name does not match the ``*.chunk`` scan pattern."""
+        temporary name does not match the ``*.chunk`` scan pattern.  A
+        write the file system refuses (a full disk, say) raises
+        ``StoreError``: the entry was not stored."""
         blob = _META.pack(
             _META_MAGIC, entry.inserted_at, entry.last_access, entry.expires_at
         ) + encode_chunk(entry.chunk)
@@ -163,9 +165,9 @@ class DiskStore(ContentStore):
         try:
             tmp.write_bytes(blob)
             os.replace(tmp, path)
-        except OSError:
+        except OSError as exc:
             tmp.unlink(missing_ok=True)
-            raise
+            raise StoreError(f"could not write {path.name}: {exc}") from exc
         self._files[entry.chunk.id] = path
 
     def get(self, xid: Xid) -> Chunk | None:

@@ -1,4 +1,5 @@
 import ast
+import errno
 import hashlib
 import os
 import queue
@@ -639,6 +640,69 @@ class TestDiskTier:
         blob = bytearray(path.read_bytes())
         blob[offset] ^= mask
         path.write_bytes(bytes(blob))
+
+    @staticmethod
+    def fill_disk(monkeypatch):
+        """From now on every chunk file write fails as on a full disk."""
+
+        def no_space(path, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(Path, "write_bytes", no_space)
+
+    def test_a_full_disk_refuses_a_publish(self, monkeypatch, tmp_path):
+        daemon = lone_daemon(self.disk_config(tmp_path))
+        try:
+            handle = daemon.init_handle()
+            self.fill_disk(monkeypatch)
+            with pytest.raises(PublishError):
+                handle.put_chunk(b"no room", self.TTL)
+            assert daemon.manager.ids() == []
+            assert daemon.node.routes.locals() == {daemon.node.ad, daemon.node.hid}
+            assert list(tmp_path.iterdir()) == []
+        finally:
+            daemon.shutdown()
+
+    def test_a_full_disk_client_gets_its_bytes_uncached(self, monkeypatch, tmp_path):
+        sim = build_simulator(PAIR_TOPO)
+        pub = Xcached(DaemonConfig(), node=sim.nodes["pub"])
+        client = Xcached(self.disk_config(tmp_path), node=sim.nodes["client"])
+        try:
+            dag = pub.init_handle().put_chunk(b"fetched, not kept", self.TTL)
+            self.fill_disk(monkeypatch)
+            reader = client.init_handle()
+            for _ in range(2):  # nothing was kept, so the second fetch goes out again
+                chunk, stats = client.fetch_entry(reader, dag)
+                assert (chunk.payload, stats.provider) == (b"fetched, not kept", "pub")
+            assert not client.manager.contains(dag.intent_xid())
+            assert not client.node.routes.is_local(dag.intent_xid())
+            assert client._inflight == {}
+        finally:
+            pub.shutdown()
+            client.shutdown()
+
+    def test_a_full_disk_router_forwards_what_it_cannot_cache(self, monkeypatch, tmp_path):
+        sim = build_simulator(LINE3_TOPO)
+        daemons = {
+            name: Xcached(DaemonConfig(), node=sim.nodes[name]) for name in ("client", "pub")
+        }
+        router = daemons["router"] = Xcached(self.disk_config(tmp_path), node=sim.nodes["router"])
+        try:
+            dag = daemons["pub"].init_handle().put_chunk(bytes(range(256)) * 12, self.TTL)
+            self.fill_disk(monkeypatch)
+            sim.trace = []
+            chunk, stats = daemons["client"].fetch_entry(daemons["client"].init_handle(), dag)
+            assert (chunk.payload, stats.provider) == (bytes(range(256)) * 12, "pub")
+            sim.step()  # the client's last ACKs are still on the way
+            # every segment handed to the router went on toward its next hop
+            arrived = [r for r in sim.trace if r[0] == "xmit" and r[3] == "router"]
+            sent_on = [r for r in sim.trace if r[2] == "router" and r[0] in ("xmit", "drop")]
+            assert len(sent_on) == len(arrived)
+            assert not router.manager.contains(dag.intent_xid())
+            assert not router.node.routes.is_local(dag.intent_xid())
+            assert router._ingest_buffers == {}
+        finally:
+            shutdown_all(daemons)
 
     def test_a_reopened_daemon_serves_its_disk_tier(self, tmp_path):
         sim = build_simulator(PAIR_TOPO)

@@ -1,6 +1,8 @@
 import ast
+import gc
 import hashlib
 import random
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from conftest import LINE3_TOPO, PAIR_TOPO, make_cluster, run_session
-from xcache.addressing import XidType, make_fallback_dag, symbolic_xid
+from xcache.addressing import DECISION_MEMO_MAX, XidType, make_fallback_dag, symbolic_xid
 from xcache.chunking import compute_cid, decode_chunk
 from xcache import netsim
 from xcache.daemon import DaemonConfig
@@ -22,7 +24,7 @@ from xcache.netsim import (
     build_simulator,
     parse_topology,
 )
-from xcache.urls import parse_dag_url
+from xcache.urls import parse_dag_url, serialize_dag_url
 
 PAIR_LOSSY = """
 node client
@@ -567,6 +569,49 @@ class TestRelease:
             client_node.start_connect(stranger)
         assert client_node.sessions == {} and client_node.endpoints == {}
         assert client_node.routes.locals() == {client_node.ad, client_node.hid}
+
+
+class TestDecisionMemo:
+    """Forwarding decisions are memoized on the address object, which
+    ``parse_dag_url`` shares between every simulator in the process."""
+
+    PAYLOAD = bytes(range(256)) * 5
+
+    def traffic(self, dag, sizes):
+        """Serve ``PAYLOAD`` on a fresh LINE3 simulator and fetch it over
+        ``dag`` 30 times, noting the memo's size after every hop; returns
+        a weak reference to the simulator."""
+        sim = build_simulator(LINE3_TOPO)
+        serve_bytes(sim.nodes["pub"], self.PAYLOAD)
+        for node in sim.nodes.values():
+            # every hop, the origin's first included, goes through here
+            def on_segment(seg, inner=node.on_segment):
+                disposition = inner(seg)
+                sizes.append(len(dag.decisions))
+                return disposition
+
+            node.on_segment = on_segment
+        for _ in range(30):
+            session = run_session(sim.nodes["client"], dag)
+            assert b"".join(session.rx_payloads) == self.PAYLOAD
+        return weakref.ref(sim)
+
+    def test_a_shared_address_keeps_no_simulator_alive(self, monkeypatch):
+        misses = []
+        resolve = netsim.resolve_next
+        monkeypatch.setattr(
+            netsim, "resolve_next", lambda dag, *args: misses.append(dag) or resolve(dag, *args)
+        )
+        pub = [symbolic_xid(XidType.AD, "pub"), symbolic_xid(XidType.HID, "pub")]
+        published = make_fallback_dag(compute_cid(self.PAYLOAD), pub)
+        dag = parse_dag_url(serialize_dag_url(published))
+        sizes = []
+        first = self.traffic(dag, sizes)
+        second = self.traffic(dag, sizes)
+        gc.collect()
+        assert first() is None and second() is None
+        assert misses.count(dag) > DECISION_MEMO_MAX  # the memo filled up, and was cleared
+        assert 0 < max(sizes) <= DECISION_MEMO_MAX
 
 
 class TestEverySessionEnds:

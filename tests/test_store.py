@@ -454,8 +454,9 @@ class TestStores:
             raise OSError("no space left on device")
 
         monkeypatch.setattr(Path, "write_bytes", torn_write)
-        with pytest.raises(OSError):
+        with pytest.raises(StoreError) as info:
             store.store(CacheEntry(a, "disk", 0, 50, 200))
+        assert isinstance(info.value.__cause__, OSError)
         monkeypatch.undo()
         assert [p.name for p in tmp_path.glob("*.chunk")] == [f"cid-{a.id.value.hex()}.chunk"]
         assert list(tmp_path.glob("*.tmp")) == []
