@@ -340,6 +340,9 @@ class Xcached:
         )
         self.caching = cache_flag(self.config.cache_policy)
         self.counters: Counter = Counter()
+        # digests of the publisher signatures this daemon has accepted; a
+        # node is its own trust domain, so no daemon sees another's
+        self._signatures: set[bytes] = set()
 
         self._lock = node.sim.lock
         self._handles: set[XcacheHandle] = set()
@@ -640,7 +643,9 @@ class Xcached:
     def _verify_disk_hit(self, chunk: Chunk, intent: Xid, held: Chunk | None):
         """A hit on the disk tier, as ``_drive`` runs it: the file can change
         behind the store, so the chunk is verified as a fetched one is, and
-        one that fails is dropped with its local route."""
+        one that fails is dropped with its local route.  An unchanged named
+        chunk re-verifies through the signature memo; changed bytes give a
+        different memo key and are verified in full."""
         result = yield from self._verify_fetched(chunk, intent, held)
         if not result.accepted:
             with self._lock:
@@ -691,12 +696,19 @@ class Xcached:
         must verify against the key chunk ``fetch_key(key_cid)`` returns
         (by default the local copy).  Memory hits were checked on
         admission, ``_serve`` leaves the check to the receiver, and a
-        publish builds a chunk that verifies by construction."""
+        publish builds a chunk that verifies by construction.
+
+        The daemon's signature memo skips only the Ed25519 step of a
+        named chunk whose key, signature, name and payload are
+        byte-identical to ones it accepted before, as when it meets an
+        evicted chunk again or rereads an unchanged disk file; the key
+        chunk's hash, the key reference and the name binding are checked
+        every time.  See ``chunking.verify_named_signature``."""
         if chunk.id != intent:
             return reject(REASON_HASH if intent.xtype is XidType.CID else REASON_NCID)
         if intent.xtype is XidType.CID:
             return verify_cid(chunk)
-        return verify_ncid_via(chunk, fetch_key or self.manager.get)
+        return verify_ncid_via(chunk, fetch_key or self.manager.get, self._signatures)
 
     def _held(self, xid: Xid) -> Chunk | None:
         """The store's copy of ``xid``.  On a miss the node's local route
@@ -717,16 +729,20 @@ class Xcached:
     def _admit(self, chunk: Chunk, origin: str) -> bool:
         """Single chokepoint through which chunks enter the store (verified
         ones, and those inject_unverified_chunk plants); adds the chunk's
-        local route, withdraws evicted content and fans out notifications.
-        Returns whether a store admitted the chunk."""
+        local route, withdraws evicted content and fans out notifications,
+        also for evictions made for a write that then failed.  Returns
+        whether a store admitted the chunk."""
+        admitted = True
         try:
             _, evicted = self.manager.store(chunk)
         except StoreError as exc:
             log.warning("store refused chunk %s: %s", chunk.id.text(short=True), exc)
-            return False
+            admitted, evicted = False, exc.evicted
         for victim in evicted:
             self.node.routes.remove_local(victim)
             self._notify(NotifEvent.CHUNK_EVICTED, victim)
+        if not admitted:
+            return False
         self.node.routes.add_local(chunk.id)
         if origin != "publish":
             self._notify(NotifEvent.CHUNK_ARRIVED, chunk.id)

@@ -35,7 +35,11 @@ _HEAP_SLACK = 4
 
 
 class StoreError(Exception):
-    """Placement or store-backend failure."""
+    """Placement or store-backend failure.  ``evicted`` holds the ids
+    ``StorageManager.store`` evicted to make room for a write that then
+    failed."""
+
+    evicted: tuple[Xid, ...] = ()
 
 
 class LogicalClock:
@@ -295,7 +299,9 @@ class StorageManager:
         """Place a verified chunk; returns (store id, evicted ids).
 
         A zero TTL means "do not cache": the store refuses it.  Storing
-        an id that is already present refreshes its deadline instead.
+        an id that is already present refreshes its deadline instead.  A
+        write that fails after evictions made room for it raises
+        ``StoreError`` carrying their ids: they are gone all the same.
         """
         with self._lock:
             if chunk.ttl_ms == 0:
@@ -316,7 +322,11 @@ class StorageManager:
             evicted: list[Xid] = []
             while not target.has_slot():
                 evicted.append(self.evict_one(target.store_id))
-            self._write(target, chunk, self._insert_seq, now)
+            try:
+                self._write(target, chunk, self._insert_seq, now)
+            except StoreError as exc:
+                exc.evicted = tuple(evicted)
+                raise
             self._insert_seq += 1
             return target.store_id, evicted
 

@@ -24,7 +24,9 @@ call and raises the same error each time.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
+from urllib.parse import unquote_to_bytes
 
 from .addressing import (
     AddressError,
@@ -190,22 +192,20 @@ def pct_encode(text: str) -> str:
     return "".join([table[byte] for byte in text.encode("utf-8")])
 
 
+# A '%' not followed by two hex digits, or any character outside ASCII
+# (pct_encode escapes every such character, so one left bare is an error).
+_BAD_ESCAPE = re.compile(r"%(?![0-9a-fA-F]{2})|[^\x00-\x7f]")
+
+
 def pct_decode(text: str, base_offset: int = 0) -> str:
-    raw = bytearray()
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "%":
-            hexpart = text[i + 1 : i + 3]
-            if len(hexpart) != 2 or any(c not in "0123456789abcdefABCDEF" for c in hexpart):
-                raise UrlParseError("escape", base_offset + i, f"bad percent escape {text[i:i+3]!r}")
-            raw.append(int(hexpart, 16))
-            i += 3
-        else:
-            raw.append(ord(ch))
-            i += 1
+    bad = _BAD_ESCAPE.search(text)
+    if bad is not None:
+        i = bad.start()
+        if text[i] == "%":
+            raise UrlParseError("escape", base_offset + i, f"bad percent escape {text[i:i+3]!r}")
+        raise UrlParseError("escape", base_offset + i, f"unescaped non-ASCII character {text[i]!r}")
     try:
-        return raw.decode("utf-8")
+        return unquote_to_bytes(text).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise UrlParseError("escape", base_offset, "escaped bytes are not valid UTF-8") from exc
 

@@ -125,6 +125,31 @@ def lone_daemon(config, clock=None):
 
 
 @pytest.fixture
+def ed25519_verifies(monkeypatch):
+    """Every Ed25519 verification ``xcache.chunking`` makes from now on, as
+    (signature, message) pairs, counted by a wrapper around the key class."""
+    from xcache import chunking
+
+    calls = []
+    real = chunking.Ed25519PublicKey
+
+    class CountingPublicKey:
+        def __init__(self, key):
+            self._key = key
+
+        @classmethod
+        def from_public_bytes(cls, data):
+            return cls(real.from_public_bytes(data))
+
+        def verify(self, signature, message):
+            calls.append((signature, message))
+            self._key.verify(signature, message)
+
+    monkeypatch.setattr(chunking, "Ed25519PublicKey", CountingPublicKey)
+    return calls
+
+
+@pytest.fixture
 def line3():
     sim, daemons, handles = make_cluster(LINE3_TOPO)
     yield sim, daemons, handles

@@ -1,7 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from xcache import chunking
 from xcache.addressing import XidType, make_fallback_dag, symbolic_xid
 from xcache.chunking import (
     Chunk,
@@ -143,6 +146,19 @@ class TestSigning:
     def test_keypair_deterministic_from_rng(self):
         assert make_key(9) == make_key(9)
         assert make_key(9) != make_key(10)
+
+    def test_the_loaded_signer_is_no_part_of_the_key(self):
+        one = make_key(5)
+        two = PublisherKey(public=one.public, private=one.private)
+        assert one.signer is not None and two.signer is not None
+        assert one.signer is not two.signer
+        assert one == two and hash(one) == hash(two)
+        assert repr(one) == repr(two) and "signer" not in repr(one)
+        assert sign_named("n", b"d", one) == sign_named("n", b"d", two)
+        public_only = PublisherKey(public=one.public)
+        assert public_only.signer is None
+        with pytest.raises(ChunkError, match="signing requires the private key"):
+            sign_named("n", b"d", public_only)
 
 
 class TestBuilders:
@@ -334,6 +350,98 @@ class TestVerifyNcid:
         chunk, _, _, _ = publish_pair()
         other = build_cid_chunk(b"some other content", 60000)
         assert verify_ncid(chunk, other).reason == REASON_KEY
+
+
+class TestSignatureMemo:
+    def test_only_an_accepted_signature_is_remembered(self, ed25519_verifies):
+        key, memo = make_key(), set()
+        sig = sign_named("n", b"d", key)
+        for _ in range(2):
+            assert not verify_named_signature(sig, "n", b"e", key.public, memo)
+        assert memo == set()
+        for _ in range(3):
+            assert verify_named_signature(sig, "n", b"d", key.public, memo)
+        assert len(memo) == 1
+        assert len(ed25519_verifies) == 3  # both rejections, then the first acceptance
+
+    def test_no_byte_moved_across_a_field_boundary_is_covered(self, ed25519_verifies):
+        key, memo = make_key(), set()
+        name, payload = "ab", b"cd"
+        sig = sign_named(name, payload, key)
+        assert verify_named_signature(sig, name, payload, key.public, memo)
+        # an Ed25519 signature ends in a byte below 0x80 (S < 2**253), so it
+        # moves into a name as one UTF-8 character
+        shifted = [
+            (sig[:-1], chr(sig[-1]) + name, payload),  # signature -> name
+            (sig + name[0].encode(), name[1:], payload),  # name -> signature
+            (sig, name[:-1], name[-1].encode() + payload),  # name -> payload
+            (sig, name + chr(payload[0]), payload[1:]),  # payload -> name
+        ]
+        for fields in shifted:
+            assert not verify_named_signature(*fields, key.public, memo)
+        assert len(ed25519_verifies) == 1 + len(shifted)  # none was a memo hit
+        assert len(memo) == 1
+
+    def test_the_memo_never_exceeds_its_bound(self, monkeypatch):
+        monkeypatch.setattr(chunking, "SIGNATURE_MEMO_MAX", 3)
+        key, memo = make_key(), set()
+        for i in range(10):
+            payload = bytes([i])
+            assert verify_named_signature(
+                sign_named("n", payload, key), "n", payload, key.public, memo
+            )
+            assert 1 <= len(memo) <= 3
+
+    MUTATIONS = ["none", "payload", "name", "signature", "key"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        contents=st.lists(
+            st.tuples(st.text(min_size=1, max_size=8), st.binary(min_size=1, max_size=32)),
+            min_size=1,
+            max_size=3,
+        ),
+        pick=st.integers(min_value=0),
+        mutation=st.sampled_from(MUTATIONS),
+        at=st.integers(min_value=0),
+    )
+    def test_a_memo_never_changes_a_result(self, contents, pick, mutation, at):
+        # a memo filled with accepted chunks gives the same result as no
+        # memo, for any of them after any one mutation, and keeps no rejection
+        keys = [make_key(41), make_key(42)]
+        key_chunks = [build_cid_chunk(k.public, 60000) for k in keys]
+        key_refs = [make_fallback_dag(kc.id, [symbolic_xid("AD", "pubnode")]) for kc in key_chunks]
+        published, memo = [], set()
+        for i, (name, payload) in enumerate(contents):
+            k = i % 2
+            chunk = build_ncid_chunk(name, payload, 60000, keys[k], key_refs[k])
+            assert verify_ncid(chunk, key_chunks[k], memo).accepted
+            published.append((chunk, k))
+        chunk, k = published[pick % len(published)]
+        key_chunk = key_chunks[k]
+        if mutation == "payload":
+            flipped = bytearray(chunk.payload)
+            flipped[at % len(flipped)] ^= 1
+            chunk = replace(chunk, payload=bytes(flipped))
+        elif mutation == "name":
+            name = chunk.name + "~"
+            chunk = replace(chunk, name=name, id=compute_ncid(name, chunk.fingerprint))
+        elif mutation == "signature":
+            flipped = bytearray(chunk.signature)
+            flipped[at % len(flipped)] ^= 1
+            chunk = replace(chunk, signature=bytes(flipped))
+        elif mutation == "key":  # rebound to the other key, keeping its signature
+            k = 1 - k
+            fp = keys[k].fingerprint()
+            chunk = replace(
+                chunk, id=compute_ncid(chunk.name, fp), fingerprint=fp, key_ref=key_refs[k]
+            )
+            key_chunk = key_chunks[k]
+        before = set(memo)
+        result = verify_ncid(chunk, key_chunk, memo)
+        assert result == verify_ncid(chunk, key_chunk)
+        assert result.accepted == (mutation == "none")
+        assert memo == before
 
 
 class TestConstantCostVerification:

@@ -704,6 +704,25 @@ class TestDiskTier:
         finally:
             shutdown_all(daemons)
 
+    def test_evictions_made_for_a_failed_write_are_reported(self, monkeypatch, tmp_path):
+        config = DaemonConfig(mem_capacity_chunks=0, disk_capacity_chunks=2, disk_dir=str(tmp_path))
+        daemon = lone_daemon(config)
+        try:
+            handle = daemon.init_handle()
+            seen = []
+            handle.register_notif(NotifEvent.CHUNK_EVICTED, lambda h, n: seen.append(n))
+            oldest = handle.put_chunk(b"first", self.TTL).intent_xid()
+            kept = handle.put_chunk(b"second", self.TTL).intent_xid()
+            self.fill_disk(monkeypatch)
+            with pytest.raises(PublishError):
+                handle.put_chunk(b"third", self.TTL)  # evicts the oldest, then fails
+            assert daemon.manager.ids() == [kept]
+            assert daemon.node.routes.locals() == {daemon.node.ad, daemon.node.hid, kept}
+            assert handle.process_notif() == 1
+            assert [n.addr.intent_xid() for n in seen] == [oldest]
+        finally:
+            daemon.shutdown()
+
     def test_a_reopened_daemon_serves_its_disk_tier(self, tmp_path):
         sim = build_simulator(PAIR_TOPO)
         pub = Xcached(self.disk_config(tmp_path), node=sim.nodes["pub"])
@@ -889,6 +908,56 @@ class TestOneVerificationPath:
                     assert (path.name, scope) == ("daemon.py", "Xcached.verify"), (path.name, scope)
                 if path.name == "cli.py":
                     assert not name.startswith("verify"), (scope, name)
+
+
+class TestSignatureMemo:
+    """Each daemon remembers the publisher signatures it accepted, so a
+    byte-identical named chunk met again costs no second Ed25519 check."""
+
+    TTL = 600_000
+
+    @staticmethod
+    def publish(handle, payload=b"signed once"):
+        key = PublisherKey.generate(rng=random.Random(31))
+        cert_dag = handle.put_chunk(key.public, TestSignatureMemo.TTL)
+        return handle.put_named_content("memo/name", payload, TestSignatureMemo.TTL, key, cert_dag)
+
+    def test_a_named_chunk_fetched_again_is_verified_once(self, pair, ed25519_verifies):
+        _, daemons, handles = pair
+        dag = self.publish(handles["pub"])
+        for _ in range(2):
+            assert handles["client"].fetch_chunk(dag) == b"signed once"
+            handles["client"].destroy_chunk(dag)
+        assert len(ed25519_verifies) == 1
+        assert len(daemons["client"]._signatures) == 1
+
+    def test_a_daemon_on_the_path_verifies_for_itself(self, line3, ed25519_verifies):
+        _, daemons, handles = line3
+        dag = self.publish(handles["pub"])
+        assert handles["client"].fetch_chunk(dag) == b"signed once"
+        assert daemons["router"].manager.contains(dag.intent_xid())  # captured and verified
+        assert len(ed25519_verifies) == 2
+        assert daemons["router"]._signatures == daemons["client"]._signatures
+        assert daemons["router"]._signatures is not daemons["client"]._signatures
+
+    def test_a_disk_file_changed_after_a_clean_read_is_rejected(self, tmp_path, ed25519_verifies):
+        daemon = lone_daemon(TestDiskTier.disk_config(tmp_path))
+        try:
+            handle = daemon.init_handle()
+            dag = self.publish(handle)
+            xid = dag.intent_xid()
+            for _ in range(2):  # verified, then remembered
+                assert handle.fetch_chunk(dag) == b"signed once"
+            assert len(ed25519_verifies) == 1
+            TestDiskTier.flip(next(tmp_path.glob(f"{xid.xtype.scheme}-*.chunk")), -1)
+            with pytest.raises(VerificationError) as info:
+                handle.fetch_chunk(dag)
+            assert info.value.reason == "signature-invalid"
+            assert len(ed25519_verifies) == 2
+            assert not daemon.manager.contains(xid)
+            assert not daemon.node.routes.is_local(xid)
+        finally:
+            daemon.shutdown()
 
 
 class TestDestroy:

@@ -353,10 +353,52 @@ def reference_pct_encode(text: str) -> str:
     return "".join(out)
 
 
+def reference_pct_decode(text: str, base_offset: int = 0) -> str:
+    """The character-at-a-time decoder that the regex-checked one replaced,
+    with an unescaped non-ASCII character made a typed error."""
+    raw = bytearray()
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "%":
+            hexpart = text[i + 1 : i + 3]
+            if len(hexpart) != 2 or any(c not in "0123456789abcdefABCDEF" for c in hexpart):
+                raise UrlParseError("escape", base_offset + i, f"bad percent escape {text[i:i+3]!r}")
+            raw.append(int(hexpart, 16))
+            i += 3
+        elif ord(ch) > 0x7F:
+            raise UrlParseError("escape", base_offset + i, f"unescaped non-ASCII character {ch!r}")
+        else:
+            raw.append(ord(ch))
+            i += 1
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UrlParseError("escape", base_offset, "escaped bytes are not valid UTF-8") from exc
+
+
+def _decoded(decode, text):
+    try:
+        return decode(text, 5)
+    except UrlParseError as exc:
+        return exc.kind, exc.position, str(exc)
+
+
 class TestPctEncoding:
     @given(st.text())
     def test_matches_the_reference_encoder(self, text):
         assert pct_encode(text) == reference_pct_encode(text)
+
+    @given(st.text(alphabet=st.sampled_from("%%%0aAfFgz/=&+ \x00\x7féÿ€☃\ud800")))
+    def test_matches_the_reference_decoder(self, text):
+        assert _decoded(pct_decode, text) == _decoded(reference_pct_decode, text)
+
+    @pytest.mark.parametrize("url", ["ncid://€/", "ncid://é/", "ncid://a/k=€", "ncid://a%41é/"])
+    def test_an_unescaped_non_ascii_character_is_an_escape_error(self, url):
+        position = next(i for i, ch in enumerate(url) if not ch.isascii())
+        kind, at, message = _failure(parse_ncid_url, url)
+        assert (kind, at) == ("escape", position)
+        assert "non-ASCII" in message
 
     def test_reserved_set(self):
         assert pct_encode("a/b&c=d%e#f") == "a%2fb%26c%3dd%25e%23f"
