@@ -8,13 +8,13 @@ Subcommands:
     url       encode/decode DAG URLs and compute named-content digests
 
 ``publish`` and ``fetch`` run against a single-node daemon whose disk
-store lives in the configured directory (default ``.xcache-store``), so
-published content survives between invocations.  Multi-node behavior
-(remote fetches, opportunistic caching, poisoning attacks) is driven
-through ``sim`` scenario scripts.
+store is one pack file in the configured directory (default
+``.xcache-store``), so published content survives between invocations.
+Multi-node behavior (remote fetches, opportunistic caching, poisoning
+attacks) is driven through ``sim`` scenario scripts.
 
 ``fetch`` checks nothing itself: the daemon verifies each chunk it reads
-from disk before returning it, so a file tampered with between
+from disk before returning it, so a record tampered with between
 invocations exits 5.  ``publish`` refuses key files whose two halves do
 not match before it stores anything.
 

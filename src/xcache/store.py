@@ -12,13 +12,14 @@ from __future__ import annotations
 import heapq
 import logging
 import os
+import re
 import struct
 import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 from .addressing import Xid
 from .chunking import Chunk, ChunkError, decode_chunk, encode_chunk
@@ -28,16 +29,44 @@ log = logging.getLogger(__name__)
 _META = struct.Struct(">4sQQQ")  # magic, inserted_at, last_access, expires_at
 _META_MAGIC = b"XCS1"
 _LAST_ACCESS = struct.Struct(">Q")
-_LAST_ACCESS_AT = struct.calcsize(">4sQ")  # offset of last_access in _META
+# A disk record's frame: a live or killed magic, then the body length.
+_FRAME = struct.Struct(">4sI")
+_LIVE = b"XPR+"
+_KILLED = b"XPR-"
+_ANY_FRAME = re.compile(rb"XPR[+-]")  # either magic
+_SCAN_BLOCK = 1 << 16  # bytes read at a time when looking past a damaged frame
+_HEADER = _FRAME.size + _META.size  # where a record's encoded chunk starts
+_LAST_ACCESS_AT = _FRAME.size + struct.calcsize(">4sQ")  # in a record
+PACK_NAME = "chunks.pack"
 _TMP_SUFFIX = ".tmp"
 # Stale heap items tolerated beyond one per live entry before a rebuild.
 _HEAP_SLACK = 4
 
 
+def _create_or_open(path: str, flags: int) -> int:
+    return os.open(path, flags | os.O_CREAT, 0o644)
+
+
+def _next_frame(fd: int, at: int, size: int) -> int | None:
+    """The offset of the first frame at or after ``at`` with a known magic
+    and a body that fits in the file, or None."""
+    while True:
+        block = os.pread(fd, _SCAN_BLOCK, at)
+        for found in _ANY_FRAME.finditer(block):
+            start = at + found.start()
+            if start + _FRAME.size <= size:
+                _, body_len = _FRAME.unpack(os.pread(fd, _FRAME.size, start))
+                if start + _FRAME.size + body_len <= size:
+                    return start
+        if len(block) < _SCAN_BLOCK:
+            return None
+        at += len(block) - (len(_LIVE) - 1)  # a magic may straddle two blocks
+
+
 class StoreError(Exception):
     """Placement or store-backend failure.  ``evicted`` holds the ids
-    ``StorageManager.store`` evicted to make room for a write that then
-    failed."""
+    ``StorageManager.store`` dropped for a write that then failed: those
+    evicted to make room, and the entry it was replacing."""
 
     evicted: tuple[Xid, ...] = ()
 
@@ -136,111 +165,215 @@ class MemoryStore(ContentStore):
 
 
 class DiskStore(ContentStore):
-    """One file per chunk named by its hex id, inside a configured
-    directory.  Each file carries the entry bookkeeping stamps before the
-    encoded chunk, so unexpired entries survive a close/reopen cycle.
-    The last-access stamp sits at a fixed offset in that header, so a
-    read's recency can be stamped without rewriting the chunk.  The
-    in-memory index is rebuilt by scanning on open.
+    """Every chunk in one append-only pack file, ``chunks.pack``, inside a
+    configured directory, found through an in-memory index of each id's
+    record offset and length.
+
+    A record is a frame (a live or killed magic and the body length),
+    then the entry's stamps (``_META``), then the ``encode_chunk``
+    bytes.  A write appends a record at the end of the last good one;
+    replacing an id appends the new record before it kills the old one,
+    so a reopen between the two finds the later one.  A kill and a
+    read's access stamp rewrite a few bytes in place.  Once killed bytes
+    exceed live bytes, the live records are copied to a temporary pack
+    that then replaces the old one, so the file stays within about twice
+    its live bytes.  ``load_entries`` indexes an existing pack and must
+    run before anything else touches it.  The file is created on the
+    first write, and its descriptor is held until ``close``.  Nothing is
+    ``fsync``ed: crash consistency on a file system that may reorder or
+    drop unsynced writes is out of scope (Pillai et al., "All File
+    Systems Are Not Created Equal", OSDI 2014).
     """
 
     store_id = "disk"
 
     def __init__(self, directory: str | Path, capacity: int):
         super().__init__(capacity)
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._files: dict[Xid, Path] = {}
+        Path(directory).mkdir(parents=True, exist_ok=True)
+        self.path = Path(directory) / PACK_NAME
+        self._file: BinaryIO | None = None
+        self._index: dict[Xid, tuple[int, int]] = {}  # id -> (offset, length)
+        self._end = 0  # where the next record goes; load_entries finds it
+        self._live = 0  # bytes of indexed records
 
-    def _path_for(self, xid: Xid) -> Path:
-        return self.directory / f"{xid.xtype.scheme}-{xid.value.hex()}.chunk"
+    def _fd(self) -> int:
+        if self._file is None:
+            self._file = open(self.path, "r+b", buffering=0, opener=_create_or_open)
+        return self._file.fileno()
 
     def store(self, entry: CacheEntry) -> None:
-        """Write to a temporary file, then rename it over the chunk's file,
-        so a reader or a reopen never sees a half-written chunk.  The
-        temporary name does not match the ``*.chunk`` scan pattern.  A
+        """Append the entry's record, then kill the id's earlier one.  A
         write the file system refuses (a full disk, say) raises
-        ``StoreError``: the entry was not stored."""
-        blob = _META.pack(
+        ``StoreError`` and cuts the pack back to its last good record: the
+        entry was not stored, and an earlier copy stays."""
+        body = _META.pack(
             _META_MAGIC, entry.inserted_at, entry.last_access, entry.expires_at
         ) + encode_chunk(entry.chunk)
-        path = self._path_for(entry.chunk.id)
-        tmp = path.with_name(path.name + _TMP_SUFFIX)
+        record = _FRAME.pack(_LIVE, len(body)) + body
+        at = self._end
         try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
+            if os.pwrite(self._fd(), record, at) != len(record):
+                raise OSError("short write")
         except OSError as exc:
-            tmp.unlink(missing_ok=True)
-            raise StoreError(f"could not write {path.name}: {exc}") from exc
-        self._files[entry.chunk.id] = path
+            self._cut(at)
+            raise StoreError(f"could not append to {self.path.name}: {exc}") from exc
+        self._end = at + len(record)
+        self._live += len(record)
+        earlier = self._index.get(entry.chunk.id)
+        self._index[entry.chunk.id] = (at, len(record))
+        if earlier is not None:
+            self._kill(*earlier)
 
     def get(self, xid: Xid) -> Chunk | None:
-        path = self._files.get(xid)
-        if path is None:
+        where = self._index.get(xid)
+        if where is None:
             return None
+        offset, length = where
         try:
-            blob = path.read_bytes()
-            chunk = decode_chunk(blob[_META.size :])
+            chunk = decode_chunk(os.pread(self._fd(), length, offset)[_HEADER:])
             if chunk.id != xid:
-                raise StoreError("file does not contain the indexed chunk")
+                raise StoreError("record does not contain the indexed chunk")
             return chunk
         except (OSError, ChunkError, StoreError) as exc:
-            log.warning("disk store %s: dropping unreadable %s: %s", self.store_id, path, exc)
+            log.warning(
+                "disk store: dropping unreadable %s at %d: %s", xid.text(short=True), offset, exc
+            )
             self.remove(xid)
             return None
 
     def stamp_access(self, xid: Xid, last_access: int) -> None:
-        """Overwrite the last-access stamp in the entry's file header in
-        place; the rest of the file is untouched."""
-        path = self._files.get(xid)
-        if path is None:
+        """Overwrite the last-access stamp of the entry's record in place;
+        the rest of the record is untouched."""
+        where = self._index.get(xid)
+        if where is None:
             return
         try:
-            with open(path, "r+b") as f:
-                f.seek(_LAST_ACCESS_AT)
-                f.write(_LAST_ACCESS.pack(last_access))
+            os.pwrite(self._fd(), _LAST_ACCESS.pack(last_access), where[0] + _LAST_ACCESS_AT)
         except OSError as exc:
-            log.warning("disk store %s: could not stamp %s: %s", self.store_id, path, exc)
+            log.warning("disk store: could not stamp %s: %s", xid.text(short=True), exc)
 
     def remove(self, xid: Xid) -> bool:
-        path = self._files.pop(xid, None)
-        if path is None:
+        where = self._index.pop(xid, None)
+        if where is None:
             return False
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        self._kill(*where)
         return True
 
     def __len__(self) -> int:
-        return len(self._files)
+        return len(self._index)
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
     def load_entries(self, now_ms: int) -> list[CacheEntry]:
-        """Scan the directory, delete temporary files left by interrupted
-        writes, drop expired or corrupt files, and return surviving
-        entries sorted by insertion stamp."""
-        for stale in self.directory.glob("*.chunk" + _TMP_SUFFIX):
-            stale.unlink(missing_ok=True)
-        entries: list[CacheEntry] = []
-        for path in sorted(self.directory.glob("*.chunk")):
-            try:
-                blob = path.read_bytes()
-                magic, inserted, last_access, expires = _META.unpack(blob[: _META.size])
-                if magic != _META_MAGIC:
-                    raise StoreError("bad meta magic")
-                chunk = decode_chunk(blob[_META.size :])
-            except (OSError, struct.error, ChunkError, StoreError) as exc:
-                log.warning("disk store %s: skipping %s: %s", self.store_id, path, exc)
-                continue
-            if now_ms >= expires:
-                path.unlink(missing_ok=True)
-                continue
-            self._files[chunk.id] = path
-            entries.append(
-                CacheEntry(chunk, self.store_id, inserted, last_access, expires)
-            )
-        entries.sort(key=lambda e: (e.inserted_at, e.chunk.id.value))
-        return entries
+        """Scan the pack record by record and index the last live record
+        of each id.  Killed records and records that do not decode are
+        skipped; expired records and earlier records of a kept id are
+        killed.  A damaged frame (an unknown magic, or a body running past
+        the end of the file) is skipped up to the next whole frame; with
+        none after it, it is a torn tail and is cut off.  On a well-formed
+        pack with nothing expired this writes nothing.  Returns the
+        surviving entries sorted by insertion stamp."""
+        self.close()
+        self._index.clear()
+        self._end = self._live = 0
+        entries: dict[Xid, CacheEntry] = {}
+        try:
+            pack = open(self.path, "r+b", buffering=0)
+        except FileNotFoundError:
+            return []
+        with pack:
+            fd, at = pack.fileno(), 0
+            size = os.fstat(fd).st_size
+            while at + _FRAME.size <= size:
+                magic, body_len = _FRAME.unpack(os.pread(fd, _FRAME.size, at))
+                length = _FRAME.size + body_len
+                if magic not in (_LIVE, _KILLED) or at + length > size:
+                    resume = _next_frame(fd, at + 1, size)
+                    if resume is None:
+                        break
+                    log.warning("disk store: skipping %d damaged bytes at %d", resume - at, at)
+                    at = resume
+                    continue
+                entry = None
+                if magic == _LIVE:
+                    entry = self._read_entry(os.pread(fd, body_len, at + _FRAME.size), at)
+                if entry is not None:
+                    xid = entry.chunk.id
+                    earlier = self._index.pop(xid, None)
+                    if earlier is not None:  # a replace whose kill did not land
+                        os.pwrite(fd, _KILLED, earlier[0])
+                        del entries[xid]
+                    if now_ms >= entry.expires_at:
+                        os.pwrite(fd, _KILLED, at)
+                    else:
+                        self._index[xid] = (at, length)
+                        entries[xid] = entry
+                at += length
+            if at < size:
+                log.warning("disk store: cutting %d torn bytes off %s", size - at, self.path)
+                os.ftruncate(fd, at)
+        self._end = at
+        self._live = sum(length for _, length in self._index.values())
+        if self._end - self._live > self._live:
+            self._compact()
+        return sorted(entries.values(), key=lambda e: (e.inserted_at, e.chunk.id.value))
+
+    def _read_entry(self, body: bytes, at: int) -> CacheEntry | None:
+        try:
+            magic, inserted, last_access, expires = _META.unpack(body[: _META.size])
+            if magic != _META_MAGIC:
+                raise StoreError("bad meta magic")
+            chunk = decode_chunk(body[_META.size :])
+        except (struct.error, ChunkError, StoreError) as exc:
+            log.warning("disk store: skipping the record at %d of %s: %s", at, self.path, exc)
+            return None
+        return CacheEntry(chunk, self.store_id, inserted, last_access, expires)
+
+    def _cut(self, end: int) -> None:
+        """Cut a failed append's bytes off the pack; if that fails too, the
+        next append overwrites them."""
+        if self._file is None:
+            return
+        try:
+            os.ftruncate(self._file.fileno(), end)
+        except OSError as exc:
+            log.warning("disk store: could not cut %s back to %d: %s", self.path, end, exc)
+
+    def _kill(self, offset: int, length: int) -> None:
+        self._live -= length
+        try:
+            os.pwrite(self._fd(), _KILLED, offset)
+        except OSError as exc:
+            log.warning("disk store: could not kill the record at %d: %s", offset, exc)
+        if self._end - self._live > self._live:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Copy the live records, in file order, into a temporary pack that
+        then replaces this one.  On failure the old pack stays as it was."""
+        tmp = self.path.with_name(PACK_NAME + _TMP_SUFFIX)
+        index: dict[Xid, tuple[int, int]] = {}
+        at = 0
+        try:
+            fd = self._fd()
+            with open(tmp, "wb") as out:
+                for xid, (offset, length) in sorted(self._index.items(), key=lambda i: i[1][0]):
+                    record = os.pread(fd, length, offset)
+                    if len(record) == length:  # a short read is dropped at its next get
+                        out.write(record)
+                        index[xid] = (at, length)
+                        at += length
+            os.replace(tmp, self.path)
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            log.warning("disk store: could not compact %s: %s", self.path, exc)
+            return
+        self.close()
+        self._index = index
+        self._end = self._live = at
 
 
 class StorageManager:
@@ -262,8 +395,10 @@ class StorageManager:
         self._insert_seq = 0
 
         self.stores: list[ContentStore] = [MemoryStore(mem_capacity)]
+        self._disk: DiskStore | None = None
         if disk_capacity > 0 and disk_dir is not None:
-            self.stores.append(DiskStore(disk_dir, disk_capacity))
+            self._disk = DiskStore(disk_dir, disk_capacity)
+            self.stores.append(self._disk)
         self._by_id = {s.store_id: s for s in self.stores}
         # Each entry's placement and stamps as last written to its store.
         self._entries: dict[Xid, _Stamps] = {}
@@ -283,25 +418,31 @@ class StorageManager:
         # reach the file headers on close.
         self._read_on_disk: set[Xid] = set()
 
-        for store in self.stores:
-            if isinstance(store, DiskStore):
-                for entry in store.load_entries(self.clock.now_ms()):
-                    # Entries come sorted by insertion stamp; one repeated by
-                    # files this manager did not write gets a fresh one.
-                    seq = max(entry.inserted_at, self._insert_seq)
-                    self._entries[entry.chunk.id] = _Stamps(
-                        store.store_id, seq, entry.expires_at
-                    )
-                    self._set_key(store.store_id, entry.chunk.id, (entry.last_access, seq))
-                    self._insert_seq = seq + 1
+        if self._disk is not None:
+            self._reopen(self._disk)
+
+    def _reopen(self, disk: DiskStore) -> None:
+        """Index the disk tier's entries and keep its ``capacity`` most
+        recently used; the rest are evicted, which kills their records, so
+        the next reopen agrees."""
+        for entry in disk.load_entries(self.clock.now_ms()):
+            # Entries come sorted by insertion stamp; one repeated by
+            # records this manager did not write gets a fresh one.
+            seq = max(entry.inserted_at, self._insert_seq)
+            self._entries[entry.chunk.id] = _Stamps(disk.store_id, seq, entry.expires_at)
+            self._set_key(disk.store_id, entry.chunk.id, (entry.last_access, seq))
+            self._insert_seq = seq + 1
+        for _ in range(len(disk) - disk.capacity):
+            self.evict_one(disk.store_id)
 
     def store(self, chunk: Chunk) -> tuple[str, list[Xid]]:
         """Place a verified chunk; returns (store id, evicted ids).
 
         A zero TTL means "do not cache": the store refuses it.  Storing
-        an id that is already present refreshes its deadline instead.  A
-        write that fails after evictions made room for it raises
-        ``StoreError`` carrying their ids: they are gone all the same.
+        an id that is already present refreshes its deadline instead; new
+        content under a present id replaces the old entry.  A write that
+        fails raises ``StoreError`` carrying the ids dropped to make room
+        for it, the replaced one included: they are gone all the same.
         """
         with self._lock:
             if chunk.ttl_ms == 0:
@@ -325,7 +466,7 @@ class StorageManager:
             try:
                 self._write(target, chunk, self._insert_seq, now)
             except StoreError as exc:
-                exc.evicted = tuple(evicted)
+                exc.evicted = (chunk.id, *evicted) if existing is not None else tuple(evicted)
                 raise
             self._insert_seq += 1
             return target.store_id, evicted
@@ -396,13 +537,16 @@ class StorageManager:
 
     def close(self) -> None:
         """Stamp the disk entries read since their last write with their
-        last access, so a reopen restores this victim order."""
+        last access, so a reopen restores this victim order, and close the
+        disk tier's file."""
         with self._lock:
-            if self._read_on_disk:
-                disk, lru = self._by_id[DiskStore.store_id], self._lru[DiskStore.store_id]
-                for xid in self._read_on_disk:
-                    disk.stamp_access(xid, lru[xid][0])
-                self._read_on_disk.clear()
+            if self._disk is None:
+                return
+            lru = self._lru[DiskStore.store_id]
+            for xid in self._read_on_disk:
+                self._disk.stamp_access(xid, lru[xid][0])
+            self._read_on_disk.clear()
+            self._disk.close()
 
     def _place(self) -> ContentStore:
         """Fill memory, spill to disk; when every store is full, the last

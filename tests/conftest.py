@@ -1,8 +1,14 @@
+import errno
+import os
 import random
+import struct
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from xcache.addressing import DagAddress, DagNode, Xid, XidType, dag_address
+from xcache.chunking import decode_chunk
 
 
 def random_dag(rng: random.Random, max_nodes: int = 8, intent_type: XidType | None = None) -> DagAddress:
@@ -114,6 +120,76 @@ def run_session(node, dag):
     session = node.start_connect(dag, on_end=ended.append)
     node.sim.wait_for(lambda: ended)
     return session
+
+
+# The disk tier's pack layout, restated here so that the tests read it
+# without xcache.store: each record is a frame (a live or killed magic,
+# then the body length), the entry's stamps, then the encoded chunk.
+PACK_NAME = "chunks.pack"
+PACK_FRAME = struct.Struct(">4sI")
+PACK_LIVE, PACK_KILLED = b"XPR+", b"XPR-"
+PACK_STAMPS = struct.Struct(">4sQQQ")  # magic, inserted_at, last_access, expires_at
+
+
+class PackRecord(NamedTuple):
+    xid: Xid
+    offset: int
+    length: int  # frame included
+
+
+def pack_records(directory) -> list[PackRecord]:
+    """Each live record of the pack in ``directory``, in file order.  The
+    pack must be a whole number of well-formed records: no torn tail, no
+    garbage between records."""
+    path = Path(directory) / PACK_NAME
+    data = path.read_bytes() if path.exists() else b""
+    records, at = [], 0
+    while at < len(data):
+        magic, body_len = PACK_FRAME.unpack_from(data, at)
+        length = PACK_FRAME.size + body_len
+        assert magic in (PACK_LIVE, PACK_KILLED) and at + length <= len(data), at
+        if magic == PACK_LIVE:
+            chunk = decode_chunk(data[at + PACK_FRAME.size + PACK_STAMPS.size : at + length])
+            records.append(PackRecord(chunk.id, at, length))
+        at += length
+    return records
+
+
+def disk_record(directory, xid) -> bytes:
+    """The bytes of ``xid``'s one live record in the pack in ``directory``."""
+    (record,) = [r for r in pack_records(directory) if r.xid == xid]
+    data = (Path(directory) / PACK_NAME).read_bytes()
+    return data[record.offset : record.offset + record.length]
+
+
+def flip_disk_entry(directory, xid, at, mask=0xFF):
+    """XOR byte ``at`` of ``xid``'s live record in the pack in
+    ``directory`` with ``mask``; a negative ``at`` counts from the
+    record's end."""
+    (record,) = [r for r in pack_records(directory) if r.xid == xid]
+    position = record.offset + range(record.length)[at]
+    with open(Path(directory) / PACK_NAME, "r+b") as pack:
+        pack.seek(position)
+        byte = pack.read(1)[0]
+        pack.seek(position)
+        pack.write(bytes([byte ^ mask]))
+
+
+def fail_disk_writes(monkeypatch, torn=False):
+    """From now on every write that would grow a file, as a pack append
+    does, fails as on a full disk; with ``torn``, the first half of its
+    bytes lands before it fails.  Writes in place, such as a kill or an
+    access stamp, still succeed."""
+    real = os.pwrite
+
+    def pwrite(fd, data, offset):
+        if offset + len(data) > os.fstat(fd).st_size:
+            if torn:
+                real(fd, data[: len(data) // 2], offset)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", pwrite)
 
 
 def lone_daemon(config, clock=None):

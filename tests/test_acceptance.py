@@ -220,6 +220,7 @@ def test_criterion_7_store_laws(tmp_path):
         )
         placements = [spill.store(build_cid_chunk(f"s{i}".encode(), 600_000))[0] for i in range(3)]
         assert placements == ["mem", "mem", "disk"]
+        spill.close()
 
         # TTL: a 100 ms chunk expires at the 101 ms sweep with exactly
         # one eviction notification

@@ -1,5 +1,4 @@
 import ast
-import errno
 import hashlib
 import os
 import queue
@@ -12,7 +11,17 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import LINE3_TOPO, PAIR_TOPO, lone_daemon, make_cluster, run_session
+from conftest import (
+    LINE3_TOPO,
+    PAIR_TOPO,
+    disk_record,
+    fail_disk_writes,
+    flip_disk_entry,
+    lone_daemon,
+    make_cluster,
+    pack_records,
+    run_session,
+)
 import xcache
 from xcache import chunking
 from xcache.addressing import XidType, make_fallback_dag
@@ -635,31 +644,17 @@ class TestDiskTier:
     def disk_config(directory):
         return DaemonConfig(mem_capacity_chunks=0, disk_capacity_chunks=32, disk_dir=str(directory))
 
-    @staticmethod
-    def flip(path, offset, mask=0xFF):
-        blob = bytearray(path.read_bytes())
-        blob[offset] ^= mask
-        path.write_bytes(bytes(blob))
-
-    @staticmethod
-    def fill_disk(monkeypatch):
-        """From now on every chunk file write fails as on a full disk."""
-
-        def no_space(path, data):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-
-        monkeypatch.setattr(Path, "write_bytes", no_space)
-
     def test_a_full_disk_refuses_a_publish(self, monkeypatch, tmp_path):
         daemon = lone_daemon(self.disk_config(tmp_path))
         try:
             handle = daemon.init_handle()
-            self.fill_disk(monkeypatch)
+            fail_disk_writes(monkeypatch, torn=True)
             with pytest.raises(PublishError):
                 handle.put_chunk(b"no room", self.TTL)
             assert daemon.manager.ids() == []
             assert daemon.node.routes.locals() == {daemon.node.ad, daemon.node.hid}
-            assert list(tmp_path.iterdir()) == []
+            # the failed append was cut back: not a byte of it stays
+            assert sum(path.stat().st_size for path in tmp_path.iterdir()) == 0
         finally:
             daemon.shutdown()
 
@@ -669,7 +664,7 @@ class TestDiskTier:
         client = Xcached(self.disk_config(tmp_path), node=sim.nodes["client"])
         try:
             dag = pub.init_handle().put_chunk(b"fetched, not kept", self.TTL)
-            self.fill_disk(monkeypatch)
+            fail_disk_writes(monkeypatch)
             reader = client.init_handle()
             for _ in range(2):  # nothing was kept, so the second fetch goes out again
                 chunk, stats = client.fetch_entry(reader, dag)
@@ -689,7 +684,7 @@ class TestDiskTier:
         router = daemons["router"] = Xcached(self.disk_config(tmp_path), node=sim.nodes["router"])
         try:
             dag = daemons["pub"].init_handle().put_chunk(bytes(range(256)) * 12, self.TTL)
-            self.fill_disk(monkeypatch)
+            fail_disk_writes(monkeypatch)
             sim.trace = []
             chunk, stats = daemons["client"].fetch_entry(daemons["client"].init_handle(), dag)
             assert (chunk.payload, stats.provider) == (bytes(range(256)) * 12, "pub")
@@ -713,13 +708,35 @@ class TestDiskTier:
             handle.register_notif(NotifEvent.CHUNK_EVICTED, lambda h, n: seen.append(n))
             oldest = handle.put_chunk(b"first", self.TTL).intent_xid()
             kept = handle.put_chunk(b"second", self.TTL).intent_xid()
-            self.fill_disk(monkeypatch)
+            fail_disk_writes(monkeypatch)
             with pytest.raises(PublishError):
                 handle.put_chunk(b"third", self.TTL)  # evicts the oldest, then fails
             assert daemon.manager.ids() == [kept]
             assert daemon.node.routes.locals() == {daemon.node.ad, daemon.node.hid, kept}
             assert handle.process_notif() == 1
             assert [n.addr.intent_xid() for n in seen] == [oldest]
+            assert [r.xid for r in pack_records(tmp_path)] == [kept]
+        finally:
+            daemon.shutdown()
+
+    def test_a_failed_republish_withdraws_the_replaced_route(self, monkeypatch, tmp_path):
+        # the old version is dropped before the new one's write fails, so
+        # the node must stop serving the name
+        daemon = lone_daemon(self.disk_config(tmp_path))
+        try:
+            handle = daemon.init_handle()
+            seen = []
+            handle.register_notif(NotifEvent.CHUNK_EVICTED, lambda h, n: seen.append(n))
+            key = PublisherKey.generate(rng=random.Random(24))
+            cert_dag = handle.put_chunk(key.public, self.TTL)
+            xid = handle.put_named_content("page", b"v1", self.TTL, key, cert_dag).intent_xid()
+            fail_disk_writes(monkeypatch)
+            with pytest.raises(PublishError):
+                handle.put_named_content("page", b"v2", self.TTL, key, cert_dag)
+            assert daemon.manager.contains(xid) == daemon.node.routes.is_local(xid)
+            assert not daemon.manager.contains(xid)
+            assert handle.process_notif() == 1
+            assert [n.addr.intent_xid() for n in seen] == [xid]
         finally:
             daemon.shutdown()
 
@@ -768,7 +785,7 @@ class TestDiskTier:
             else:
                 dag = handle.put_chunk(b"hashed", self.TTL)
             xid = dag.intent_xid()
-            self.flip(next(tmp_path.glob(f"{xid.xtype.scheme}-*.chunk")), -1)
+            flip_disk_entry(tmp_path, xid, -1)  # the payload's last byte
             with pytest.raises(VerificationError) as info:
                 handle.fetch_chunk(dag)
             assert info.value.reason == ("signature-invalid" if named else "hash-mismatch")
@@ -779,7 +796,7 @@ class TestDiskTier:
 
     @pytest.mark.parametrize("named", [False, True], ids=["chunk", "key"])
     def test_an_unreadable_disk_entry_takes_its_route_with_it(self, tmp_path, named):
-        # the store drops an entry whose file no longer decodes; its local
+        # the store drops an entry whose record no longer decodes; its local
         # route goes too, so a lone node refuses the fetch before a SYN
         # leaves instead of waiting out a handshake toward itself
         daemon = lone_daemon(self.disk_config(tmp_path))
@@ -791,8 +808,7 @@ class TestDiskTier:
                 unreadable = handle.put_chunk(key.public, self.TTL)
                 dag = handle.put_named_content("on/disk", b"signed", self.TTL, key, unreadable)
             xid = unreadable.intent_xid()
-            path = tmp_path / f"{xid.xtype.scheme}-{xid.value.hex()}.chunk"
-            self.flip(path, path.read_bytes().index(CHUNK_MAGIC))
+            flip_disk_entry(tmp_path, xid, disk_record(tmp_path, xid).index(CHUNK_MAGIC))
             sim = daemon.node.sim
             before = sim.now
             with pytest.raises(UnroutableError):
@@ -833,11 +849,11 @@ class TestDiskTier:
         data=st.data(),
     )
     def test_no_tampered_bytes_reach_a_caller(self, plain, named, key_seed, data):
-        # a byte flipped anywhere in one chunk file of a reopened store:
-        # every fetch returns the published bytes or fails, and only the
-        # tampered chunk and the named chunks its key signs may fail.  A
-        # flip that leaves a file unreadable as its chunk makes a miss,
-        # which a lone node cannot serve
+        # a byte flipped anywhere in one record of a reopened store's
+        # pack: every fetch returns the published bytes or fails, and only
+        # the tampered chunk and the named chunks its key signs may fail.
+        # A flip that leaves a record unreadable as its chunk makes a
+        # miss, which a lone node cannot serve
         assume(plain or named)
         with tempfile.TemporaryDirectory() as work:
             config = self.disk_config(work)
@@ -858,19 +874,18 @@ class TestDiskTier:
 
             daemon = lone_daemon(config)
             handle = daemon.init_handle()
-            victim = data.draw(st.sampled_from(sorted(Path(work).glob("*.chunk"))))
-            self.flip(
-                victim,
-                data.draw(st.integers(0, victim.stat().st_size - 1)),
+            victim = data.draw(st.sampled_from(pack_records(work)))
+            flip_disk_entry(
+                work,
+                victim.xid,
+                data.draw(st.integers(0, victim.length - 1)),
                 data.draw(st.integers(1, 255)),
             )
             try:
                 for dag in data.draw(st.permutations(list(published))):
                     xid = dag.intent_xid()
                     key = signed_by.get(xid)
-                    affected = any(
-                        victim.name.endswith(f"{x.value.hex()}.chunk") for x in (xid, key) if x
-                    )
+                    affected = victim.xid in (xid, key)
                     try:
                         chunk, _ = daemon.fetch_entry(handle, dag)
                     except (VerificationError, FetchTimeoutError, UnroutableError):
@@ -949,7 +964,7 @@ class TestSignatureMemo:
             for _ in range(2):  # verified, then remembered
                 assert handle.fetch_chunk(dag) == b"signed once"
             assert len(ed25519_verifies) == 1
-            TestDiskTier.flip(next(tmp_path.glob(f"{xid.xtype.scheme}-*.chunk")), -1)
+            flip_disk_entry(tmp_path, xid, -1)
             with pytest.raises(VerificationError) as info:
                 handle.fetch_chunk(dag)
             assert info.value.reason == "signature-invalid"

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from conftest import flip_disk_entry, pack_records
 import xcache.cli as cli
+from xcache.addressing import XidType
 from xcache.chunking import PublisherKey, compute_ncid, fingerprint
 from xcache.scenario import ScenarioError, run_scenario
 
@@ -266,10 +268,8 @@ class TestCliPublishFetch:
         (tmp_path / "o.bin").write_bytes(b"genuine content")
         cli.main(["publish", "o.bin"])
         url = capsys.readouterr().out.strip()
-        victim = next((tmp_path / ".xcache-store").glob("cid-*.chunk"))
-        blob = bytearray(victim.read_bytes())
-        blob[-3] ^= 0xFF  # corrupt payload bytes in place
-        victim.write_bytes(bytes(blob))
+        (record,) = pack_records(".xcache-store")
+        flip_disk_entry(".xcache-store", record.xid, -3)  # corrupt a payload byte in place
         assert cli.main(["fetch", url, "--out", "f.bin"]) == cli.EX_VERIFY
 
     def test_tampered_named_store_exits_5(self, tmp_path, capsys, monkeypatch):
@@ -279,10 +279,8 @@ class TestCliPublishFetch:
         (tmp_path / "o.bin").write_bytes(b"genuine named content")
         cli.main(["publish", "o.bin", "--name", "docs/tamper", "--key", "pub.key,priv.key"])
         url = capsys.readouterr().out.strip()
-        victim = next((tmp_path / ".xcache-store").glob("ncid-*.chunk"))
-        blob = bytearray(victim.read_bytes())
-        blob[-3] ^= 0xFF  # corrupt payload bytes in place
-        victim.write_bytes(bytes(blob))
+        (named,) = [r for r in pack_records(".xcache-store") if r.xid.xtype is XidType.NCID]
+        flip_disk_entry(".xcache-store", named.xid, -3)  # corrupt a payload byte in place
         assert cli.main(["fetch", url, "--out", "f.bin"]) == cli.EX_VERIFY
         assert "signature-invalid" in capsys.readouterr().err
         assert not (tmp_path / "f.bin").exists()
@@ -297,7 +295,7 @@ class TestCliPublishFetch:
         code = cli.main(["publish", "page.bin", "--name", "a/page", "--key", "one.pub,two.priv"])
         assert code == cli.EX_USAGE
         assert "does not match" in capsys.readouterr().err
-        assert list(tmp_path.glob(".xcache-store/*.chunk")) == []
+        assert pack_records(tmp_path / ".xcache-store") == []
 
     def test_publish_oversize_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

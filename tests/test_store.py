@@ -9,7 +9,18 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from xcache.chunking import Chunk, build_cid_chunk
+from conftest import (
+    PACK_FRAME,
+    PACK_LIVE,
+    PACK_NAME,
+    PACK_STAMPS,
+    PackRecord,
+    disk_record,
+    fail_disk_writes,
+    flip_disk_entry,
+    pack_records,
+)
+from xcache.chunking import CHUNK_MAGIC, Chunk, build_cid_chunk, encode_chunk
 from xcache.store import (
     CacheEntry,
     DiskStore,
@@ -18,6 +29,21 @@ from xcache.store import (
     StorageManager,
     StoreError,
 )
+
+
+@pytest.fixture
+def disk_manager(tmp_path):
+    """Opens managers whose disk tier lives in ``tmp_path``, and closes
+    every one of them when the test ends."""
+    opened = []
+
+    def open_manager(**options):
+        opened.append(StorageManager(disk_dir=tmp_path, **options))
+        return opened[-1]
+
+    yield open_manager
+    for manager in opened:
+        manager.close()
 
 
 def chunk_for(tag, ttl=1_000_000):
@@ -64,9 +90,9 @@ class TestClocksAndEntries:
 
 
 class TestPlacement:
-    def test_memory_then_disk(self, tmp_path):
+    def test_memory_then_disk(self, disk_manager):
         clock = LogicalClock()
-        manager = StorageManager(mem_capacity=2, disk_capacity=8, disk_dir=tmp_path, clock=clock)
+        manager = disk_manager(mem_capacity=2, disk_capacity=8, clock=clock)
         a, b, c = chunk_for("a"), chunk_for("b"), chunk_for("c")
         assert manager.store(a) == ("mem", [])
         assert manager.store(b) == ("mem", [])
@@ -74,15 +100,13 @@ class TestPlacement:
         for ch in (a, b, c):
             assert manager.get(ch.id).payload == ch.payload
 
-    def test_zero_memory_capacity_spills_everything_to_disk(self, tmp_path):
-        manager = StorageManager(
-            mem_capacity=0, disk_capacity=4, disk_dir=tmp_path, clock=LogicalClock()
-        )
+    def test_zero_memory_capacity_spills_everything_to_disk(self, disk_manager):
+        manager = disk_manager(mem_capacity=0, disk_capacity=4, clock=LogicalClock())
         assert manager.store(chunk_for("a"))[0] == "disk"
 
-    def test_both_full_evicts_from_disk(self, tmp_path):
+    def test_both_full_evicts_from_disk(self, disk_manager):
         clock = LogicalClock()
-        manager = StorageManager(mem_capacity=1, disk_capacity=2, disk_dir=tmp_path, clock=clock)
+        manager = disk_manager(mem_capacity=1, disk_capacity=2, clock=clock)
         a, b, c, d = (chunk_for(t) for t in "abcd")
         manager.store(a)  # mem
         clock.advance(1)
@@ -142,14 +166,12 @@ class TestLru:
         assert manager.evict_one("mem") == b.id
 
     @pytest.mark.parametrize("backing", ["mem", "disk"])
-    def test_replay_against_oracle(self, backing, tmp_path):
+    def test_replay_against_oracle(self, disk_manager, backing):
         clock = LogicalClock()
         if backing == "mem":
             manager = StorageManager(mem_capacity=64, clock=clock)
         else:
-            manager = StorageManager(
-                mem_capacity=0, disk_capacity=64, disk_dir=tmp_path, clock=clock
-            )
+            manager = disk_manager(mem_capacity=0, disk_capacity=64, clock=clock)
         oracle = LruOracle()
         rng = random.Random(41)
         chunks = {i: chunk_for(f"r{i}") for i in range(32)}
@@ -195,11 +217,9 @@ class TestLru:
         manager.get(a.id)  # same stamp: does not outrank insertion order
         assert manager.evict_one("mem") == a.id
 
-    def test_insertion_order_survives_two_reopens(self, tmp_path):
+    def test_insertion_order_survives_two_reopens(self, disk_manager):
         def reopen():
-            return StorageManager(
-                mem_capacity=0, disk_capacity=8, disk_dir=tmp_path, clock=LogicalClock()
-            )
+            return disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
 
         first = reopen()
         old = [chunk_for(f"old{i}") for i in range(4)]
@@ -295,18 +315,16 @@ class TestRepublish:
         assert manager.sweep(150) == []  # deadline moved to 180
         assert manager.sweep(200) == [chunk.id]
 
-    def test_identical_republish_refresh_survives_reopen(self, tmp_path):
+    def test_identical_republish_refresh_survives_reopen(self, disk_manager):
         clock = LogicalClock()
-        manager = StorageManager(mem_capacity=0, disk_capacity=4, disk_dir=tmp_path, clock=clock)
+        manager = disk_manager(mem_capacity=0, disk_capacity=4, clock=clock)
         chunk, other = chunk_for("a", ttl=100), chunk_for("b", ttl=1000)
         manager.store(chunk)
         manager.store(other)
         clock.set(90)
         manager.store(chunk)  # deadline 190, access stamp 90
         manager.close()
-        reopened = StorageManager(
-            mem_capacity=0, disk_capacity=4, disk_dir=tmp_path, clock=LogicalClock(150)
-        )
+        reopened = disk_manager(mem_capacity=0, disk_capacity=4, clock=LogicalClock(150))
         assert reopened.get(chunk.id) == chunk
         assert reopened.evict_one("disk") == other.id
 
@@ -322,9 +340,9 @@ class TestRepublish:
 
 
 class TestDiskDurability:
-    def test_entries_survive_reopen(self, tmp_path):
+    def test_entries_survive_reopen(self, disk_manager):
         clock = LogicalClock()
-        manager = StorageManager(mem_capacity=0, disk_capacity=8, disk_dir=tmp_path, clock=clock)
+        manager = disk_manager(mem_capacity=0, disk_capacity=8, clock=clock)
         keep = chunk_for("keep", ttl=1000)
         lose = chunk_for("lose", ttl=50)
         manager.store(keep)
@@ -332,16 +350,14 @@ class TestDiskDurability:
         manager.close()
 
         clock2 = LogicalClock(start_ms=100)  # past `lose`'s deadline
-        reopened = StorageManager(
-            mem_capacity=0, disk_capacity=8, disk_dir=tmp_path, clock=clock2
-        )
+        reopened = disk_manager(mem_capacity=0, disk_capacity=8, clock=clock2)
         assert reopened.get(keep.id).payload == keep.payload
         assert reopened.get(lose.id) is None
 
-    def test_reopened_disk_entries_hold_no_chunks_in_memory(self, tmp_path):
+    def test_reopened_disk_entries_hold_no_chunks_in_memory(self, disk_manager):
         rng = random.Random(7)
         chunks = [build_cid_chunk(rng.randbytes(64 * 1024), 1_000_000) for _ in range(200)]
-        manager = StorageManager(mem_capacity=0, disk_capacity=256, disk_dir=tmp_path)
+        manager = disk_manager(mem_capacity=0, disk_capacity=256)
         for chunk in chunks:
             manager.store(chunk)
         manager.close()
@@ -349,7 +365,7 @@ class TestDiskDurability:
 
         tracemalloc.start()
         try:
-            reopened = StorageManager(mem_capacity=0, disk_capacity=256, disk_dir=tmp_path)
+            reopened = disk_manager(mem_capacity=0, disk_capacity=256)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -359,11 +375,9 @@ class TestDiskDurability:
         assert reopened.store(chunks[0]) == ("disk", [])
         assert reopened.get(chunks[0].id) == chunks[0]
 
-    def test_read_recency_survives_reopen(self, tmp_path):
+    def test_read_recency_survives_reopen(self, disk_manager):
         def reopen():
-            return StorageManager(
-                mem_capacity=0, disk_capacity=8, disk_dir=tmp_path, clock=clock
-            )
+            return disk_manager(mem_capacity=0, disk_capacity=8, clock=clock)
 
         clock = LogicalClock()
         manager = reopen()
@@ -376,54 +390,154 @@ class TestDiskDurability:
         reopened = reopen()
         assert [reopened.evict_one("disk") for _ in range(3)] == [b.id, c.id, a.id]
 
-    def test_memory_entries_do_not_survive(self, tmp_path):
-        manager = StorageManager(
-            mem_capacity=2, disk_capacity=8, disk_dir=tmp_path, clock=LogicalClock()
-        )
+    def test_memory_entries_do_not_survive(self, disk_manager):
+        manager = disk_manager(mem_capacity=2, disk_capacity=8, clock=LogicalClock())
         a = chunk_for("a")
         manager.store(a)  # lands in memory
         manager.close()
-        reopened = StorageManager(
-            mem_capacity=2, disk_capacity=8, disk_dir=tmp_path, clock=LogicalClock()
-        )
+        reopened = disk_manager(mem_capacity=2, disk_capacity=8, clock=LogicalClock())
         assert reopened.get(a.id) is None
 
-    def test_corrupt_file_skipped_on_open(self, tmp_path):
-        manager = StorageManager(mem_capacity=0, disk_capacity=8, disk_dir=tmp_path, clock=LogicalClock())
-        a = chunk_for("a")
+    def test_corrupt_file_skipped_on_open(self, disk_manager, tmp_path):
+        manager = disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
+        a, b = chunk_for("a"), chunk_for("b")
         manager.store(a)
+        manager.store(b)
         manager.close()
-        victim = next(tmp_path.glob("*.chunk"))
-        victim.write_bytes(b"garbage")
-        reopened = StorageManager(
-            mem_capacity=0, disk_capacity=8, disk_dir=tmp_path, clock=LogicalClock()
-        )
+        # a's record no longer decodes; b's, after it, still does
+        flip_disk_entry(tmp_path, a.id, disk_record(tmp_path, a.id).index(CHUNK_MAGIC))
+        reopened = disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
         assert reopened.get(a.id) is None
-        assert len(reopened) == 0
+        assert reopened.ids() == [b.id]
 
-    def test_tampered_payload_detected_on_get(self, tmp_path):
-        manager = StorageManager(mem_capacity=0, disk_capacity=8, disk_dir=tmp_path, clock=LogicalClock())
+    def test_a_record_with_an_unknown_frame_is_skipped_on_open(self, disk_manager, tmp_path):
+        manager = disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
+        a, b = chunk_for("a"), chunk_for("b")
+        manager.store(a)
+        manager.store(b)
+        manager.close()
+        flip_disk_entry(tmp_path, a.id, 0)  # the live magic: neither live nor killed
+        reopened = disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
+        assert reopened.ids() == [b.id]
+        assert reopened.get(b.id) == b
+
+    def test_a_damaged_body_length_loses_only_its_record(self, disk_manager, tmp_path):
+        manager = disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
+        chunks = [chunk_for(f"len{i}") for i in range(5)]
+        for ch in chunks:
+            manager.store(ch)
+        manager.close()
+        flip_disk_entry(tmp_path, chunks[1].id, len(PACK_LIVE), 0x7F)  # runs past the end
+        reopened = disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
+        assert set(reopened.ids()) == {ch.id for ch in chunks} - {chunks[1].id}
+        reopened.store(chunks[1])
+        assert reopened.get(chunks[1].id) == chunks[1]
+
+    def test_tampered_payload_detected_on_get(self, disk_manager, tmp_path):
+        manager = disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
         a = chunk_for("a")
         manager.store(a)
-        path = next(tmp_path.glob("*.chunk"))
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF  # flip last payload byte
-        path.write_bytes(bytes(blob))
+        flip_disk_entry(tmp_path, a.id, -1)  # flip last payload byte
         got = manager.get(a.id)
         # decode still succeeds; verification is the caller's duty, but
         # the payload must reflect the on-disk bytes
         assert got is None or got.payload != a.payload
 
-    def test_swapped_file_rejected(self, tmp_path):
-        manager = StorageManager(mem_capacity=0, disk_capacity=8, disk_dir=tmp_path, clock=LogicalClock())
+    def test_swapped_file_rejected(self, disk_manager, tmp_path):
+        manager = disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
         a, b = chunk_for("a"), chunk_for("b")
         manager.store(a)
         manager.store(b)
-        files = sorted(tmp_path.glob("*.chunk"))
-        blob = files[0].read_bytes()
-        files[1].write_bytes(blob)  # file for one id now holds the other chunk
-        swapped = [x for x in (a, b) if f"{x.id.value.hex()}" in files[1].name][0]
-        assert manager.get(swapped.id) is None
+        record_a, record_b = pack_records(tmp_path)
+        assert record_a.length == record_b.length
+        with open(tmp_path / PACK_NAME, "r+b") as pack:  # b's record now holds a's chunk
+            pack.seek(record_b.offset)
+            pack.write(disk_record(tmp_path, a.id))
+        assert manager.get(b.id) is None
+        assert manager.get(a.id) == a
+
+    def test_a_reopen_keeps_the_most_recent_within_capacity(self, disk_manager, tmp_path):
+        clock = LogicalClock()
+        manager = disk_manager(mem_capacity=0, disk_capacity=4, clock=clock)
+        a, b, c, d = (chunk_for(t) for t in "abcd")
+        for ch in (a, b, c, d):
+            manager.store(ch)
+            clock.advance(1)
+        manager.get(a.id)  # recency order is now b, c, d, a
+        manager.close()
+        assert len(DiskStore(tmp_path, 1).load_entries(now_ms=0)) == 4  # every live record
+        smaller = disk_manager(mem_capacity=0, disk_capacity=2, clock=clock)
+        assert set(smaller.ids()) == {d.id, a.id}
+        smaller.close()
+        again = disk_manager(mem_capacity=0, disk_capacity=4, clock=clock)
+        assert [again.evict_one("disk") for _ in range(3)] == [d.id, a.id, None]
+
+    def test_the_pack_stays_bounded_over_replaces_and_removes(self, disk_manager, tmp_path):
+        clock = LogicalClock()
+        manager = disk_manager(mem_capacity=0, disk_capacity=8, clock=clock)
+        rng = random.Random(5)
+        held = {chunk.id: chunk for chunk in (chunk_for(f"bound{i}") for i in range(8))}
+        longest = 0
+        for _ in range(1000):
+            xid, op = rng.choice(list(held)), rng.random()
+            if op < 0.25:
+                manager.remove(xid)
+            elif op < 0.5:  # the same chunk again: its record is rewritten
+                manager.store(held[xid])
+            else:  # new content under the id
+                payload = rng.randbytes(rng.randint(1, 600))
+                held[xid] = Chunk(id=xid, ttl_ms=1_000_000, payload=payload)
+                manager.store(held[xid])
+            clock.advance(1)
+            records = pack_records(tmp_path)
+            live = sum(r.length for r in records)
+            longest = max([longest] + [r.length for r in records])
+            assert (tmp_path / PACK_NAME).stat().st_size <= 2 * live + longest
+            assert sorted(r.xid.value for r in records) == sorted(x.value for x in manager.ids())
+
+    def test_a_reopen_cuts_a_torn_tail(self, disk_manager, tmp_path):
+        manager = disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
+        a, b, c = (chunk_for(t) for t in "abc")
+        manager.store(a)
+        manager.store(b)
+        manager.close()
+        pack = tmp_path / PACK_NAME
+        whole = pack.stat().st_size
+        with open(pack, "ab") as f:  # an append cut short: its body runs past the end
+            f.write(PACK_FRAME.pack(PACK_LIVE, 500) + b"partial")
+        reopened = disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
+        assert pack.stat().st_size == whole
+        reopened.store(c)
+        assert [r.xid for r in pack_records(tmp_path)] == [a.id, b.id, c.id]
+
+    def test_a_reopen_of_a_well_formed_pack_writes_nothing(self, disk_manager, tmp_path):
+        manager = disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
+        chunks = [chunk_for(f"w{i}") for i in range(4)]
+        for ch in chunks:
+            manager.store(ch)
+        manager.remove(chunks[1].id)  # a killed record stays in place
+        manager.get(chunks[2].id)
+        manager.close()
+        pack = tmp_path / PACK_NAME
+        before = (pack.read_bytes(), pack.stat().st_mtime_ns)
+        assert len(DiskStore(tmp_path, 1).load_entries(now_ms=0)) == 3
+        assert (pack.read_bytes(), pack.stat().st_mtime_ns) == before
+
+    def test_a_reopen_keeps_the_later_of_two_live_records(self, tmp_path):
+        store = DiskStore(tmp_path, capacity=4)
+        a = chunk_for("a")
+        store.store(CacheEntry(a, "disk", 0, 0, 100))
+        store.store(CacheEntry(a, "disk", 0, 0, 200))  # appends, then kills the first
+        store.close()
+        with open(tmp_path / PACK_NAME, "r+b") as pack:  # as if the kill never landed
+            pack.write(PACK_LIVE)
+        assert len(pack_records(tmp_path)) == 2
+        reloaded = DiskStore(tmp_path, capacity=4)
+        assert [(e.chunk, e.expires_at) for e in reloaded.load_entries(now_ms=0)] == [(a, 200)]
+        assert reloaded.get(a.id) == a
+        reloaded.close()
+        first = PACK_FRAME.size + PACK_STAMPS.size + len(encode_chunk(a))
+        assert [r.offset for r in pack_records(tmp_path)] == [first]
 
 
 class TestStores:
@@ -437,31 +551,46 @@ class TestStores:
         assert store.remove(a.id)
         assert not store.remove(a.id)
 
-    def test_disk_store_filenames_use_hex_ids(self, tmp_path):
+    def test_disk_store_keeps_one_pack_of_framed_records(self, tmp_path):
         store = DiskStore(tmp_path, capacity=4)
-        a = chunk_for("a")
-        store.store(CacheEntry(a, "disk", 0, 0, 10))
-        assert (tmp_path / f"cid-{a.id.value.hex()}.chunk").exists()
+        assert list(tmp_path.iterdir()) == []  # created on the first write
+        a, b = chunk_for("a"), chunk_for("b")
+        store.store(CacheEntry(a, "disk", 3, 5, 10))
+        store.store(CacheEntry(b, "disk", 4, 6, 20))
+        store.close()
+        assert [p.name for p in tmp_path.iterdir()] == [PACK_NAME]
+
+        def record(chunk, inserted, last_access, expires):
+            body = PACK_STAMPS.pack(b"XCS1", inserted, last_access, expires) + encode_chunk(chunk)
+            return PACK_FRAME.pack(PACK_LIVE, len(body)) + body
+
+        first, second = record(a, 3, 5, 10), record(b, 4, 6, 20)
+        assert (tmp_path / PACK_NAME).read_bytes() == first + second
+        assert pack_records(tmp_path) == [
+            PackRecord(a.id, 0, len(first)),
+            PackRecord(b.id, len(first), len(second)),
+        ]
 
     def test_interrupted_disk_write_keeps_previous_copy(self, tmp_path, monkeypatch):
         store = DiskStore(tmp_path, capacity=4)
-        a = chunk_for("a")
+        a, b = chunk_for("a"), chunk_for("b")
         store.store(CacheEntry(a, "disk", 0, 0, 100))
+        whole = (tmp_path / PACK_NAME).stat().st_size
 
-        def torn_write(path, data):
-            with open(path, "wb") as f:
-                f.write(data[: len(data) // 2])
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        fail_disk_writes(monkeypatch, torn=True)
         with pytest.raises(StoreError) as info:
             store.store(CacheEntry(a, "disk", 0, 50, 200))
         assert isinstance(info.value.__cause__, OSError)
         monkeypatch.undo()
-        assert [p.name for p in tmp_path.glob("*.chunk")] == [f"cid-{a.id.value.hex()}.chunk"]
-        assert list(tmp_path.glob("*.tmp")) == []
+        # the torn half was cut off, so the next append follows a's record
+        assert (tmp_path / PACK_NAME).stat().st_size == whole
+        assert store.get(a.id) == a
+        store.store(CacheEntry(b, "disk", 1, 1, 100))
+        store.close()
+        assert [(r.xid, r.offset) for r in pack_records(tmp_path)] == [(a.id, 0), (b.id, whole)]
+        assert [p.name for p in tmp_path.iterdir()] == [PACK_NAME]
         reloaded = DiskStore(tmp_path, capacity=4).load_entries(now_ms=0)
-        assert [(e.chunk, e.expires_at) for e in reloaded] == [(a, 100)]
+        assert [(e.chunk, e.expires_at) for e in reloaded] == [(a, 100), (b, 100)]
 
 
 @dataclass
@@ -479,7 +608,10 @@ class StoreLawsMachine(RuleBasedStateMachine):
     victim order the model had.  The clock advances before each read.
     Removal, eviction and reopen wait until three entries are held, and
     most chunks outlive a run, so runs reach full stores instead of
-    emptying them as fast as they fill.
+    emptying them as fast as they fill.  A store may meet a full disk:
+    its pack append fails, and the model applies the evictions made for
+    it, then refuses it.  The reference reader's view of the pack must
+    match the manager's disk tier after every step.
     """
 
     CAPACITY = {"mem": 1, "disk": 3}
@@ -493,6 +625,9 @@ class StoreLawsMachine(RuleBasedStateMachine):
         self.pool = [chunk_for(f"law{i}", ttl=ttl) for i, ttl in enumerate(ttls)]
         # a named republish: same id, new content
         self.pool.append(Chunk(id=self.pool[3].id, ttl_ms=40, payload=b"renamed"))
+        self.longest = PACK_FRAME.size + PACK_STAMPS.size + max(
+            len(encode_chunk(c)) for c in self.pool
+        )
         self.entries: dict = {}
         self.lru = {"mem": LruOracle(), "disk": LruOracle()}
 
@@ -516,27 +651,52 @@ class StoreLawsMachine(RuleBasedStateMachine):
         entry = self.entries.pop(xid)
         del self.lru[entry.store_id].state[xid]
 
-    @rule(i=st.integers(0, 5))
-    def store(self, i):
-        chunk, now = self.pool[i], self.clock.now_ms()
+    def _store(self, chunk, disk_fails=False):
+        """Apply a store to the model; returns what the manager's store
+        returns, or, when ``disk_fails`` and the write goes to disk,
+        ``StoreError`` and the ids the error reports: the evictions made
+        for the write stand, and a replaced entry is gone too."""
+        now = self.clock.now_ms()
         existing = self.entries.get(chunk.id)
         if self._live(chunk.id) and existing.chunk == chunk:
-            lru = self.lru[existing.store_id]
-            lru.get(chunk.id, now)
+            if disk_fails and existing.store_id == "disk":
+                return StoreError, ()
+            self.lru[existing.store_id].get(chunk.id, now)
             existing.expires_at = now + chunk.ttl_ms
-            assert self.manager.store(chunk) == (existing.store_id, [])
-            return
+            return existing.store_id, []
+        dropped = []
         if existing is not None:
             self._drop(chunk.id)
+            dropped.append(chunk.id)
         target = "mem" if len(self.lru["mem"].state) < self.CAPACITY["mem"] else "disk"
         lru = self.lru[target]
         evicted = []
         while len(lru.state) >= self.CAPACITY[target]:
             evicted.append(lru.evict())
             del self.entries[evicted[-1]]
+        if disk_fails and target == "disk":
+            return StoreError, tuple(dropped + evicted)
         lru.store(chunk.id, now)
         self.entries[chunk.id] = ModelEntry(chunk, target, now + chunk.ttl_ms)
-        assert self.manager.store(chunk) == (target, evicted)
+        return target, evicted
+
+    @rule(i=st.integers(0, 5))
+    def store(self, i):
+        expected = self._store(self.pool[i])
+        assert self.manager.store(self.pool[i]) == expected
+
+    @rule(i=st.integers(0, 5), torn=st.booleans())
+    def store_while_the_disk_is_full(self, i, torn):
+        # the pack append fails whole, or after half its bytes landed
+        expected = self._store(self.pool[i], disk_fails=True)
+        with pytest.MonkeyPatch.context() as patch:
+            fail_disk_writes(patch, torn=torn)
+            if expected[0] is not StoreError:
+                assert self.manager.store(self.pool[i]) == expected
+                return
+            with pytest.raises(StoreError) as info:
+                self.manager.store(self.pool[i])
+        assert info.value.evicted == expected[1]
 
     @rule(dt=st.integers(0, 30), i=st.integers(0, 5))
     def get(self, dt, i):
@@ -587,10 +747,23 @@ class StoreLawsMachine(RuleBasedStateMachine):
         for xid, entry in list(self.entries.items()):
             if entry.store_id == "mem" or not self._live(xid):
                 self._drop(xid)
+        reopened = self.manager._lru["disk"]
+        assert sorted(reopened, key=reopened.__getitem__) == sorted(state, key=state.__getitem__)
 
     def _on_disk(self):
-        # load_entries(now_ms=0) reads every file and deletes none
+        # load_entries(now_ms=0) reads every live record and, on a
+        # well-formed pack, writes nothing
         return {e.chunk.id: e for e in DiskStore(self.dir, 1).load_entries(now_ms=0)}
+
+    @invariant()
+    def pack_matches_the_disk_tier(self):
+        records = pack_records(self.dir)
+        held = [x for x in self.manager.ids() if self.manager.placement(x) == "disk"]
+        assert sorted(r.xid.value for r in records) == sorted(x.value for x in held)
+        assert len(held) <= self.CAPACITY["disk"]
+        pack = Path(self.dir) / PACK_NAME
+        size = pack.stat().st_size if pack.exists() else 0
+        assert size < 2 * sum(r.length for r in records) + self.longest
 
     @invariant()
     def disk_holds_deadlines_and_unique_stamps(self):
