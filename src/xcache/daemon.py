@@ -14,7 +14,7 @@ in one critical section: a caller that finds a fetch in flight finds
 its session started, and a wait that drains the event queue is a
 stall.  Nothing enters any store, and nothing read from the disk tier
 reaches a caller, without passing ``Xcached.verify``, which is also
-what makes opportunistic caching safe: the daemon taps its node's
+what makes opportunistic caching safe: a caching daemon taps its node's
 forwarding path, reassembles content sessions it forwards, and becomes
 a provider for chunks that verify.
 """
@@ -338,7 +338,6 @@ class Xcached:
             disk_dir=self.config.disk_dir,
             clock=clock if clock is not None else node.sim,
         )
-        self.caching = cache_flag(self.config.cache_policy)
         self.counters: Counter = Counter()
         # digests of the publisher signatures this daemon has accepted; a
         # node is its own trust domain, so no daemon sees another's
@@ -352,9 +351,26 @@ class Xcached:
         self._alive = True
 
         node.serve = self._serve
-        node.capture = self._on_capture
+        self.caching = cache_flag(self.config.cache_policy)
         for xid in self.manager.ids():  # entries reloaded from the disk tier
             node.routes.add_local(xid)
+
+    @property
+    def caching(self) -> bool:
+        """Whether this daemon keeps copies of the content it fetches or
+        forwards.  Only a caching daemon taps its node's forwarding path:
+        turning caching off removes the tap and drops every partly
+        reassembled capture, so nothing captured is adopted after."""
+        return self._caching
+
+    @caching.setter
+    def caching(self, on: bool) -> None:
+        with self._lock:
+            self._caching = on
+            self.node.capture = self._on_capture if on else None
+            if not on:
+                self._ingest_buffers.clear()
+                self._ingest_sweep_at = math.inf
 
     # -- handles -------------------------------------------------------
 
@@ -549,7 +565,9 @@ class Xcached:
 
     def destroy_chunk(self, handle: XcacheHandle, addr: DagAddress | str | Xid) -> None:
         """Remove locally held content and withdraw its route.  Absent
-        content is a no-op; remote copies are untouched."""
+        content is a no-op; remote copies are untouched.  A disk record
+        that cannot be killed raises ``StoreError`` and keeps both the
+        content and its route."""
         self.check_handle(handle)
         if isinstance(addr, str):
             addr = parse_dag_url(addr, allow_short=True)
@@ -649,8 +667,12 @@ class Xcached:
         result = yield from self._verify_fetched(chunk, intent, held)
         if not result.accepted:
             with self._lock:
-                self.manager.remove(intent)
-                self.node.routes.remove_local(intent)
+                try:
+                    self.manager.remove(intent)
+                except StoreError as exc:  # still held, so still routed
+                    log.warning("%s: keeping a disk hit that failed: %s", self.node.name, exc)
+                else:
+                    self.node.routes.remove_local(intent)
             raise VerificationError(result.reason or "rejected")
         return chunk, LOCAL_STATS
 
@@ -793,7 +815,7 @@ class Xcached:
             self._expire_ingest(now)
         if seg.flags & SegFlags.SYNACK:
             intent = seg.src_dag.intent_xid()
-            if not self.caching or intent.xtype not in CONTENT_TYPES:
+            if intent.xtype not in CONTENT_TYPES:
                 return
             if seg.session not in self._ingest_buffers and not self.manager.contains(intent):
                 self._ingest_buffers[seg.session] = _IngestBuffer(intent, now)
@@ -841,7 +863,7 @@ class Xcached:
     def _adopt(self, chunk: Chunk, result: VerifyResult | None = None, error=None) -> None:
         if error is not None:
             log.warning("%s: discarding capture: %s", self.node.name, error)
-        elif result.accepted:
+        elif result.accepted and self.caching:
             with self._lock:
                 self._admit(chunk, origin="opportunistic")
 

@@ -25,12 +25,13 @@ The engine is a discrete-event loop over logical milliseconds;
 equal-timestamp events run in enqueue order.  A queue entry is
 ``(due time, enqueue number, fn, args)`` and runs as ``fn(*args)``, so
 no closure is built per event: a forwarded segment is queued with the
-node it lands on, a session timer with its arming epoch and handler.
-``step`` and ``wait_for`` run entries through one routine.  Recording
-the trace is opt-in (assign a list to ``Simulator.trace``).  Each point
-that records (a transmission, a drop, a delivery) first tests
-``trace is not None`` and only then builds its record, so an untraced
-run builds none and makes no call for it.
+node it lands on, a session timer with its session end.  Each end of a
+session keeps at most one timer entry on the queue, however often it
+re-arms (see ``_Session``).  ``step`` and ``wait_for`` run entries
+through one routine.  Recording the trace is opt-in (assign a list to
+``Simulator.trace``).  Each point that records (a transmission, a drop,
+a delivery) first tests ``trace is not None`` and only then builds its
+record, so an untraced run builds none and makes no call for it.
 
 Events run only while a caller pumps the loop (``step``, ``wait_for``).
 ``start_connect`` draws a session's ids and sends its SYN on the
@@ -40,12 +41,13 @@ event trace is fully determined by the topology, the workload and the
 seed, however many sessions are in flight.  Every call that touches the
 engine holds its one reentrant lock (``Simulator.lock``) throughout, so
 several threads may make them; the trace is then determined only while
-one fetch is in flight at a time.  Forwarding runs only inside such a
-call, so it queues a segment's arrival without taking the lock again;
-``schedule``, which timers and self-delivery use, takes it.  A waiter
-pumps until its predicate holds, and a queue that drains first is a
-stall: every session holds a timer until it ends, so nothing but an
-event can end a wait.
+one fetch is in flight at a time.  Forwarding and timers run only
+inside such a call, so they queue a segment's arrival or a timer entry
+without taking the lock again; ``schedule``, which self-delivery and
+callers outside the engine use, takes it.  A waiter pumps until its
+predicate holds, and a queue that drains first is a stall: every
+session holds a timer until it ends, so nothing but an event can end a
+wait.
 
 The serving side never blocks.  What a node serves is its route table's
 local content set: when a SYN for a local content route is delivered,
@@ -59,12 +61,13 @@ it.
 Each end of a session registers itself on its node when it is created:
 under its session id, under its endpoint SID, and with that SID as a
 local route.  Once the end has completed or failed, its last armed
-timer releases all three when it fires, so the release adds no event.
-For a completed client that is its idle timer, which outlasts every
-retransmission the sender can still make, so a late duplicate FIN is
-still acknowledged (TCP's TIME-WAIT); a transfer without data re-arms
-it on the FIN.  For a finished sender it is its last retransmission
-timer.  An end that fails, or has no timer left, is released at once.
+timer releases all three when it falls due, so the release adds no
+event.  For a completed client that is its idle timer, which outlasts
+every retransmission the sender can still make, so a late duplicate FIN
+is still acknowledged (TCP's TIME-WAIT); a transfer without data
+re-arms it on the FIN.  For a finished sender it is its last
+retransmission timer.  An end that fails, or has no timer left, is
+released at once.
 
 Addressing of a session, once established:
 
@@ -500,11 +503,21 @@ class _Session:
     """What both ends of a content session share: the session id, a
     node-local endpoint SID that this end's peer addresses, one
     retransmission timer with its retry budget, and a count of this
-    end's retransmissions.  Arming the timer again, or making progress,
-    retires the previous arming.  A session registers itself on its node
-    here and releases itself once it has ended and its last armed timer
-    has fired.  ``on_end(session)``, once set, runs when this end has
-    completed or failed."""
+    end's retransmissions.  A session registers itself on its node here
+    and releases itself once it has ended and its last armed timer has
+    fired.  ``on_end(session)``, once set, runs when this end has
+    completed or failed.
+
+    The timer keeps one entry on the event queue.  Arming it records the
+    arming (due time, enqueue number, epoch, handler) and queues nothing
+    while an entry that sorts no later is queued; that entry, when it
+    comes up, moves to the last arming's own (due time, enqueue number),
+    so a handler runs exactly where an event queued by that arming would
+    have run.  An arming that sorts before the queued entry (the
+    transport makes none: its later armings never fall due sooner)
+    queues its own, and the entry it overtook is ignored when it comes
+    up.  Arming again, or making progress, retires the previous
+    arming."""
 
     def __init__(self, node: NetNode, session_id: bytes):
         self.node = node
@@ -517,26 +530,44 @@ class _Session:
         self.fail_reason: str | None = None
         self.retransmits = 0
         self._epoch = 0
-        self._armed: int | None = None  # the epoch of the last armed timer, until it fires
+        # the last arming, ((due, enqueue number), epoch, handler), until it
+        # fires; the handler is a plain function, called as fn(self), so a
+        # session does not refer to itself through a bound method
+        self._armed: tuple[tuple[int, int], int, Callable] | None = None
+        self._queued: tuple[int, int] | None = None  # the key of this end's queue entry
         self._retries = 0
         self.on_end = None
         node.endpoints[self.endpoint_sid] = self
         node.sessions[session_id] = self
         node.routes.add_local(self.endpoint_sid)
 
-    def _arm(self, delay_ms: int, fn) -> None:
+    def _arm(self, delay_ms: int, fn: Callable[["_Session"], None]) -> None:
+        """Arm the timer to run ``fn(self)`` after ``delay_ms``.  Timers are
+        armed only inside an event or inside ``start_connect``, so a push
+        goes onto the queue without entering the engine lock again."""
+        sim = self.sim
         self._epoch += 1
-        self._armed = self._epoch
-        self.sim.schedule(delay_ms, self._fire, self._epoch, fn)
+        key = (sim.now + delay_ms, next(sim._seq))
+        self._armed = (key, self._epoch, fn)
+        queued = self._queued
+        if queued is None or key < queued:
+            self._queue(key)
 
-    def _fire(self, epoch: int, fn) -> None:
-        # Every later arming fires no earlier, so the last armed timer is
-        # the last event this session has on the queue.
-        if epoch == self._armed:
-            self._armed = None
+    def _queue(self, key: tuple[int, int]) -> None:
+        self._queued = key
+        heapq.heappush(self.sim._heap, (*key, _Session._fire, (self, key)))
+
+    def _fire(self, key: tuple[int, int]) -> None:
+        if key is not self._queued:
+            return  # an arming that sorts earlier took this end's place
+        armed_key, epoch, fn = self._armed
+        if armed_key is not key:
+            self._queue(armed_key)  # armed again since: move to the last arming
+            return
+        self._queued = self._armed = None
         if epoch == self._epoch:
-            fn()
-        elif self._armed is None and self.state in _ENDED:
+            fn(self)
+        elif self.state in _ENDED:
             self._release()
 
     def _end(self, state: str, reason: str | None = None) -> None:
@@ -598,7 +629,7 @@ class ClientSession(_Session):
         except NoRouteError:
             self._end("failed", "no-route")
             raise
-        self._arm(self.rto, self._syn_timeout)
+        self._arm(self.rto, ClientSession._syn_timeout)
 
     def _send_syn(self, first: bool = False) -> None:
         seg = Segment(
@@ -618,7 +649,7 @@ class ClientSession(_Session):
         if self._retry("handshake-timeout"):
             self._count_retransmit()
             self._send_syn()
-            self._arm(self.rto, self._syn_timeout)
+            self._arm(self.rto, ClientSession._syn_timeout)
 
     def _idle_timeout(self) -> None:
         self._end("failed", "transfer-timeout")
@@ -627,7 +658,7 @@ class ClientSession(_Session):
         # Liveness guard for an established transfer: armed when the
         # SYNACK establishes the session and re-armed on every in-order
         # segment.
-        self._arm(self._idle_ms, self._idle_timeout)
+        self._arm(self._idle_ms, ClientSession._idle_timeout)
 
     def on_segment(self, seg: Segment) -> None:
         if seg.flags & SegFlags.SYNACK:
@@ -697,7 +728,7 @@ class ServerSession(_Session):
 
     def send_synack(self) -> None:
         self._emit_synack()
-        self._arm(self.rto, self._synack_timeout)
+        self._arm(self.rto, ServerSession._synack_timeout)
 
     def _emit_synack(self) -> None:
         seg = Segment(
@@ -714,7 +745,7 @@ class ServerSession(_Session):
         if self._retry("handshake-timeout"):
             self._count_retransmit()
             self._emit_synack()
-            self._arm(self.rto, self._synack_timeout)
+            self._arm(self.rto, ServerSession._synack_timeout)
 
     def on_duplicate_syn(self) -> None:
         if self.state in ("syn-rcvd", "established"):
@@ -728,7 +759,7 @@ class ServerSession(_Session):
             self._progress()
             self.node.counters["sessions_served"] += 1
             self._pump()
-            self._arm(self.rto, self._send_timeout)
+            self._arm(self.rto, ServerSession._send_timeout)
         else:
             self._on_ack(seg.seq)
 
@@ -766,7 +797,7 @@ class ServerSession(_Session):
             self._dupacks += 1
             if self._dupacks == DUPACK_THRESHOLD:
                 self._resend_window()
-                self._arm(self.rto, self._send_timeout)
+                self._arm(self.rto, ServerSession._send_timeout)
             return
         self._base = acked
         self._dupacks = 0
@@ -775,7 +806,7 @@ class ServerSession(_Session):
             self._end("done")
             return
         self._pump()
-        self._arm(self.rto, self._send_timeout)
+        self._arm(self.rto, ServerSession._send_timeout)
 
     def _resend_window(self) -> None:
         for seq in range(self._base, self._next_seq):
@@ -784,7 +815,7 @@ class ServerSession(_Session):
     def _send_timeout(self) -> None:
         if self._retry("retry-limit"):
             self._resend_window()
-            self._arm(self.rto, self._send_timeout)
+            self._arm(self.rto, ServerSession._send_timeout)
 
 
 # -- topology configuration ------------------------------------------

@@ -174,10 +174,12 @@ class DiskStore(ContentStore):
     bytes.  A write appends a record at the end of the last good one;
     replacing an id appends the new record before it kills the old one,
     so a reopen between the two finds the later one.  A kill and a
-    read's access stamp rewrite a few bytes in place.  Once killed bytes
-    exceed live bytes, the live records are copied to a temporary pack
-    that then replaces the old one, so the file stays within about twice
-    its live bytes.  ``load_entries`` indexes an existing pack and must
+    read's access stamp rewrite a few bytes in place.  A record whose
+    kill the file system refuses stays indexed, since a reopen would
+    find it live: the remove, or the replace, raises ``StoreError``.
+    Once killed bytes exceed live bytes, the live records are copied to
+    a temporary pack that then replaces the old one, so the file stays
+    within about twice its live bytes.  ``load_entries`` indexes an existing pack and must
     run before anything else touches it.  The file is created on the
     first write, and its descriptor is held until ``close``.  Nothing is
     ``fsync``ed: crash consistency on a file system that may reorder or
@@ -203,9 +205,10 @@ class DiskStore(ContentStore):
 
     def store(self, entry: CacheEntry) -> None:
         """Append the entry's record, then kill the id's earlier one.  A
-        write the file system refuses (a full disk, say) raises
-        ``StoreError`` and cuts the pack back to its last good record: the
-        entry was not stored, and an earlier copy stays."""
+        write the file system refuses (a full disk, say), or a kill of
+        the earlier record it refuses, raises ``StoreError`` and cuts the
+        pack back to its last good record: the entry was not stored, and
+        an earlier copy stays."""
         body = _META.pack(
             _META_MAGIC, entry.inserted_at, entry.last_access, entry.expires_at
         ) + encode_chunk(entry.chunk)
@@ -217,12 +220,18 @@ class DiskStore(ContentStore):
         except OSError as exc:
             self._cut(at)
             raise StoreError(f"could not append to {self.path.name}: {exc}") from exc
+        earlier = self._index.get(entry.chunk.id)
+        if earlier is not None:
+            try:
+                self._kill(earlier[0])
+            except StoreError:
+                self._cut(at)
+                raise
         self._end = at + len(record)
         self._live += len(record)
-        earlier = self._index.get(entry.chunk.id)
         self._index[entry.chunk.id] = (at, len(record))
         if earlier is not None:
-            self._kill(*earlier)
+            self._forget(earlier[1])
 
     def get(self, xid: Xid) -> Chunk | None:
         where = self._index.get(xid)
@@ -235,10 +244,7 @@ class DiskStore(ContentStore):
                 raise StoreError("record does not contain the indexed chunk")
             return chunk
         except (OSError, ChunkError, StoreError) as exc:
-            log.warning(
-                "disk store: dropping unreadable %s at %d: %s", xid.text(short=True), offset, exc
-            )
-            self.remove(xid)
+            log.warning("disk store: unreadable %s at %d: %s", xid.text(short=True), offset, exc)
             return None
 
     def stamp_access(self, xid: Xid, last_access: int) -> None:
@@ -253,10 +259,14 @@ class DiskStore(ContentStore):
             log.warning("disk store: could not stamp %s: %s", xid.text(short=True), exc)
 
     def remove(self, xid: Xid) -> bool:
-        where = self._index.pop(xid, None)
+        """Kill the id's record; a kill the file system refuses raises
+        ``StoreError`` and leaves the record indexed."""
+        where = self._index.get(xid)
         if where is None:
             return False
-        self._kill(*where)
+        self._kill(where[0])
+        del self._index[xid]
+        self._forget(where[1])
         return True
 
     def __len__(self) -> int:
@@ -342,12 +352,18 @@ class DiskStore(ContentStore):
         except OSError as exc:
             log.warning("disk store: could not cut %s back to %d: %s", self.path, end, exc)
 
-    def _kill(self, offset: int, length: int) -> None:
-        self._live -= length
+    def _kill(self, offset: int) -> None:
+        """Write the killed magic over the frame of the record at
+        ``offset``; raises ``StoreError`` if the write fails."""
         try:
             os.pwrite(self._fd(), _KILLED, offset)
         except OSError as exc:
-            log.warning("disk store: could not kill the record at %d: %s", offset, exc)
+            raise StoreError(f"could not kill the record at {offset}: {exc}") from exc
+
+    def _forget(self, length: int) -> None:
+        """Account for a killed record; compact once killed bytes exceed
+        live ones."""
+        self._live -= length
         if self._end - self._live > self._live:
             self._compact()
 
@@ -433,7 +449,8 @@ class StorageManager:
             self._set_key(disk.store_id, entry.chunk.id, (entry.last_access, seq))
             self._insert_seq = seq + 1
         for _ in range(len(disk) - disk.capacity):
-            self.evict_one(disk.store_id)
+            if self.evict_one(disk.store_id) is None:
+                break
 
     def store(self, chunk: Chunk) -> tuple[str, list[Xid]]:
         """Place a verified chunk; returns (store id, evicted ids).
@@ -441,8 +458,11 @@ class StorageManager:
         A zero TTL means "do not cache": the store refuses it.  Storing
         an id that is already present refreshes its deadline instead; new
         content under a present id replaces the old entry.  A write that
-        fails raises ``StoreError`` carrying the ids dropped to make room
-        for it, the replaced one included: they are gone all the same.
+        fails, or finds no victim whose record can be killed, raises
+        ``StoreError`` carrying the ids dropped to make room for it, the
+        replaced one included: they are gone all the same.  A replaced
+        entry whose record cannot be killed stays, and so does its
+        content: the store raises ``StoreError`` with nothing dropped.
         """
         with self._lock:
             if chunk.ttl_ms == 0:
@@ -461,9 +481,12 @@ class StorageManager:
 
             target = self._place()
             evicted: list[Xid] = []
-            while not target.has_slot():
-                evicted.append(self.evict_one(target.store_id))
             try:
+                while not target.has_slot():
+                    victim = self.evict_one(target.store_id)
+                    if victim is None:
+                        raise StoreError(f"no {target.store_id} entry could be evicted")
+                    evicted.append(victim)
                 self._write(target, chunk, self._insert_seq, now)
             except StoreError as exc:
                 exc.evicted = (chunk.id, *evicted) if existing is not None else tuple(evicted)
@@ -481,7 +504,7 @@ class StorageManager:
             store_id = entry.store_id
             chunk = self._by_id[store_id].get(xid)
             if chunk is None:
-                self._drop(xid)
+                self._try_drop(xid)
                 return None
             self._set_key(store_id, xid, (now, entry.inserted_at))
             if store_id == DiskStore.store_id:
@@ -500,6 +523,8 @@ class StorageManager:
             return entry is not None and not entry.expired(self.clock.now_ms())
 
     def remove(self, xid: Xid) -> bool:
+        """Drop the entry; returns whether there was one.  A disk entry
+        whose record cannot be killed stays, and ``StoreError`` says so."""
         with self._lock:
             if xid not in self._entries:
                 return False
@@ -508,24 +533,30 @@ class StorageManager:
 
     def evict_one(self, store_id: str) -> Xid | None:
         """Drop the store's least recently used entry; returns its id, or
-        None if the store is empty."""
+        None if the store is empty.  An entry whose record cannot be
+        killed stays, in its place in the victim order, and the next one
+        is tried."""
         with self._lock:
             lru, heap = self._lru[store_id], self._heap[store_id]
-            while heap:
-                key, xid = heapq.heappop(heap)
-                if lru.get(xid) is key:
-                    self._drop(xid)
-                    return xid
-            return None
+            kept, victim = [], None
+            while heap and victim is None:
+                key, xid = item = heapq.heappop(heap)
+                if lru.get(xid) is not key:
+                    continue
+                if self._try_drop(xid):
+                    victim = xid
+                else:
+                    kept.append(item)
+            for item in kept:
+                heapq.heappush(heap, item)
+            return victim
 
     def sweep(self, now_ms: int | None = None) -> list[Xid]:
         """Drop every entry whose deadline has passed; returns their ids."""
         with self._lock:
             now = self.clock.now_ms() if now_ms is None else now_ms
             expired = [x for x, e in self._entries.items() if e.expired(now)]
-            for xid in expired:
-                self._drop(xid)
-            return expired
+            return [xid for xid in expired if self._try_drop(xid)]
 
     def ids(self) -> list[Xid]:
         with self._lock:
@@ -579,8 +610,21 @@ class StorageManager:
             heapq.heapify(heap)
 
     def _drop(self, xid: Xid) -> None:
-        entry = self._entries.pop(xid)
+        """Forget the entry; raises ``StoreError``, keeping it, if its
+        store cannot remove it."""
+        entry = self._entries[xid]
         self._by_id[entry.store_id].remove(xid)
+        del self._entries[xid]
         del self._lru[entry.store_id][xid]
         self._read_on_disk.discard(xid)
         self._compact(entry.store_id)
+
+    def _try_drop(self, xid: Xid) -> bool:
+        """``_drop``, but an entry whose record cannot be killed is logged
+        and kept; returns whether it went."""
+        try:
+            self._drop(xid)
+        except StoreError as exc:
+            log.warning("keeping %s: %s", xid.text(short=True), exc)
+            return False
+        return True

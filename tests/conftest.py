@@ -192,6 +192,41 @@ def fail_disk_writes(monkeypatch, torn=False):
     monkeypatch.setattr(os, "pwrite", pwrite)
 
 
+def fail_in_place_writes(monkeypatch, offsets=None):
+    """From now on every write that does not grow a file, as a record's
+    kill or access stamp does, fails with ``EIO``; with ``offsets``, only
+    such writes at those offsets fail.  Appends still succeed."""
+    real = os.pwrite
+
+    def pwrite(fd, data, offset):
+        if offset + len(data) <= os.fstat(fd).st_size and (offsets is None or offset in offsets):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return real(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", pwrite)
+
+
+class EagerTimer:
+    """The session timer as it was before it kept one queue entry: every
+    arming queues an event of its own, and each entry but the last
+    arming's does nothing when it comes up.  Put ahead of a session class
+    among a subclass's bases, it is the reference that the one-entry
+    timer must match."""
+
+    def _arm(self, delay_ms, fn):
+        self._epoch += 1
+        self._armed = self._epoch
+        self.sim.schedule(delay_ms, self._fire, self._epoch, fn)
+
+    def _fire(self, epoch, fn):
+        if epoch == self._armed:
+            self._armed = None
+        if epoch == self._epoch:
+            fn(self)
+        elif self._armed is None and self.state in ("complete", "done", "failed"):
+            self._release()
+
+
 def lone_daemon(config, clock=None):
     """A daemon on the only node of a fresh simulator."""
     from xcache.daemon import Xcached

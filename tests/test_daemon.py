@@ -16,6 +16,7 @@ from conftest import (
     PAIR_TOPO,
     disk_record,
     fail_disk_writes,
+    fail_in_place_writes,
     flip_disk_entry,
     lone_daemon,
     make_cluster,
@@ -53,7 +54,7 @@ from xcache.daemon import (
     parse_config,
 )
 from xcache.netsim import SegFlags, build_simulator
-from xcache.store import LogicalClock
+from xcache.store import LogicalClock, StoreError
 from xcache.urls import NcidUrl, canonical_name, parse_dag_url, serialize_dag_url, serialize_ncid_url
 
 
@@ -719,6 +720,23 @@ class TestDiskTier:
         finally:
             daemon.shutdown()
 
+    def test_a_destroy_whose_kill_fails_keeps_the_chunk_and_its_route(self, monkeypatch, tmp_path):
+        daemon = lone_daemon(self.disk_config(tmp_path))
+        try:
+            handle = daemon.init_handle()
+            dag = handle.put_chunk(b"stuck on disk", self.TTL)
+            with pytest.MonkeyPatch.context() as patch:
+                fail_in_place_writes(patch)
+                with pytest.raises(StoreError):
+                    handle.destroy_chunk(dag)
+            assert daemon.manager.contains(dag.intent_xid())
+            assert daemon.node.routes.is_local(dag.intent_xid())
+            assert handle.fetch_chunk(dag) == b"stuck on disk"
+            handle.destroy_chunk(dag)  # the disk works again
+            assert pack_records(tmp_path) == []
+        finally:
+            daemon.shutdown()
+
     def test_a_failed_republish_withdraws_the_replaced_route(self, monkeypatch, tmp_path):
         # the old version is dropped before the new one's write fails, so
         # the node must stop serving the name
@@ -1117,6 +1135,33 @@ class TestOpportunisticCaching:
             assert hashlib.sha256(cached.payload).digest() == hashlib.sha256(payload).digest()
         finally:
             shutdown_all(daemons)
+
+    def test_a_daemon_that_does_not_cache_installs_no_tap(self, line3):
+        never = lone_daemon(DaemonConfig(cache_policy="never"))
+        assert never.caching is False and never.node.capture is None
+        router = line3[1]["router"]
+        assert router.node.capture is not None
+        router.caching = False
+        assert router.node.capture is None
+        router.caching = True
+        assert router.node.capture is not None
+
+    def test_caching_turned_off_mid_session_admits_nothing(self, line3):
+        sim, daemons, handles = line3
+        router = daemons["router"]
+        daemons["client"].caching = False
+        payload = random.Random(6).randbytes(8 * 1024)
+        dag = handles["pub"].put_chunk(payload, 600_000)
+        pending = handles["client"].fetch_chunk(dag, blocking=False)
+        # the SYNACK and a data segment have crossed the router; the FIN has not
+        sim.wait_for(lambda: any(buf.segments for buf in router._ingest_buffers.values()))
+        router.caching = False
+        assert router._ingest_buffers == {}
+        assert pending.result() == payload
+        sim.step()
+        assert not router.manager.contains(dag.intent_xid())
+        assert not router.node.routes.is_local(dag.intent_xid())
+        assert router._ingest_buffers == {} and router._inflight == {}
 
     def test_unfinished_ingest_buffer_expires(self):
         sim, daemons, handles = make_cluster(LINE3_TOPO, max_retries=4)

@@ -3,13 +3,14 @@ import gc
 import hashlib
 import random
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import LINE3_TOPO, PAIR_TOPO, make_cluster, run_session
+from conftest import LINE3_TOPO, PAIR_TOPO, EagerTimer, make_cluster, run_session
 from xcache.addressing import DECISION_MEMO_MAX, XidType, make_fallback_dag, symbolic_xid
 from xcache.chunking import compute_cid, decode_chunk
 from xcache import netsim
@@ -569,6 +570,119 @@ class TestRelease:
             client_node.start_connect(stranger)
         assert client_node.sessions == {} and client_node.endpoints == {}
         assert client_node.routes.locals() == {client_node.ad, client_node.hid}
+
+
+class _TimedEnd(netsim._Session):
+    """A session end without a peer, for driving its timer directly; it
+    logs each handler its timer runs and its release, at ``sim.now``."""
+
+    def __init__(self, node, log):
+        super().__init__(node, b"timer-law")
+        self.log = log
+
+    def _release(self):
+        if self.node.endpoints.get(self.endpoint_sid) is self:
+            self.log.append((self.sim.now, "release"))
+        super()._release()
+
+
+class _EagerTimedEnd(EagerTimer, _TimedEnd):
+    pass
+
+
+def _timer_handler(label, then):
+    """A timer handler that logs ``label`` and then re-arms after ``then``
+    ms, ends the session (``"end"``, as a timeout does), or stops."""
+
+    def fire(session):
+        session.log.append((session.sim.now, "fire", label))
+        if then == "end":
+            session._end("failed")
+        elif then is not None:
+            session._arm(then, _timer_handler(label + "'", None))
+
+    return fire
+
+
+_DELAY = st.integers(0, 6)  # small, so that due times collide
+_TIMER_STEP = st.tuples(
+    st.integers(0, 3),  # ms to advance before the step
+    st.sampled_from(["arm", "arm", "progress", "end"]),
+    _DELAY,  # an arming's delay
+    st.none() | st.just("end") | _DELAY,  # what its handler does next
+    # the delay of a probe event queued after the step; "tie" is the
+    # arming's delay, so the probe falls due with the arming
+    st.none() | st.just("tie") | _DELAY,
+)
+
+
+class TestOneTimerEntry:
+    """A session end keeps at most one entry on the event queue, and its
+    timer runs the handlers and the release an entry per arming ran."""
+
+    @staticmethod
+    def run_timer(end_cls, program):
+        """Drive one session end's timer through ``program``, queueing a
+        probe event after a step where it says so; returns the log of
+        handlers, releases and probes, and whether the end is still held
+        once the queue has drained."""
+        sim = Simulator()
+        node = sim.add_node("n")
+        log = []
+        end = end_cls(node, log)
+        for i, (gap, op, delay, then, probe) in enumerate(program):
+            sim.step(sim.now + gap)
+            if end.state != "new":
+                pass  # as in the transport, an ended session arms nothing
+            elif op == "arm":
+                end._arm(delay, _timer_handler(str(i), then))
+            elif op == "progress":
+                end._progress()
+            else:
+                # an end outside a handler follows progress, as every
+                # caller's does
+                end._progress()
+                end._end("done")
+            if probe is not None:
+                probe = delay if probe == "tie" else probe
+                sim.schedule(probe, lambda i=i: log.append((sim.now, "probe", i)))
+        sim.step()
+        return log, end in node.endpoints.values()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_TIMER_STEP, max_size=30))
+    def test_the_timer_runs_what_one_entry_per_arming_ran(self, program):
+        lazy = self.run_timer(_TimedEnd, program)
+        assert lazy == self.run_timer(_EagerTimedEnd, program)
+        event("released" if any(rec[1] == "release" for rec in lazy[0]) else "held")
+
+    @staticmethod
+    def timer_owners(sim):
+        """The session end each queued timer entry belongs to."""
+        return [
+            getattr(fn, "__self__", None) or args[0]
+            for _, _, fn, args in sim._heap
+            if getattr(fn, "__name__", None) == "_fire"
+        ]
+
+    def test_a_lossy_transfer_queues_one_entry_per_session_end(self):
+        sim = build_simulator(PAIR_TOPO)
+        sim.add_link("client", "pub", delay_ms=5, loss=0.05)
+        payload = random.Random(19).randbytes(64 * 1024)
+        dag = serve_bytes(sim.nodes["pub"], payload)
+        ended = []
+        client = sim.nodes["client"].start_connect(dag, on_end=ended.append)
+        seen = 0
+        while sim._heap:
+            sim.step(sim.now + 1)
+            owners = Counter(self.timer_owners(sim))
+            live = [end for node in sim.nodes.values() for end in node.endpoints.values()]
+            assert set(owners) <= set(live)
+            assert all(count == 1 for count in owners.values()), sim.now
+            seen = max(seen, len(owners))
+        assert ended == [client] and b"".join(client.rx_payloads) == payload
+        assert sim.stats["retransmits"] > 0  # the loss did bite
+        assert seen == 2  # both ends held a timer at once
 
 
 class TestDecisionMemo:

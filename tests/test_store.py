@@ -17,6 +17,7 @@ from conftest import (
     PackRecord,
     disk_record,
     fail_disk_writes,
+    fail_in_place_writes,
     flip_disk_entry,
     pack_records,
 )
@@ -540,6 +541,78 @@ class TestDiskDurability:
         assert [r.offset for r in pack_records(tmp_path)] == [first]
 
 
+class TestKillFaults:
+    """A record whose kill the file system refuses stays indexed, since a
+    reopen would find it live."""
+
+    def fill(self, disk_manager, tags):
+        manager = disk_manager(mem_capacity=0, disk_capacity=len(tags), clock=LogicalClock())
+        chunks = [chunk_for(tag) for tag in tags]
+        for chunk in chunks:
+            manager.store(chunk)
+        return manager, chunks
+
+    def reopened_ids(self, disk_manager, manager):
+        manager.close()
+        return set(disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock()).ids())
+
+    def test_a_remove_whose_kill_fails_keeps_the_entry(self, disk_manager):
+        manager, (a, b) = self.fill(disk_manager, "ab")
+        with pytest.MonkeyPatch.context() as patch:
+            fail_in_place_writes(patch)
+            with pytest.raises(StoreError):
+                manager.remove(a.id)
+        assert manager.get(a.id) == a
+        assert self.reopened_ids(disk_manager, manager) == {a.id, b.id}
+
+    def test_an_eviction_whose_kill_fails_tries_the_next_victim(self, disk_manager, tmp_path):
+        manager, (a, b) = self.fill(disk_manager, "ab")
+        c = chunk_for("c")
+        with pytest.MonkeyPatch.context() as patch:
+            fail_in_place_writes(patch, offsets={pack_records(tmp_path)[0].offset})  # a's record
+            assert manager.store(c) == ("disk", [b.id])
+        assert manager.evict_one("disk") == a.id  # a stayed the oldest
+        manager.store(b)
+        assert self.reopened_ids(disk_manager, manager) == {b.id, c.id}
+
+    def test_a_store_that_can_kill_no_victim_fails_whole(self, disk_manager):
+        manager, (a, b) = self.fill(disk_manager, "ab")
+        with pytest.MonkeyPatch.context() as patch:
+            fail_in_place_writes(patch)
+            with pytest.raises(StoreError) as info:
+                manager.store(chunk_for("c"))
+            assert manager.evict_one("disk") is None
+        assert info.value.evicted == ()
+        assert set(manager.ids()) == {a.id, b.id}
+        assert self.reopened_ids(disk_manager, manager) == {a.id, b.id}
+
+    def test_a_replace_whose_kill_fails_keeps_the_old_content(self, disk_manager, tmp_path):
+        manager, (a,) = self.fill(disk_manager, "a")
+        renamed = Chunk(id=a.id, ttl_ms=40, payload=b"renamed")
+        with pytest.MonkeyPatch.context() as patch:
+            fail_in_place_writes(patch)
+            with pytest.raises(StoreError) as info:
+                manager.store(renamed)
+            with pytest.raises(StoreError):
+                manager.store(a)  # an identical republish rewrites the record
+        assert info.value.evicted == ()
+        assert manager.get(a.id) == a
+        assert [r.xid for r in pack_records(tmp_path)] == [a.id]
+        assert self.reopened_ids(disk_manager, manager) == {a.id}
+
+    def test_a_sweep_keeps_what_it_cannot_kill(self, disk_manager):
+        clock = LogicalClock()
+        manager = disk_manager(mem_capacity=0, disk_capacity=4, clock=clock)
+        short = chunk_for("short", ttl=10)
+        manager.store(short)
+        clock.advance(10)
+        with pytest.MonkeyPatch.context() as patch:
+            fail_in_place_writes(patch)
+            assert manager.sweep() == []
+        assert manager.ids() == [short.id] and not manager.contains(short.id)
+        assert manager.sweep() == [short.id]
+
+
 class TestStores:
     def test_memory_store_basics(self):
         store = MemoryStore(capacity=2)
@@ -610,8 +683,10 @@ class StoreLawsMachine(RuleBasedStateMachine):
     most chunks outlive a run, so runs reach full stores instead of
     emptying them as fast as they fill.  A store may meet a full disk:
     its pack append fails, and the model applies the evictions made for
-    it, then refuses it.  The reference reader's view of the pack must
-    match the manager's disk tier after every step.
+    it, then refuses it.  A step may find that no record can be killed:
+    the manager then keeps every disk entry it would have dropped.  The
+    reference reader's view of the pack must match the manager's disk
+    tier after every step.
     """
 
     CAPACITY = {"mem": 1, "disk": 3}
@@ -651,25 +726,31 @@ class StoreLawsMachine(RuleBasedStateMachine):
         entry = self.entries.pop(xid)
         del self.lru[entry.store_id].state[xid]
 
-    def _store(self, chunk, disk_fails=False):
+    def _store(self, chunk, disk_fails=False, kills_fail=False):
         """Apply a store to the model; returns what the manager's store
         returns, or, when ``disk_fails`` and the write goes to disk,
         ``StoreError`` and the ids the error reports: the evictions made
-        for the write stand, and a replaced entry is gone too."""
+        for the write stand, and a replaced entry is gone too.  When
+        ``kills_fail``, no disk record can be killed, so a store that
+        must drop a disk entry, or rewrite one, fails and keeps them."""
         now = self.clock.now_ms()
         existing = self.entries.get(chunk.id)
         if self._live(chunk.id) and existing.chunk == chunk:
-            if disk_fails and existing.store_id == "disk":
+            if (disk_fails or kills_fail) and existing.store_id == "disk":
                 return StoreError, ()
             self.lru[existing.store_id].get(chunk.id, now)
             existing.expires_at = now + chunk.ttl_ms
             return existing.store_id, []
+        if kills_fail and existing is not None and existing.store_id == "disk":
+            return StoreError, ()
         dropped = []
         if existing is not None:
             self._drop(chunk.id)
             dropped.append(chunk.id)
         target = "mem" if len(self.lru["mem"].state) < self.CAPACITY["mem"] else "disk"
         lru = self.lru[target]
+        if kills_fail and target == "disk" and len(lru.state) >= self.CAPACITY["disk"]:
+            return StoreError, tuple(dropped)
         evicted = []
         while len(lru.state) >= self.CAPACITY[target]:
             evicted.append(lru.evict())
@@ -697,6 +778,40 @@ class StoreLawsMachine(RuleBasedStateMachine):
             with pytest.raises(StoreError) as info:
                 self.manager.store(self.pool[i])
         assert info.value.evicted == expected[1]
+
+    @rule(op=st.sampled_from(["store", "remove", "evict", "sweep"]), i=st.integers(0, 5))
+    def while_kills_fail(self, op, i):
+        """A step during which no in-place write lands, so no disk record
+        can be killed: what the manager cannot kill, it keeps."""
+        chunk = self.pool[i]
+        with pytest.MonkeyPatch.context() as patch:
+            fail_in_place_writes(patch)
+            if op == "store":
+                expected = self._store(chunk, kills_fail=True)
+                if expected[0] is not StoreError:
+                    assert self.manager.store(chunk) == expected
+                    return
+                with pytest.raises(StoreError) as info:
+                    self.manager.store(chunk)
+                assert info.value.evicted == expected[1]
+            elif op == "remove":
+                entry = self.entries.get(chunk.id)
+                if entry is not None and entry.store_id == "disk":
+                    with pytest.raises(StoreError):
+                        self.manager.remove(chunk.id)
+                    return
+                if entry is not None:
+                    self._drop(chunk.id)
+                assert self.manager.remove(chunk.id) == (entry is not None)
+            elif op == "evict":
+                assert self.manager.evict_one("disk") is None
+            else:
+                expired = {
+                    x for x, e in self.entries.items() if e.store_id == "mem" and not self._live(x)
+                }
+                for xid in expired:
+                    self._drop(xid)
+                assert set(self.manager.sweep()) == expired
 
     @rule(dt=st.integers(0, 30), i=st.integers(0, 5))
     def get(self, dt, i):
