@@ -404,9 +404,6 @@ class RouteTable:
     a number.  Forwarding memos (``DagAddress.decisions``) key on it.
     Only these methods may change ``_next_hop`` and ``_local``; a write
     that bypassed them would leave ``state`` naming old contents.
-
-    Mutation is confined to the owning simulated node; reads are safe
-    from anywhere.
     """
 
     def __init__(self) -> None:

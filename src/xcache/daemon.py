@@ -8,11 +8,10 @@ daemon's cache flag is set, and completes the fetch and every caller
 that coalesced onto it; a named chunk whose key chunk is not at hand
 fetches the key first, the same way.  Blocking callers and
 ``PendingFetch`` results pump the simulator until their own fetch has
-finished, and the daemon starts no threads.  The daemon's lock is its
-node's engine lock, so a miss registers itself and starts its session
-in one critical section: a caller that finds a fetch in flight finds
-its session started, and a wait that drains the event queue is a
-stall.  Nothing enters any store, and nothing read from the disk tier
+finished, and the daemon starts no threads.  A daemon belongs to the
+thread that owns its node's simulator: a public call from any other
+thread raises ``netsim.ForeignThreadError``, so the daemon takes no
+lock.  Nothing enters any store, and nothing read from the disk tier
 reaches a caller, without passing ``Xcached.verify``, which is also
 what makes opportunistic caching safe: a caching daemon taps its node's
 forwarding path, reassembles content sessions it forwards, and becomes
@@ -129,14 +128,15 @@ class DaemonConfig:
     max_payload: int = DEFAULT_MAX_PAYLOAD
 
 
+# Integer keys and the least value each accepts (None: any).
 _CONFIG_INT_KEYS = {
-    "workers",
-    "mem_capacity_chunks",
-    "disk_capacity_chunks",
-    "segment_size",
-    "window",
-    "rto_multiplier",
-    "max_payload",
+    "workers": None,
+    "mem_capacity_chunks": 0,
+    "disk_capacity_chunks": 0,
+    "segment_size": 1,
+    "window": 1,
+    "rto_multiplier": 1,
+    "max_payload": 1,
 }
 
 
@@ -155,7 +155,9 @@ def parse_config(text: str, base: DaemonConfig | None = None) -> DaemonConfig:
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown key {key!r}")
             if key in _CONFIG_INT_KEYS:
-                value = int(value)
+                value, least = int(value), _CONFIG_INT_KEYS[key]
+                if least is not None and value < least:
+                    raise ValueError(f"{key} must be at least {least}")
             elif key == "cache_policy":
                 cache_flag(value)
             setattr(cfg, key, value)
@@ -166,8 +168,7 @@ def parse_config(text: str, base: DaemonConfig | None = None) -> DaemonConfig:
 
 class Request:
     """One fetch and the callers coalesced onto it (its followers);
-    reaches exactly one terminal state, which ``wait`` pumps ``sim`` for.
-    It changes state only under the engine lock."""
+    reaches exactly one terminal state, which ``wait`` pumps ``sim`` for."""
 
     def __init__(self, handle, intent: Xid, sim):
         self.handle = handle
@@ -300,7 +301,10 @@ class XcacheHandle:
 
     def launch_notif_listener(self) -> threading.Thread:
         """Dedicated listener: drains notifications continuously until
-        the handle is destroyed."""
+        the handle is destroyed.  Its handlers run on the listener
+        thread, so a handler that calls back into the daemon gets
+        ``ForeignThreadError``; one that must act on a notification
+        passes it to the owner thread, through a queue say."""
         self._daemon.check_handle(self)
 
         def _listen():
@@ -343,7 +347,6 @@ class Xcached:
         # node is its own trust domain, so no daemon sees another's
         self._signatures: set[bytes] = set()
 
-        self._lock = node.sim.lock
         self._handles: set[XcacheHandle] = set()
         self._inflight: dict[Xid, Request] = {}
         self._ingest_buffers: dict[bytes, _IngestBuffer] = {}
@@ -365,38 +368,40 @@ class Xcached:
 
     @caching.setter
     def caching(self, on: bool) -> None:
-        with self._lock:
-            self._caching = on
-            self.node.capture = self._on_capture if on else None
-            if not on:
-                self._ingest_buffers.clear()
-                self._ingest_sweep_at = math.inf
+        self.node.sim.check_thread()
+        self._caching = on
+        self.node.capture = self._on_capture if on else None
+        if not on:
+            self._ingest_buffers.clear()
+            self._ingest_sweep_at = math.inf
 
     # -- handles -------------------------------------------------------
 
     def init_handle(self) -> XcacheHandle:
+        self.node.sim.check_thread()
         if not self._alive:
             raise XcacheError("daemon is shut down")
         handle = XcacheHandle(self)
-        with self._lock:
-            self._handles.add(handle)
+        self._handles.add(handle)
         return handle
 
     def destroy_handle(self, handle: XcacheHandle) -> None:
         self.check_handle(handle)
-        with self._lock:
-            handle.alive = False
-            for request in list(handle._pending):
-                request.cancel()
-            handle._pending.clear()
-            while not handle._notif_queue.empty():
-                try:
-                    handle._notif_queue.get_nowait()
-                except queue.Empty:
-                    break
-            self._handles.discard(handle)
+        handle.alive = False
+        for request in list(handle._pending):
+            request.cancel()
+        handle._pending.clear()
+        while not handle._notif_queue.empty():
+            try:
+                handle._notif_queue.get_nowait()
+            except queue.Empty:
+                break
+        self._handles.discard(handle)
 
     def check_handle(self, handle: XcacheHandle) -> None:
+        """Every handle call's first step: the caller must be the
+        simulator's owner thread, and the handle live on this daemon."""
+        self.node.sim.check_thread()
         if not isinstance(handle, XcacheHandle) or handle._daemon is not self or not handle.alive:
             raise InvalidHandleError("handle is not live on this daemon")
 
@@ -498,28 +503,27 @@ class Xcached:
         intent = addr.intent_xid()
         if intent.xtype not in CONTENT_TYPES:
             raise FetchError(f"cannot fetch a {intent.xtype.value} intent")
-        with self._lock:
-            chunk = self._held(intent)  # a miss withdraws the route before any SYN leaves
-            self.counters["queued" if chunk is None else "fast_path"] += 1
-            if chunk is not None and self.manager.placement(intent) != DiskStore.store_id:
-                if blocking:
-                    return chunk, LOCAL_STATS
-                done = Request(handle, intent, self.node.sim)
-                done.complete(result=(chunk, LOCAL_STATS))
-                return PendingFetch(done)
+        chunk = self._held(intent)  # a miss withdraws the route before any SYN leaves
+        self.counters["queued" if chunk is None else "fast_path"] += 1
+        if chunk is not None and self.manager.placement(intent) != DiskStore.store_id:
+            if blocking:
+                return chunk, LOCAL_STATS
+            done = Request(handle, intent, self.node.sim)
+            done.complete(result=(chunk, LOCAL_STATS))
+            return PendingFetch(done)
 
-            request = Request(handle, intent, self.node.sim)
-            handle._pending.add(request)
-            leader = self._inflight.get(intent)
-            if leader is not None and not leader.finished():
-                leader.followers.append(request)
+        request = Request(handle, intent, self.node.sim)
+        handle._pending.add(request)
+        leader = self._inflight.get(intent)
+        if leader is not None and not leader.finished():
+            leader.followers.append(request)
+        else:
+            self._inflight[intent] = request
+            if chunk is None:
+                steps = self._fetch_remote(addr, intent, key_chunk)
             else:
-                self._inflight[intent] = request
-                if chunk is None:
-                    steps = self._fetch_remote(addr, intent, key_chunk)
-                else:
-                    steps = self._verify_disk_hit(chunk, intent, key_chunk)
-                self._drive(steps, partial(self._finish, request))
+                steps = self._verify_disk_hit(chunk, intent, key_chunk)
+            self._drive(steps, partial(self._finish, request))
         if not blocking:
             return PendingFetch(request)
         return request.wait()
@@ -572,23 +576,23 @@ class Xcached:
         if isinstance(addr, str):
             addr = parse_dag_url(addr, allow_short=True)
         xid = addr if isinstance(addr, Xid) else addr.intent_xid()
-        with self._lock:
-            self.manager.remove(xid)
-            self.node.routes.remove_local(xid)
+        self.manager.remove(xid)
+        self.node.routes.remove_local(xid)
 
     # -- maintenance -----------------------------------------------------
 
     def sweep_ttl(self, now_ms: int | None = None) -> list[Xid]:
         """Expire overdue entries; emits one eviction notification per
         expired chunk."""
-        with self._lock:
-            expired = self.manager.sweep(now_ms)
-            for xid in expired:
-                self.node.routes.remove_local(xid)
-                self._notify(NotifEvent.CHUNK_EVICTED, xid)
-            return expired
+        self.node.sim.check_thread()
+        expired = self.manager.sweep(now_ms)
+        for xid in expired:
+            self.node.routes.remove_local(xid)
+            self._notify(NotifEvent.CHUNK_EVICTED, xid)
+        return expired
 
     def shutdown(self) -> None:
+        self.node.sim.check_thread()
         self._alive = False
         self.manager.close()
 
@@ -638,12 +642,11 @@ class Xcached:
         self._drive(steps, done, outcome)
 
     def _finish(self, request: Request, result=None, error=None) -> None:
-        with self._lock:
-            if self._inflight.get(request.intent) is request:
-                del self._inflight[request.intent]
-            request.complete(result, error)
-            for done in (request, *request.followers):
-                done.handle._pending.discard(done)
+        if self._inflight.get(request.intent) is request:
+            del self._inflight[request.intent]
+        request.complete(result, error)
+        for done in (request, *request.followers):
+            done.handle._pending.discard(done)
 
     def _fetch_remote(self, addr: DagAddress, intent: Xid, held: Chunk | None):
         """A miss, as ``_drive`` runs it: transfer, decode, verify, and
@@ -654,8 +657,7 @@ class Xcached:
         if not result.accepted:
             raise VerificationError(result.reason or "rejected")
         if chunk.ttl_ms > 0 and self.caching:
-            with self._lock:
-                self._admit(chunk, origin="fetch")
+            self._admit(chunk, origin="fetch")
         return chunk, stats
 
     def _verify_disk_hit(self, chunk: Chunk, intent: Xid, held: Chunk | None):
@@ -666,13 +668,12 @@ class Xcached:
         different memo key and are verified in full."""
         result = yield from self._verify_fetched(chunk, intent, held)
         if not result.accepted:
-            with self._lock:
-                try:
-                    self.manager.remove(intent)
-                except StoreError as exc:  # still held, so still routed
-                    log.warning("%s: keeping a disk hit that failed: %s", self.node.name, exc)
-                else:
-                    self.node.routes.remove_local(intent)
+            try:
+                self.manager.remove(intent)
+            except StoreError as exc:  # still held, so still routed
+                log.warning("%s: keeping a disk hit that failed: %s", self.node.name, exc)
+            else:
+                self.node.routes.remove_local(intent)
             raise VerificationError(result.reason or "rejected")
         return chunk, LOCAL_STATS
 
@@ -705,8 +706,7 @@ class Xcached:
         if key is not None and not self.verify(key, missing[0]):
             key = None
         if key is not None and key.ttl_ms > 0 and self.caching:
-            with self._lock:
-                self._admit(key, origin="fetch")
+            self._admit(key, origin="fetch")
         return self.verify(chunk, intent, lambda key_cid: key)
 
     def verify(self, chunk: Chunk, intent: Xid, fetch_key=None) -> VerifyResult:
@@ -773,18 +773,15 @@ class Xcached:
     def _publish(self, chunk: Chunk) -> DagAddress:
         """Admit a chunk this node publishes; returns the address remote
         clients can fetch it by."""
-        with self._lock:
-            if not self._admit(chunk, origin="publish"):
-                raise PublishError("no store admitted the chunk")
+        if not self._admit(chunk, origin="publish"):
+            raise PublishError("no store admitted the chunk")
         return self.node.local_dag_for(chunk.id)
 
     def _notify(self, event: NotifEvent, xid: Xid) -> None:
         """Queue ``event`` for every live handle with a handler for it;
         ``xid``'s address is built only if some handle listens."""
-        with self._lock:
-            handles = list(self._handles)
         addr = None
-        for handle in handles:
+        for handle in self._handles:
             if handle.alive and handle._handlers.get(event):
                 if addr is None:
                     addr = self.node.local_dag_for(xid)
@@ -794,6 +791,7 @@ class Xcached:
         """Attack/test instrumentation: place a chunk without verifying
         it, modeling a malicious or broken node.  Honest daemons never
         call this."""
+        self.node.sim.check_thread()
         self._publish(chunk)
 
     # -- node-facing machinery ------------------------------------------
@@ -864,8 +862,7 @@ class Xcached:
         if error is not None:
             log.warning("%s: discarding capture: %s", self.node.name, error)
         elif result.accepted and self.caching:
-            with self._lock:
-                self._admit(chunk, origin="opportunistic")
+            self._admit(chunk, origin="opportunistic")
 
 
 def _fallback_chain(dag: DagAddress) -> list[Xid]:

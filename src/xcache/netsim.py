@@ -34,20 +34,16 @@ a delivery) first tests ``trace is not None`` and only then builds its
 record, so an untraced run builds none and makes no call for it.
 
 Events run only while a caller pumps the loop (``step``, ``wait_for``).
-``start_connect`` draws a session's ids and sends its SYN on the
-caller's thread, and its ``on_end`` callback runs inside the event that
-ends the session.  So when one thread starts sessions and pumps, the
-event trace is fully determined by the topology, the workload and the
-seed, however many sessions are in flight.  Every call that touches the
-engine holds its one reentrant lock (``Simulator.lock``) throughout, so
-several threads may make them; the trace is then determined only while
-one fetch is in flight at a time.  Forwarding and timers run only
-inside such a call, so they queue a segment's arrival or a timer entry
-without taking the lock again; ``schedule``, which self-delivery and
-callers outside the engine use, takes it.  A waiter pumps until its
-predicate holds, and a queue that drains first is a stall: every
-session holds a timer until it ends, so nothing but an event can end a
-wait.
+``start_connect`` draws a session's ids and sends its SYN, and its
+``on_end`` callback runs inside the event that ends the session.  A
+simulator belongs to the thread that built it, and so does everything
+built on it: ``step``, ``wait_for``, ``schedule`` and ``start_connect``
+refuse any other thread with ``ForeignThreadError``, so nothing takes a
+lock, and the event trace is fully determined by the topology, the
+workload and the seed, however many sessions are in flight.  A waiter
+pumps until its predicate holds, and a queue that drains first is a
+stall: every session holds a timer until it ends, so nothing but an
+event can end a wait.
 
 The serving side never blocks.  What a node serves is its route table's
 local content set: when a SYN for a local content route is delivered,
@@ -136,6 +132,11 @@ class SimStalledError(SimError):
     """The event queue drained while ``wait_for`` was still waiting."""
 
 
+class ForeignThreadError(SimError):
+    """A call into a simulator, or into anything built on it, from a
+    thread other than the one that built the simulator."""
+
+
 class SegFlags:
     """Segment flag bits.  Plain ints, not an ``IntFlag``, so the flag
     tests on the per-segment path run in C."""
@@ -216,7 +217,7 @@ class Simulator:
         self._delay_sum = 0
         self._heap: list[tuple[int, int, Callable[..., object], tuple]] = []
         self._seq = itertools.count()
-        self.lock = threading.RLock()  # the engine lock
+        self._owner = threading.get_ident()
 
     # -- topology ----------------------------------------------------
 
@@ -264,6 +265,15 @@ class Simulator:
 
     # -- event engine ------------------------------------------------
 
+    def check_thread(self) -> None:
+        """Raise ``ForeignThreadError`` unless the calling thread built
+        this simulator.  Each public entry calls it once, never per
+        event."""
+        if threading.get_ident() != self._owner:
+            raise ForeignThreadError(
+                f"simulator of thread {self._owner} called from thread {threading.get_ident()}"
+            )
+
     def now_ms(self) -> int:
         """Simulated time, so a simulator can serve as a store's clock."""
         return self.now
@@ -271,13 +281,13 @@ class Simulator:
     def schedule(self, delay_ms: int, fn: Callable[..., object], *args) -> None:
         """Run ``fn(*args)`` once ``delay_ms`` of simulated time have
         passed."""
-        with self.lock:
-            heapq.heappush(self._heap, (self.now + delay_ms, next(self._seq), fn, args))
+        self.check_thread()
+        heapq.heappush(self._heap, (self.now + delay_ms, next(self._seq), fn, args))
 
     def _run_events(self, predicate=None, until_ms: int | None = None) -> None:
         """Run events one at a time in (time, enqueue order) until
         ``predicate()`` holds, the next one is due after ``until_ms``, or
-        the queue drains.  The caller holds the lock."""
+        the queue drains."""
         heap, pop = self._heap, heapq.heappop
         while heap:
             if until_ms is not None and heap[0][0] > until_ms:
@@ -290,21 +300,21 @@ class Simulator:
             fn(*args)
 
     def wait_for(self, predicate) -> None:
-        """Run events under the engine lock until the predicate holds.
-        A queue that drains while it is still false is a stall: raises
-        ``SimStalledError`` at once, with the clock at the last event."""
-        with self.lock:
-            self._run_events(predicate)
-            if not predicate():
-                raise SimStalledError("event queue drained while a call was waiting")
+        """Run events until the predicate holds.  A queue that drains
+        while it is still false is a stall: raises ``SimStalledError`` at
+        once, with the clock at the last event."""
+        self.check_thread()
+        self._run_events(predicate)
+        if not predicate():
+            raise SimStalledError("event queue drained while a call was waiting")
 
     def step(self, until_ms: int | None = None) -> None:
         """Advance through all events due at or before ``until_ms``
         (all pending events when None)."""
-        with self.lock:
-            self._run_events(until_ms=until_ms)
-            if until_ms is not None and until_ms > self.now:
-                self.now = until_ms
+        self.check_thread()
+        self._run_events(until_ms=until_ms)
+        if until_ms is not None and until_ms > self.now:
+            self.now = until_ms
 
     def _trace(
         self, kind: str, node: str, seg: Segment, to: str | None = None, reason: str | None = None
@@ -383,8 +393,7 @@ class NetNode:
         """Act on one segment at this node: forward it, deliver it here,
         or drop it as unroutable.  The decision comes from the memo of
         the segment's ``dst_dag`` under this node's route-table state and
-        the segment's position; ``resolve_next`` runs only on a miss.
-        Callers hold the engine lock (see ``_forward``)."""
+        the segment's position; ``resolve_next`` runs only on a miss."""
         arrived_at = seg.dst_position
         dag = seg.dst_dag
         routes = self.routes
@@ -426,10 +435,9 @@ class NetNode:
     def _forward(self, seg: Segment, hop: str) -> str:
         """Tap, then send ``seg`` over the link to ``hop``, which may lose
         it.  The arrival goes straight onto the event queue, as
-        ``schedule`` would put it but without entering the engine lock:
-        every caller already holds it, since forwarding runs only inside
-        an event, inside ``start_connect``, or inside a daemon call made
-        under ``sim.lock``."""
+        ``schedule`` would put it but without its thread check: forwarding
+        runs only inside an event or inside a public entry, which has
+        made the check."""
         sim = self.sim
         if self.capture is not None and (seg.dst_dag.names_content or seg.src_dag.names_content):
             self.capture(seg)
@@ -480,19 +488,19 @@ class NetNode:
     # -- application surface -----------------------------------------
 
     def start_connect(self, dag: DagAddress, on_end=None) -> "ClientSession":
-        """Emit the SYN/content-request under the engine lock and return
-        the (not yet established) session; the event loop drives the
+        """Emit the SYN/content-request and return the (not yet
+        established) session; the event loop drives the
         rest.  ``on_end(session)``, if given, is how the session reports:
         it runs inside the event that ends it, with ``state`` either
         ``"complete"`` (the bytes are ``rx_payloads`` and the SYNACK's
         ``reply`` says who sent them) or ``"failed"`` (``fail_reason``
         says why).  A start that raises ``NoRouteError`` never calls it."""
+        self.sim.check_thread()
         if dag.intent_xid().xtype not in CONTENT_TYPES:
             raise SimError("can only connect to content intents")
-        with self.sim.lock:
-            session = ClientSession(self, dag)
-            session.start()
-            session.on_end = on_end  # set once started: a start that raises never reports
+        session = ClientSession(self, dag)
+        session.start()
+        session.on_end = on_end  # set once started: a start that raises never reports
         return session
 
 
@@ -542,9 +550,7 @@ class _Session:
         node.routes.add_local(self.endpoint_sid)
 
     def _arm(self, delay_ms: int, fn: Callable[["_Session"], None]) -> None:
-        """Arm the timer to run ``fn(self)`` after ``delay_ms``.  Timers are
-        armed only inside an event or inside ``start_connect``, so a push
-        goes onto the queue without entering the engine lock again."""
+        """Arm the timer to run ``fn(self)`` after ``delay_ms``."""
         sim = self.sim
         self._epoch += 1
         key = (sim.now + delay_ms, next(sim._seq))

@@ -14,7 +14,6 @@ import logging
 import os
 import re
 import struct
-import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -284,12 +283,16 @@ class DiskStore(ContentStore):
         killed.  A damaged frame (an unknown magic, or a body running past
         the end of the file) is skipped up to the next whole frame; with
         none after it, it is a torn tail and is cut off.  On a well-formed
-        pack with nothing expired this writes nothing.  Returns the
+        pack with nothing expired this writes nothing.  A kill or a cut
+        the file system refuses is logged and the scan goes on: a record
+        left live is met again, and killed again, by the next reopen, and
+        the next append overwrites a tail left uncut.  Returns the
         surviving entries sorted by insertion stamp."""
         self.close()
         self._index.clear()
         self._end = self._live = 0
         entries: dict[Xid, CacheEntry] = {}
+        doomed: list[int] = []  # offsets of the records to kill
         try:
             pack = open(self.path, "r+b", buffering=0)
         except FileNotFoundError:
@@ -314,17 +317,25 @@ class DiskStore(ContentStore):
                     xid = entry.chunk.id
                     earlier = self._index.pop(xid, None)
                     if earlier is not None:  # a replace whose kill did not land
-                        os.pwrite(fd, _KILLED, earlier[0])
+                        doomed.append(earlier[0])
                         del entries[xid]
                     if now_ms >= entry.expires_at:
-                        os.pwrite(fd, _KILLED, at)
+                        doomed.append(at)
                     else:
                         self._index[xid] = (at, length)
                         entries[xid] = entry
                 at += length
+            for offset in doomed:
+                try:
+                    os.pwrite(fd, _KILLED, offset)
+                except OSError as exc:
+                    log.warning("disk store: could not kill the record at %d: %s", offset, exc)
             if at < size:
                 log.warning("disk store: cutting %d torn bytes off %s", size - at, self.path)
-                os.ftruncate(fd, at)
+                try:
+                    os.ftruncate(fd, at)
+                except OSError as exc:
+                    log.warning("disk store: could not cut %s: %s", self.path, exc)
         self._end = at
         self._live = sum(length for _, length in self._index.values())
         if self._end - self._live > self._live:
@@ -396,8 +407,7 @@ class StorageManager:
     """Places verified chunks in memory first, then on disk, and evicts
     the least recently used entry of a full store; access-stamp ties
     break by insertion order, oldest first.  The victim comes off a
-    per-store heap in O(log n).  All operations are serialized, so
-    concurrent callers see chunk-granular linearizable behavior."""
+    per-store heap in O(log n)."""
 
     def __init__(
         self,
@@ -407,7 +417,6 @@ class StorageManager:
         clock=None,
     ):
         self.clock = clock if clock is not None else WallClock()
-        self._lock = threading.RLock()
         self._insert_seq = 0
 
         self.stores: list[ContentStore] = [MemoryStore(mem_capacity)]
@@ -464,120 +473,110 @@ class StorageManager:
         entry whose record cannot be killed stays, and so does its
         content: the store raises ``StoreError`` with nothing dropped.
         """
-        with self._lock:
-            if chunk.ttl_ms == 0:
-                raise StoreError("refusing to store a do-not-cache (ttl=0) chunk")
-            now = self.clock.now_ms()
-            existing = self._entries.get(chunk.id)
-            if existing is not None and not existing.expired(now):
-                store = self._by_id[existing.store_id]
-                if store.get(chunk.id) == chunk:
-                    # identical republish: refresh the stamps, keep placement
-                    self._write(store, chunk, existing.inserted_at, now)
-                    return store.store_id, []
-            if existing is not None:
-                # same id, different content (named republish): replace
-                self._drop(chunk.id)
+        if chunk.ttl_ms == 0:
+            raise StoreError("refusing to store a do-not-cache (ttl=0) chunk")
+        now = self.clock.now_ms()
+        existing = self._entries.get(chunk.id)
+        if existing is not None and not existing.expired(now):
+            store = self._by_id[existing.store_id]
+            if store.get(chunk.id) == chunk:
+                # identical republish: refresh the stamps, keep placement
+                self._write(store, chunk, existing.inserted_at, now)
+                return store.store_id, []
+        if existing is not None:
+            # same id, different content (named republish): replace
+            self._drop(chunk.id)
 
-            target = self._place()
-            evicted: list[Xid] = []
-            try:
-                while not target.has_slot():
-                    victim = self.evict_one(target.store_id)
-                    if victim is None:
-                        raise StoreError(f"no {target.store_id} entry could be evicted")
-                    evicted.append(victim)
-                self._write(target, chunk, self._insert_seq, now)
-            except StoreError as exc:
-                exc.evicted = (chunk.id, *evicted) if existing is not None else tuple(evicted)
-                raise
-            self._insert_seq += 1
-            return target.store_id, evicted
+        target = self._place()
+        evicted: list[Xid] = []
+        try:
+            while not target.has_slot():
+                victim = self.evict_one(target.store_id)
+                if victim is None:
+                    raise StoreError(f"no {target.store_id} entry could be evicted")
+                evicted.append(victim)
+            self._write(target, chunk, self._insert_seq, now)
+        except StoreError as exc:
+            exc.evicted = (chunk.id, *evicted) if existing is not None else tuple(evicted)
+            raise
+        self._insert_seq += 1
+        return target.store_id, evicted
 
     def get(self, xid: Xid) -> Chunk | None:
         """Unexpired lookup; records an access."""
-        with self._lock:
-            now = self.clock.now_ms()
-            entry = self._entries.get(xid)
-            if entry is None or entry.expired(now):
-                return None
-            store_id = entry.store_id
-            chunk = self._by_id[store_id].get(xid)
-            if chunk is None:
-                self._try_drop(xid)
-                return None
-            self._set_key(store_id, xid, (now, entry.inserted_at))
-            if store_id == DiskStore.store_id:
-                self._read_on_disk.add(xid)
-            return chunk
+        now = self.clock.now_ms()
+        entry = self._entries.get(xid)
+        if entry is None or entry.expired(now):
+            return None
+        store_id = entry.store_id
+        chunk = self._by_id[store_id].get(xid)
+        if chunk is None:
+            self._try_drop(xid)
+            return None
+        self._set_key(store_id, xid, (now, entry.inserted_at))
+        if store_id == DiskStore.store_id:
+            self._read_on_disk.add(xid)
+        return chunk
 
     def placement(self, xid: Xid) -> str | None:
         """The id of the store holding the entry, or None; looks only."""
-        with self._lock:
-            entry = self._entries.get(xid)
-            return entry.store_id if entry is not None else None
+        entry = self._entries.get(xid)
+        return entry.store_id if entry is not None else None
 
     def contains(self, xid: Xid) -> bool:
-        with self._lock:
-            entry = self._entries.get(xid)
-            return entry is not None and not entry.expired(self.clock.now_ms())
+        entry = self._entries.get(xid)
+        return entry is not None and not entry.expired(self.clock.now_ms())
 
     def remove(self, xid: Xid) -> bool:
         """Drop the entry; returns whether there was one.  A disk entry
         whose record cannot be killed stays, and ``StoreError`` says so."""
-        with self._lock:
-            if xid not in self._entries:
-                return False
-            self._drop(xid)
-            return True
+        if xid not in self._entries:
+            return False
+        self._drop(xid)
+        return True
 
     def evict_one(self, store_id: str) -> Xid | None:
         """Drop the store's least recently used entry; returns its id, or
         None if the store is empty.  An entry whose record cannot be
         killed stays, in its place in the victim order, and the next one
         is tried."""
-        with self._lock:
-            lru, heap = self._lru[store_id], self._heap[store_id]
-            kept, victim = [], None
-            while heap and victim is None:
-                key, xid = item = heapq.heappop(heap)
-                if lru.get(xid) is not key:
-                    continue
-                if self._try_drop(xid):
-                    victim = xid
-                else:
-                    kept.append(item)
-            for item in kept:
-                heapq.heappush(heap, item)
-            return victim
+        lru, heap = self._lru[store_id], self._heap[store_id]
+        kept, victim = [], None
+        while heap and victim is None:
+            key, xid = item = heapq.heappop(heap)
+            if lru.get(xid) is not key:
+                continue
+            if self._try_drop(xid):
+                victim = xid
+            else:
+                kept.append(item)
+        for item in kept:
+            heapq.heappush(heap, item)
+        return victim
 
     def sweep(self, now_ms: int | None = None) -> list[Xid]:
         """Drop every entry whose deadline has passed; returns their ids."""
-        with self._lock:
-            now = self.clock.now_ms() if now_ms is None else now_ms
-            expired = [x for x, e in self._entries.items() if e.expired(now)]
-            return [xid for xid in expired if self._try_drop(xid)]
+        now = self.clock.now_ms() if now_ms is None else now_ms
+        expired = [x for x, e in self._entries.items() if e.expired(now)]
+        return [xid for xid in expired if self._try_drop(xid)]
 
     def ids(self) -> list[Xid]:
-        with self._lock:
-            return list(self._entries)
+        return list(self._entries)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def close(self) -> None:
         """Stamp the disk entries read since their last write with their
         last access, so a reopen restores this victim order, and close the
         disk tier's file."""
-        with self._lock:
-            if self._disk is None:
-                return
-            lru = self._lru[DiskStore.store_id]
-            for xid in self._read_on_disk:
-                self._disk.stamp_access(xid, lru[xid][0])
-            self._read_on_disk.clear()
-            self._disk.close()
+        if self._disk is None:
+            return
+        lru = self._lru[DiskStore.store_id]
+        for xid in self._read_on_disk:
+            self._disk.stamp_access(xid, lru[xid][0])
+        self._read_on_disk.clear()
+        self._disk.close()
 
     def _place(self) -> ContentStore:
         """Fill memory, spill to disk; when every store is full, the last

@@ -1,9 +1,7 @@
 import ast
 import hashlib
-import os
 import queue
 import random
-import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -53,7 +51,7 @@ from xcache.daemon import (
     Xcached,
     parse_config,
 )
-from xcache.netsim import SegFlags, build_simulator
+from xcache.netsim import ForeignThreadError, SegFlags, build_simulator
 from xcache.store import LogicalClock, StoreError
 from xcache.urls import NcidUrl, canonical_name, parse_dag_url, serialize_dag_url, serialize_ncid_url
 
@@ -94,6 +92,22 @@ class TestConfig:
     def test_non_integer_value(self):
         with pytest.raises(ValueError, match="config line 2: invalid literal for int"):
             parse_config("window = 4\nworkers = abc")
+
+    @pytest.mark.parametrize(
+        "key, least",
+        [
+            ("segment_size", 1),
+            ("window", 1),
+            ("rto_multiplier", 1),
+            ("max_payload", 1),
+            ("mem_capacity_chunks", 0),
+            ("disk_capacity_chunks", 0),
+        ],
+    )
+    def test_a_value_out_of_range_names_its_line(self, key, least):
+        assert getattr(parse_config(f"{key} = {least}"), key) == least
+        with pytest.raises(ValueError, match=f"^config line 2: {key} must be at least {least}$"):
+            parse_config(f"window = 4\n{key} = {least - 1}")
 
     def test_overrides_apply_to_a_base_config(self):
         base = DaemonConfig(window=3, cache_policy="never")
@@ -241,6 +255,168 @@ class TestConcurrentFetches:
         assert client._inflight == {} and handles["client"]._pending == set()
 
 
+BURST_IDS = 5  # plain chunks the pub publishes for the burst law
+
+# One round: how many client handles, the fetches as (handle, id) pairs,
+# and the handle destroyed once every fetch is issued, if any.
+burst_rounds = st.lists(
+    st.tuples(
+        st.integers(1, 6),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, BURST_IDS - 1)), min_size=1, max_size=8),
+        st.none() | st.integers(0, 5),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def run_bursts(rounds) -> str:
+    """Run each round's fetches from LINE3_TOPO's client as one burst,
+    every fetch issued non-blocking before any is waited for, and check
+    the round's outcome; once the queue has drained, check that nothing
+    is left behind.  Returns the hash of the trace."""
+    sim, daemons, handles = make_cluster(LINE3_TOPO)
+    sim.trace = []
+    client = daemons["client"]
+    try:
+        rng = random.Random(3)
+        payloads = [rng.randbytes(rng.choice((200, 1500, 5000))) for _ in range(BURST_IDS)]
+        dags = [handles["pub"].put_chunk(data, 600_000) for data in payloads]
+        every_handle = list(handles.values())
+        for n_handles, fetches, destroyed in rounds:
+            fetchers = [client.init_handle() for _ in range(n_handles)]
+            every_handle += fetchers
+            missed = {
+                dags[i].intent_xid().text()
+                for _, i in fetches
+                if not client.manager.contains(dags[i].intent_xid())
+            }
+            start = len(sim.trace)
+            issued = []
+            for h, i in fetches:
+                pending = fetchers[h % n_handles].fetch_chunk(dags[i], blocking=False)
+                issued.append((h % n_handles, i, pending, pending.done()))
+            if destroyed is not None:
+                destroyed %= n_handles
+                fetchers[destroyed].destroy()
+            for h, i, pending, hit in issued:
+                if h == destroyed and not hit:
+                    with pytest.raises(CanceledError):
+                        pending.result()
+                else:
+                    assert pending.result() == payloads[i]
+            # one session per distinct id the client missed
+            syns = {
+                (rec[5], rec[8])
+                for rec in sim.trace[start:]
+                if rec[0] == "xmit" and rec[2] == "client" and rec[6] == SegFlags.SYN
+            }
+            assert sorted(intent for _, intent in syns) == sorted(missed)
+
+        sim.step()  # the last timers release their sessions an idle timeout after they end
+        for name, node in sim.nodes.items():
+            daemon = daemons[name]
+            assert daemon._inflight == {} and daemon._ingest_buffers == {}, name
+            assert node.sessions == {} and node.endpoints == {}, name
+            assert node.routes.locals() == {node.ad, node.hid} | set(daemon.manager.ids()), name
+        assert all(handle._pending == set() for handle in every_handle)
+        return hashlib.sha256(repr(sim.trace).encode()).hexdigest()
+    finally:
+        shutdown_all(daemons)
+
+
+class TestBurstLaws:
+    @settings(max_examples=150, deadline=None)
+    @given(burst_rounds)
+    def test_nonblocking_bursts_from_one_thread(self, rounds):
+        # each live fetch gets its own id's bytes, a destroyed handle's
+        # miss is canceled, the misses coalesce into one session per id,
+        # nothing is left once the queue drains, and a replay repeats
+        assert run_bursts(rounds) == run_bursts(rounds)
+
+
+def call_from_another_thread(fn):
+    """Run ``fn()`` on a second thread; returns the exception it raised,
+    or None, passed back through a queue so that none escapes the
+    thread."""
+    out = queue.Queue()
+
+    def run():
+        try:
+            fn()
+        except Exception as exc:
+            out.put(exc)
+        else:
+            out.put(None)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    return out.get_nowait()
+
+
+class TestOwnerThread:
+    # each takes the client's daemon and one of its handles, and the
+    # address of content nobody has asked for yet
+    CALLS = {
+        "sim.step": lambda daemon, handle, dag: daemon.node.sim.step(),
+        "sim.wait_for": lambda daemon, handle, dag: daemon.node.sim.wait_for(lambda: False),
+        "sim.schedule": lambda daemon, handle, dag: daemon.node.sim.schedule(0, lambda: None),
+        "node.start_connect": lambda daemon, handle, dag: daemon.node.start_connect(dag),
+        "handle.put_chunk": lambda daemon, handle, dag: handle.put_chunk(b"x", 60000),
+        "handle.fetch_chunk": lambda daemon, handle, dag: handle.fetch_chunk(dag, blocking=False),
+        "daemon.init_handle": lambda daemon, handle, dag: daemon.init_handle(),
+        "daemon.sweep_ttl": lambda daemon, handle, dag: daemon.sweep_ttl(10**12),
+        "daemon.caching": lambda daemon, handle, dag: setattr(daemon, "caching", False),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_a_call_from_another_thread_is_refused(self, line3, call):
+        # a fetch is in flight and the client holds a chunk: the refused
+        # call leaves the queue, the fetch, the store and the tap as they were
+        sim, daemons, handles = line3
+        client, handle = daemons["client"], handles["client"]
+        handle.put_chunk(b"held here", 60000)
+        wanted = handles["pub"].put_chunk(b"in flight", 60000)
+        other = handles["pub"].put_chunk(b"not asked for yet", 60000)
+        pending = handle.fetch_chunk(wanted, blocking=False)
+        node = client.node
+        before = (len(sim._heap), dict(client._inflight), client.manager.ids(), node.capture)
+        handles_before = set(client._handles)
+
+        error = call_from_another_thread(lambda: self.CALLS[call](client, handle, other))
+        assert isinstance(error, ForeignThreadError)
+        assert (len(sim._heap), client._inflight, client.manager.ids(), node.capture) == before
+        assert client._handles == handles_before
+        assert pending.result() == b"in flight"
+
+    def test_a_listener_handler_that_calls_back_is_refused(self):
+        daemon = lone_daemon(DaemonConfig(mem_capacity_chunks=1))
+        try:
+            handle = daemon.init_handle()
+            got = queue.Queue()
+
+            def fetch_again(h, notif):
+                try:
+                    h.fetch_chunk(notif.addr)
+                except Exception as exc:
+                    got.put(exc)
+                else:
+                    got.put(None)
+
+            handle.register_notif(NotifEvent.CHUNK_EVICTED, fetch_again)
+            listener = handle.launch_notif_listener()
+            handle.put_chunk(b"one", 60000)
+            handle.put_chunk(b"two", 60000)
+            assert isinstance(got.get(timeout=5), ForeignThreadError)
+            handle.destroy()
+            listener.join(timeout=5)
+            assert not listener.is_alive()
+        finally:
+            daemon.shutdown()
+
+
 class TestFetchPaths:
     def test_fast_path_counters_and_zero_network(self, line3):
         sim, daemons, handles = line3
@@ -307,77 +483,21 @@ class TestFetchPaths:
         assert not daemons["router"].manager.contains(dag.intent_xid())
 
     def test_concurrent_fetches_share_one_session(self, line3):
+        # two handles miss on one content before either pumps: the second
+        # follows the first's session
         sim, daemons, handles = line3
         dag = handles["pub"].put_chunk(bytes(8000), 60000)
         h2 = daemons["client"].init_handle()
-        results = {}
-
-        def fetch(tag, handle):
-            results[tag] = handle.fetch_chunk(dag)
-
-        threads = [
-            threading.Thread(target=fetch, args=("a", handles["client"])),
-            threading.Thread(target=fetch, args=("b", h2)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert results["a"] == results["b"] == bytes(8000)
+        pendings = [h.fetch_chunk(dag, blocking=False) for h in (handles["client"], h2)]
+        assert [pending.result() for pending in pendings] == [bytes(8000)] * 2
         assert sim.nodes["pub"].counters["sessions_served"] == 1
-
-    def test_blocking_misses_coalesce_under_contention(self, line3):
-        # more threads than cores and frequent thread switches: one caller
-        # runs each transfer, every other one waits for it or hits locally
-        sim, daemons, handles = line3
-        client = daemons["client"]
-        threads_per_round = 2 * (os.cpu_count() or 1) + 4
-        fetchers = [client.init_handle() for _ in range(threads_per_round)]
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for round_no in range(4):
-                payload = f"contended object {round_no}".encode() * 2000
-                dag = handles["pub"].put_chunk(payload, 60000)
-                barrier = threading.Barrier(threads_per_round)
-                results = {}
-
-                def fetch(i):
-                    barrier.wait(timeout=10)
-                    results[i] = fetchers[i].fetch_chunk(dag)
-
-                threads = [
-                    threading.Thread(target=fetch, args=(i,))
-                    for i in range(threads_per_round)
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30)
-                    assert not t.is_alive()
-                assert results == {i: payload for i in range(threads_per_round)}
-                served = sum(n.counters["sessions_served"] for n in sim.nodes.values())
-                assert served == round_no + 1
-                assert client._inflight == {}
-                assert all(h._pending == set() for h in fetchers)
-        finally:
-            sys.setswitchinterval(old_interval)
 
     def test_multiplexed_fetches_get_their_own_content(self, line3):
         sim, daemons, handles = line3
         payloads = {i: f"object number {i}".encode() * 10 for i in range(6)}
         dags = {i: handles["pub"].put_chunk(payloads[i], 60000) for i in payloads}
-        results = {}
-
-        def fetch(i):
-            results[i] = handles["client"].fetch_chunk(dags[i])
-
-        threads = [threading.Thread(target=fetch, args=(i,)) for i in payloads]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=15)
-        assert results == payloads
+        pendings = {i: handles["client"].fetch_chunk(dags[i], blocking=False) for i in payloads}
+        assert {i: pending.result() for i, pending in pendings.items()} == payloads
 
     def test_followers_leave_their_handles_pending(self, pair):
         sim, daemons, handles = pair
@@ -1259,7 +1379,7 @@ class TestOpportunisticCaching:
 class TestChurn:
     def test_concurrent_fetches_under_eviction_pressure(self):
         # small client cache forces evictions while multiple handles
-        # fetch disjoint objects; everyone must still get exact bytes
+        # have fetches in flight; everyone must still get exact bytes
         from conftest import LINE3_TOPO
 
         sim = build_simulator(LINE3_TOPO)
@@ -1275,27 +1395,18 @@ class TestChurn:
             payloads = {i: f"churn object {i} ".encode() * 50 for i in range(12)}
             dags = {i: hpub.put_chunk(payloads[i], 600_000) for i in payloads}
 
-            results: dict[tuple[int, int], bytes] = {}
-            errors: list[Exception] = []
-
-            def worker(worker_id):
-                handle = daemons["client"].init_handle()
-                rng = random.Random(worker_id)
-                try:
-                    for n in range(8):
-                        i = rng.randrange(12)
-                        results[(worker_id, n)] = (i, handle.fetch_chunk(dags[i]))
-                except Exception as exc:  # surfaced below
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not errors
+            # four handles with a seeded draw each; each burst issues every
+            # handle's next fetch before any is waited for
+            fetchers = [(daemons["client"].init_handle(), random.Random(w)) for w in range(4)]
+            results = []
+            for _ in range(8):
+                burst = []
+                for handle, rng in fetchers:
+                    i = rng.randrange(12)
+                    burst.append((i, handle.fetch_chunk(dags[i], blocking=False)))
+                results += [(i, pending.result()) for i, pending in burst]
             assert len(results) == 32
-            for i, data in results.values():
+            for i, data in results:
                 assert data == payloads[i]
         finally:
             for daemon in daemons.values():

@@ -129,8 +129,7 @@ class TestEventEngine:
             src_dag=make_fallback_dag(sim.nodes["client"].ad, []),
             dst_dag=make_fallback_dag(sim.nodes["pub"].ad, []),
         )
-        with sim.lock:
-            sim.nodes["client"].on_segment(seg)
+        sim.nodes["client"].on_segment(seg)
         sim.step(4)  # link delay is 5
         assert deliveries(sim) == []
         sim.step(5)
@@ -872,8 +871,7 @@ class TestRawCapture:
             src_dag=make_fallback_dag(sim.nodes["client"].ad, []),
             dst_dag=make_fallback_dag(sim.nodes["pub"].ad, []),
         )
-        with sim.lock:
-            sim.nodes["client"].on_segment(seg)
+        sim.nodes["client"].on_segment(seg)
         sim.step()
         assert [(rec[2], rec[5]) for rec in deliveries(sim)] == [("pub", seg.session.hex())]
         assert captured == []

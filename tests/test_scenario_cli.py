@@ -210,6 +210,7 @@ class TestCliSim:
     BAD_LINES = {
         "config cache_policy sometimes": "config line 1:",
         "config workers abc": "config line 1:",
+        "config segment_size 0": "config line 1: segment_size must be at least 1",
         "assert": "line 1: assert needs a metric",
         "assert sessions nosuch == 0": "line 1: unknown node 'nosuch'",
         "unroutefor nosuch cid://0/CID-abc": "line 1: unknown node 'nosuch'",

@@ -1,3 +1,5 @@
+import errno
+import os
 import random
 import shutil
 import tempfile
@@ -543,7 +545,8 @@ class TestDiskDurability:
 
 class TestKillFaults:
     """A record whose kill the file system refuses stays indexed, since a
-    reopen would find it live."""
+    reopen would find it live.  A reopen that cannot kill or cut goes on
+    without the record or the tail."""
 
     def fill(self, disk_manager, tags):
         manager = disk_manager(mem_capacity=0, disk_capacity=len(tags), clock=LogicalClock())
@@ -611,6 +614,63 @@ class TestKillFaults:
             assert manager.sweep() == []
         assert manager.ids() == [short.id] and not manager.contains(short.id)
         assert manager.sweep() == [short.id]
+
+    def test_a_reopen_that_cannot_kill_an_expired_record_leaves_it_out(
+        self, disk_manager, tmp_path
+    ):
+        manager = disk_manager(mem_capacity=0, disk_capacity=4, clock=LogicalClock())
+        short, lasting = chunk_for("short", ttl=10), chunk_for("lasting")
+        manager.store(short)
+        manager.store(lasting)
+        manager.close()
+        with pytest.MonkeyPatch.context() as patch:
+            fail_in_place_writes(patch)
+            reopened = disk_manager(mem_capacity=0, disk_capacity=4, clock=LogicalClock(20))
+            assert reopened.ids() == [lasting.id]
+        assert [r.xid for r in pack_records(tmp_path)] == [short.id, lasting.id]
+        reopened.close()
+        again = disk_manager(mem_capacity=0, disk_capacity=4, clock=LogicalClock(20))
+        assert again.ids() == [lasting.id]
+        assert [r.xid for r in pack_records(tmp_path)] == [lasting.id]
+
+    def test_a_reopen_that_cannot_kill_an_earlier_record_keeps_the_later(
+        self, disk_manager, tmp_path
+    ):
+        # b's record keeps the pack from being compacted at a's kill
+        manager, (a, b) = self.fill(disk_manager, "ab")
+        renamed = Chunk(id=a.id, ttl_ms=1_000_000, payload=b"renamed")
+        manager.store(renamed)
+        manager.close()
+        with open(tmp_path / PACK_NAME, "r+b") as pack:  # as if the replace's kill never landed
+            pack.write(PACK_LIVE)
+        with pytest.MonkeyPatch.context() as patch:
+            fail_in_place_writes(patch)
+            reopened = disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
+            assert reopened.get(a.id) == renamed
+        assert [r.xid for r in pack_records(tmp_path)] == [a.id, b.id, a.id]
+        assert self.reopened_ids(disk_manager, reopened) == {a.id, b.id}
+        assert [r.xid for r in pack_records(tmp_path)] == [b.id, a.id]
+
+    def test_a_reopen_that_cannot_cut_a_torn_tail_appends_over_it(self, disk_manager, tmp_path):
+        manager = disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
+        a, b = chunk_for("a"), chunk_for("b")
+        manager.store(a)
+        manager.close()
+        pack = tmp_path / PACK_NAME
+        with open(pack, "ab") as f:  # an append cut short: its body runs past the end
+            f.write(PACK_FRAME.pack(PACK_LIVE, 500) + b"partial")
+        torn = pack.stat().st_size
+
+        def refuse(fd, length):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "ftruncate", refuse)
+            reopened = disk_manager(mem_capacity=0, disk_capacity=8, clock=LogicalClock())
+            assert reopened.ids() == [a.id] and pack.stat().st_size == torn
+            reopened.store(b)  # lands where the torn append began
+        assert [r.xid for r in pack_records(tmp_path)] == [a.id, b.id]
+        assert self.reopened_ids(disk_manager, reopened) == {a.id, b.id}
 
 
 class TestStores:
