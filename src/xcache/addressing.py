@@ -97,10 +97,12 @@ class Xid:
     hash is the object's, both computed in C, since every forwarding
     decision looks XIDs up in route tables.  The intern table holds its
     XIDs weakly, so it never outgrows the XIDs in use.  An XID is
-    immutable and equals no object of another class.
+    immutable and equals no object of another class.  ``format_xid``
+    keeps its canonical text in ``_text`` the first time it is asked for
+    it, not when the XID is built: most session SIDs are never printed.
     """
 
-    __slots__ = ("xtype", "value", "__weakref__")
+    __slots__ = ("xtype", "value", "_text", "__weakref__")
 
     xtype: XidType
     value: bytes
@@ -194,7 +196,11 @@ def format_xid(xid: Xid, short: bool = False) -> str:
         label = _symbolic_label(xid.value)
         if label is not None:
             return f"{xid.xtype.value}-{label}"
-    return f"{xid.xtype.value}-{xid.value.hex()}"
+    text = getattr(xid, "_text", None)
+    if text is None:
+        text = f"{xid.xtype.value}-{xid.value.hex()}"
+        object.__setattr__(xid, "_text", text)
+    return text
 
 
 @dataclass(frozen=True)
@@ -349,23 +355,43 @@ def find_cycle(dag: DagAddress) -> int | None:
     return None
 
 
+class FallbackChain:
+    """The fallback part of the standard two-route address: one node per
+    XID of ``path``, each edge leading to the next, the last to the
+    intent.  DagNodes are frozen, so every address built from one chain
+    shares its nodes, and each costs one intent node and one DagAddress.
+    """
+
+    __slots__ = ("nodes", "_source_edges")
+
+    def __init__(self, path: Sequence[Xid]):
+        k = len(path)
+        if k >= MAX_DAG_NODES:
+            raise AddressError(f"address has {k + 1} nodes, maximum is {MAX_DAG_NODES}")
+        if len(set(path)) != k:
+            raise AddressError("duplicate XIDs within the address")
+        self.nodes = tuple(DagNode(xid, (i + 1,)) for i, xid in enumerate(path))
+        self._source_edges = (k, 0) if k else (k,)
+
+    def address(self, intent: Xid) -> DagAddress:
+        """The address of ``intent``: the source's first (highest
+        priority) edge goes straight to the intent, the second enters the
+        chain.  That shape passes validate_dag by construction, so only
+        what the intent can break is checked: that no chain node has its
+        XID."""
+        nodes = self.nodes
+        for node in nodes:
+            if node.xid is intent:
+                raise AddressError("duplicate XIDs within the address")
+        return DagAddress((*nodes, DagNode(intent, ())), self._source_edges, len(nodes))
+
+
 def make_fallback_dag(intent: Xid, fallback_path: Sequence[Xid]) -> DagAddress:
     """Build the standard two-route address: a direct edge to the intent
-    plus a fallback chain that also terminates at the intent.
-
-    The source's first (highest priority) edge goes straight to the
-    intent; the second enters the fallback chain.  That shape passes
-    validate_dag by construction, so only what the inputs can break is
-    checked: the node count and distinct XIDs.
-    """
-    k = len(fallback_path)
-    if k >= MAX_DAG_NODES:
-        raise AddressError(f"address has {k + 1} nodes, maximum is {MAX_DAG_NODES}")
-    if len({intent, *fallback_path}) != k + 1:
-        raise AddressError("duplicate XIDs within the address")
-    nodes = [DagNode(xid, (i + 1,)) for i, xid in enumerate(fallback_path)]
-    nodes.append(DagNode(intent, ()))
-    return DagAddress(tuple(nodes), (k, 0) if k else (k,), k)
+    plus a fallback chain through ``fallback_path`` that also terminates
+    at the intent.  A caller that builds many addresses on one path keeps
+    its ``FallbackChain`` instead."""
+    return FallbackChain(fallback_path).address(intent)
 
 
 def canonical_numbering(dag: DagAddress) -> list[int]:

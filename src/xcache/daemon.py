@@ -472,7 +472,8 @@ class Xcached:
         the event that ends it, what arrived is verified (and discarded
         on failure) and cached if the cache flag is set.  A fetch of
         content another caller is already fetching or verifying follows
-        that fetch instead.
+        that fetch instead, also when that caller's handle has since been
+        destroyed.
 
         The transfer is bounded in simulated time by the transport's
         retry budget and idle timeout; a wait that drains the event queue
@@ -514,8 +515,10 @@ class Xcached:
 
         request = Request(handle, intent, self.node.sim)
         handle._pending.add(request)
+        # ``_finish`` drops a leader from ``_inflight`` before completing it,
+        # so a finished leader here was canceled and its transfer runs on
         leader = self._inflight.get(intent)
-        if leader is not None and not leader.finished():
+        if leader is not None:
             leader.followers.append(request)
         else:
             self._inflight[intent] = request
@@ -592,8 +595,20 @@ class Xcached:
         return expired
 
     def shutdown(self) -> None:
+        """End the daemon.  Every live handle is destroyed: its pending
+        fetches raise ``CanceledError``, its later calls raise
+        ``InvalidHandleError``, and its listener thread exits; no handle
+        can be made after.  Caching stops, so the forwarding tap is gone;
+        a transfer that ends afterwards is canceled before it verifies or
+        admits anything; and ``_serve`` answers None, so the node
+        withdraws the route of content asked for and forwards the request
+        on.  The store is then closed, and no handle, transfer, capture
+        or served request reads it again."""
         self.node.sim.check_thread()
         self._alive = False
+        for handle in list(self._handles):
+            self.destroy_handle(handle)
+        self.caching = False
         self.manager.close()
 
     # -- internals -------------------------------------------------------
@@ -628,8 +643,11 @@ class Xcached:
                 outcome = UnroutableError(str(exc))
 
     def _resume(self, steps, done, session) -> None:
-        """A session's ``on_end``: go on with the fetch that started it."""
-        if session.state == "failed":
+        """A session's ``on_end``: go on with the fetch that started it,
+        or, once the daemon is shut down, end it as canceled."""
+        if not self._alive:
+            outcome = CanceledError("daemon shut down while the transfer ran")
+        elif session.state == "failed":
             outcome = FetchTimeoutError(session.fail_reason)
         else:
             stats = FetchStats(
@@ -798,7 +816,9 @@ class Xcached:
 
     def _serve(self, xid: Xid) -> bytes | None:
         """The node's ``serve``: the encoded chunk, or None once it is
-        gone or expired."""
+        gone or expired, or the daemon is shut down."""
+        if not self._alive:
+            return None
         chunk = self.manager.get(xid)
         return encode_chunk(chunk) if chunk is not None else None
 

@@ -97,11 +97,11 @@ from .addressing import (
     AddressError,
     DagAddress,
     DeliverLocal,
+    FallbackChain,
     Forward,
     RouteTable,
     Xid,
     XidType,
-    make_fallback_dag,
     parse_xid,
     resolve_next,
     symbolic_xid,
@@ -363,6 +363,7 @@ class NetNode:
         self.name = name
         self.ad = symbolic_xid(XidType.AD, name)
         self.hid = symbolic_xid(XidType.HID, name)
+        self._fallback = FallbackChain((self.ad, self.hid))
         self._understood = frozenset(understood) if understood else ALL_XID_TYPES
         self.routes = RouteTable()
         self.routes.add_local(self.ad)
@@ -383,9 +384,10 @@ class NetNode:
         return self._understood
 
     def local_dag_for(self, xid: Xid) -> DagAddress:
-        """The address this node publishes for content it holds: direct
-        intent edge plus a fallback chain through the node identity."""
-        return make_fallback_dag(xid, [self.ad, self.hid])
+        """The address this node gives out for a principal it holds
+        (published content, a session endpoint): direct intent edge plus
+        a fallback chain through the node identity, built once per node."""
+        return self._fallback.address(xid)
 
     # -- forwarding --------------------------------------------------
 
@@ -532,7 +534,7 @@ class _Session:
         self.sim = node.sim
         self.session_id = session_id
         self.endpoint_sid = Xid(XidType.SID, self.sim.rng.randbytes(20))
-        self.endpoint_dag = make_fallback_dag(self.endpoint_sid, [node.ad, node.hid])
+        self.endpoint_dag = node.local_dag_for(self.endpoint_sid)
         self.rto = self.sim.rto_ms
         self.state = "new"
         self.fail_reason: str | None = None

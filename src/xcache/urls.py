@@ -18,7 +18,10 @@ again, so ``parse_dag_url`` and ``parse_ncid_url`` each keep their last
 ``PARSE_MEMO_SIZE`` successful results, keyed by their arguments.  A
 result is a frozen value holding only tuples, so every caller shares
 one object.  Failures are never kept: a bad URL is parsed again on every
-call and raises the same error each time.
+call and raises the same error each time.  ``serialize_dag_url`` keeps
+what a URL takes from its address's shape (node order, edge numbers)
+for up to ``PARSE_MEMO_SIZE`` shapes, so printing an address costs its
+XIDs' text.
 """
 
 from __future__ import annotations
@@ -73,16 +76,36 @@ def serialize_dag_url(dag: DagAddress, short: bool = False) -> str:
     node's textual XID followed by its out-edge target numbers (none for
     the sink).  ``short`` renders NUL-padded symbolic XIDs as labels.
     """
-    order = canonical_numbering(dag)
-    number = {node_index: k for k, node_index in enumerate(order)}
-    segments = [",".join(str(number[t]) for t in dag.source_edges)]
-    for node_index in order:
-        node = dag.nodes[node_index]
-        parts = [format_xid(node.xid, short=short)]
-        parts.extend(str(number[t]) for t in node.out_edges)
-        segments.append(",".join(parts))
-    scheme = dag.intent_xid().xtype.scheme
-    return f"{scheme}://" + "/".join(segments)
+    order, template = _url_layout(dag)
+    nodes = dag.nodes
+    texts = [format_xid(nodes[i].xid, short) for i in order]
+    return template.format(dag.intent_xid().xtype.scheme, *texts)
+
+
+# URL layouts by address shape: the source's edges, then each node's.
+_LAYOUTS: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], str]] = {}
+
+
+def _url_layout(dag: DagAddress) -> tuple[tuple[int, ...], str]:
+    """What ``dag``'s URL takes from its shape alone: the canonical node
+    order, and the URL as a format template with the scheme and each
+    node's XID text, in that order, left as fields.  Kept for the last
+    shapes seen, at most ``PARSE_MEMO_SIZE``; a full memo is cleared, so
+    each shape still in use costs one rebuild."""
+    shape = (dag.source_edges, *[node.out_edges for node in dag.nodes])
+    layout = _LAYOUTS.get(shape)
+    if layout is None:
+        order = canonical_numbering(dag)
+        number = {node_index: k for k, node_index in enumerate(order)}
+        segments = ["{}://" + ",".join(str(number[t]) for t in dag.source_edges)]
+        for node_index in order:
+            edges = dag.nodes[node_index].out_edges
+            segments.append(",".join(["{}", *(str(number[t]) for t in edges)]))
+        layout = (tuple(order), "/".join(segments))
+        if len(_LAYOUTS) >= PARSE_MEMO_SIZE:
+            _LAYOUTS.clear()
+        _LAYOUTS[shape] = layout
+    return layout
 
 
 def _parse_index(token: str, offset: int, limit: int) -> int:

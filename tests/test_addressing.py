@@ -21,6 +21,7 @@ from xcache.addressing import (
     DeliverLocal,
     DagAddress,
     DagNode,
+    FallbackChain,
     Forward,
     RouteTable,
     Unroutable,
@@ -115,7 +116,22 @@ class TestXidLaws:
         for twin in (copy.copy(C), copy.deepcopy(C), pickle.loads(pickle.dumps(C))):
             assert twin is C
 
+    @given(st.sampled_from(XID_TYPES), XID_VALUES)
+    def test_text_is_the_type_tag_and_hex(self, xtype, value):
+        xid = Xid(xtype, value)
+        expected = f"{xid.xtype.value}-{xid.value.hex()}"
+        assert format_xid(xid) == expected
+        assert format_xid(xid) == xid.text() == expected  # the kept text
+
     def test_immutable(self):
+        xid = Xid(XidType.SID, bytes([9] * 20))
+        for _ in range(2):  # before format_xid keeps the text, then after
+            for name in ("xtype", "value", "_text", "unknown"):
+                with pytest.raises(AttributeError):
+                    setattr(xid, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(xid, name)
+            assert format_xid(xid) == "SID-" + "09" * 20
         with pytest.raises(AttributeError):
             C.value = bytes(20)
         with pytest.raises(AttributeError):
@@ -212,6 +228,14 @@ class TestFallbackDag:
             make_fallback_dag(C, [B, B])
         with pytest.raises(AddressError):
             make_fallback_dag(C, [C])
+
+    def test_addresses_on_one_chain_share_its_nodes(self):
+        chain = FallbackChain([B, P])
+        first, second = chain.address(C), chain.address(S)
+        assert (first, second) == (make_fallback_dag(C, [B, P]), make_fallback_dag(S, [B, P]))
+        assert all(a is b for a, b in zip(first.nodes[:2], second.nodes[:2]))
+        with pytest.raises(AddressError):
+            chain.address(P)
 
 
 # A small label pool, so that drawn paths often repeat an XID.

@@ -3,8 +3,18 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_dag
-from xcache.addressing import XidType, make_fallback_dag, symbolic_xid
+from conftest import LINE3_TOPO, random_dag, relabel, run_session
+from xcache import urls
+from xcache.addressing import (
+    DagAddress,
+    XidType,
+    canonical_numbering,
+    format_xid,
+    make_fallback_dag,
+    symbolic_xid,
+)
+from xcache.chunking import compute_cid
+from xcache.netsim import build_simulator
 from xcache.urls import (
     PARSE_MEMO_SIZE,
     NcidUrl,
@@ -43,6 +53,54 @@ class TestDagUrlSerialize:
         for xtype in XidType:
             dag = random_dag(rng, intent_type=xtype)
             assert serialize_dag_url(dag).startswith(xtype.scheme + "://")
+
+
+def reference_serialize_dag_url(dag: DagAddress, short: bool = False) -> str:
+    """serialize_dag_url without the layout memo: number the nodes and
+    print every XID afresh on each call.  The oracle for the memo."""
+    order = canonical_numbering(dag)
+    number = {node_index: k for k, node_index in enumerate(order)}
+    segments = [",".join(str(number[t]) for t in dag.source_edges)]
+    for node_index in order:
+        node = dag.nodes[node_index]
+        xid = node.xid
+        text = format_xid(xid, short=True) if short else f"{xid.xtype.value}-{xid.value.hex()}"
+        parts = [text]
+        parts.extend(str(number[t]) for t in node.out_edges)
+        segments.append(",".join(parts))
+    scheme = dag.intent_xid().xtype.scheme
+    return f"{scheme}://" + "/".join(segments)
+
+
+class TestSerializeOracle:
+    def test_random_dags_of_every_intent_type(self):
+        # more shapes than the layout memo keeps, so it fills and clears;
+        # each also with its nodes shuffled, so the sink is not always last
+        rng = random.Random(21)
+        types = list(XidType)
+        for i in range(PARSE_MEMO_SIZE):
+            dag = random_dag(rng, max_nodes=8, intent_type=types[i % len(types)])
+            shuffled = relabel(dag, rng.sample(range(len(dag.nodes)), len(dag.nodes)))
+            for each in (dag, shuffled):
+                for short in (False, True):
+                    assert serialize_dag_url(each, short) == reference_serialize_dag_url(each, short)
+            assert len(urls._LAYOUTS) <= PARSE_MEMO_SIZE
+
+    def test_published_and_session_endpoint_addresses(self):
+        sim = build_simulator(LINE3_TOPO)
+        client, pub = sim.nodes["client"], sim.nodes["pub"]
+        dags = [make_fallback_dag(C, [B, P]), make_fallback_dag(C, [])]
+        for node in sim.nodes.values():
+            dags.append(node.local_dag_for(compute_cid(node.name.encode())))
+        served = compute_cid(b"served")
+        pub.routes.add_local(served)
+        pub.serve = lambda xid: b"served"
+        session = run_session(client, pub.local_dag_for(served))
+        assert session.state == "complete"
+        dags += [session.endpoint_dag, session.reply.endpoint_dag]
+        for dag in dags:
+            for short in (False, True):
+                assert serialize_dag_url(dag, short) == reference_serialize_dag_url(dag, short)
 
 
 class TestDagUrlParse:
