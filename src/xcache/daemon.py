@@ -2,16 +2,17 @@
 
 Applications talk to a daemon instance through handles.  Fetches that
 the local store can satisfy complete inline on the fast path.  A miss
-starts its transfer on the caller's thread, in call order.  The event
-that ends the transfer verifies what arrived, caches it when the
-daemon's cache flag is set, and completes the fetch and every caller
-that coalesced onto it; a named chunk whose key chunk is not at hand
-fetches the key first, the same way.  Blocking callers and
-``PendingFetch`` results pump the simulator until their own fetch has
-finished, and the daemon starts no threads.  A daemon belongs to the
-thread that owns its node's simulator: a public call from any other
-thread raises ``netsim.ForeignThreadError``, so the daemon takes no
-lock.  Nothing enters any store, and nothing read from the disk tier
+starts its transfer on the caller's thread, in call order, and every
+later fetch of the same content takes a slot on that one transfer.  The
+event that ends the transfer verifies what arrived, caches it when the
+daemon's cache flag is set, and completes every slot on it; a named
+chunk whose key chunk is not at hand fetches the key first, the same
+way.  Blocking callers and ``PendingFetch`` results pump the simulator
+until their own slot has completed, and notification handlers run only
+in ``process_notif``, so the daemon starts no threads.  A daemon belongs
+to the thread that owns its node's simulator: a public call from any
+other thread raises ``netsim.ForeignThreadError``, so the daemon takes
+no lock.  Nothing enters any store, and nothing read from the disk tier
 reaches a caller, without passing ``Xcached.verify``, which is also
 what makes opportunistic caching safe: a caching daemon taps its node's
 forwarding path, reassembles content sessions it forwards, and becomes
@@ -22,9 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-import queue
-import threading
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -166,66 +165,42 @@ def parse_config(text: str, base: DaemonConfig | None = None) -> DaemonConfig:
     return cfg
 
 
-class Request:
-    """One fetch and the callers coalesced onto it (its followers);
-    reaches exactly one terminal state, which ``wait`` pumps ``sim`` for."""
-
-    def __init__(self, handle, intent: Xid, sim):
-        self.handle = handle
-        self.intent = intent
-        self.sim = sim
-        self.followers: list[Request] = []
-        self._done = False
-        self.result = None
-        self.error: Exception | None = None
-
-    def complete(self, result=None, error: Exception | None = None) -> None:
-        if not self._done:
-            self.result = result
-            self.error = error
-            self._done = True
-        for follower in self.followers:
-            follower.complete(result, error)
-
-    def cancel(self) -> None:
-        if not self._done:
-            self.error = CanceledError("handle destroyed while request pending")
-            self._done = True
-
-    def finished(self) -> bool:
-        return self._done
-
-    def wait(self):
-        """Pump the simulator until this request has finished.  A session
-        ends within its retry budget or idle timeout in simulated time,
-        so an event queue that drains first is a stall, raised as
-        ``FetchTimeoutError``."""
-        if not self._done:
-            try:
-                self.sim.wait_for(self.finished)
-            except SimStalledError as exc:
-                raise FetchTimeoutError(str(exc)) from exc
-        if self.error is not None:
-            raise self.error
-        return self.result
-
-
 class PendingFetch:
-    """Completion slot for a non-blocking fetch.  ``done`` only looks;
-    ``result`` and ``entry`` pump the simulator until it has finished."""
+    """One caller's slot on a fetch; reaches exactly one terminal state.
+    ``done`` only looks; ``result`` and ``entry`` pump the simulator until
+    it has finished."""
 
-    def __init__(self, request: Request):
-        self._request = request
+    def __init__(self, handle, sim):
+        self._handle = handle
+        self._sim = sim
+        self._done = False
+        self._result = None
+        self._error: Exception | None = None
+
+    def _complete(self, result=None, error: Exception | None = None) -> None:
+        if not self._done:
+            self._result, self._error, self._done = result, error, True
+        self._handle._pending.discard(self)
 
     def done(self) -> bool:
-        return self._request.finished()
+        return self._done
 
     def result(self) -> bytes:
-        chunk, _ = self._request.wait()
+        chunk, _ = self.entry()
         return chunk.payload
 
     def entry(self):
-        return self._request.wait()
+        """``(Chunk, FetchStats)``.  A session ends within its retry budget
+        or idle timeout in simulated time, so an event queue that drains
+        first is a stall, raised as ``FetchTimeoutError``."""
+        if not self._done:
+            try:
+                self._sim.wait_for(self.done)
+            except SimStalledError as exc:
+                raise FetchTimeoutError(str(exc)) from exc
+        if self._error is not None:
+            raise self._error
+        return self._result
 
 
 @dataclass
@@ -255,8 +230,8 @@ class XcacheHandle:
     def __init__(self, daemon: "Xcached"):
         self._daemon = daemon
         self.alive = True
-        self._pending: set[Request] = set()
-        self._notif_queue: queue.Queue = queue.Queue()
+        self._pending: set[PendingFetch] = set()
+        self._notifs: deque[Notification] = deque()
         self._handlers: dict[NotifEvent, list] = defaultdict(list)
 
     # Thin delegates so application code reads naturally.
@@ -279,46 +254,18 @@ class XcacheHandle:
         self._daemon.check_handle(self)
         self._handlers[event].append(handler)
 
-    def notif_channel(self) -> queue.Queue:
-        """Pollable readiness signal: non-empty means process_notif will
-        invoke handlers."""
-        self._daemon.check_handle(self)
-        return self._notif_queue
-
     def process_notif(self) -> int:
-        """Drain queued notifications, invoking matching handlers in
-        registration order; returns how many were processed."""
+        """Run the handlers of every queued notification, in registration
+        order, on the owner thread, where a handler may call the daemon;
+        returns how many notifications were processed."""
         self._daemon.check_handle(self)
         processed = 0
-        while True:
-            try:
-                notif = self._notif_queue.get_nowait()
-            except queue.Empty:
-                return processed
+        while self._notifs:
+            notif = self._notifs.popleft()
             for handler in list(self._handlers.get(notif.event, [])):
                 handler(self, notif)
             processed += 1
-
-    def launch_notif_listener(self) -> threading.Thread:
-        """Dedicated listener: drains notifications continuously until
-        the handle is destroyed.  Its handlers run on the listener
-        thread, so a handler that calls back into the daemon gets
-        ``ForeignThreadError``; one that must act on a notification
-        passes it to the owner thread, through a queue say."""
-        self._daemon.check_handle(self)
-
-        def _listen():
-            while self.alive:
-                try:
-                    notif = self._notif_queue.get(timeout=0.05)
-                except queue.Empty:
-                    continue
-                for handler in list(self._handlers.get(notif.event, [])):
-                    handler(self, notif)
-
-        thread = threading.Thread(target=_listen, name="xcache-notif", daemon=True)
-        thread.start()
-        return thread
+        return processed
 
     def destroy(self) -> None:
         self._daemon.destroy_handle(self)
@@ -348,7 +295,9 @@ class Xcached:
         self._signatures: set[bytes] = set()
 
         self._handles: set[XcacheHandle] = set()
-        self._inflight: dict[Xid, Request] = {}
+        # each transfer in flight, by intent: the slots of its callers, in
+        # the order they attached
+        self._inflight: dict[Xid, list[PendingFetch]] = {}
         self._ingest_buffers: dict[bytes, _IngestBuffer] = {}
         self._ingest_sweep_at = math.inf  # no buffer expires before this
         self._alive = True
@@ -378,9 +327,7 @@ class Xcached:
     # -- handles -------------------------------------------------------
 
     def init_handle(self) -> XcacheHandle:
-        self.node.sim.check_thread()
-        if not self._alive:
-            raise XcacheError("daemon is shut down")
+        self._check_live()
         handle = XcacheHandle(self)
         self._handles.add(handle)
         return handle
@@ -388,14 +335,9 @@ class Xcached:
     def destroy_handle(self, handle: XcacheHandle) -> None:
         self.check_handle(handle)
         handle.alive = False
-        for request in list(handle._pending):
-            request.cancel()
-        handle._pending.clear()
-        while not handle._notif_queue.empty():
-            try:
-                handle._notif_queue.get_nowait()
-            except queue.Empty:
-                break
+        for slot in list(handle._pending):
+            slot._complete(error=CanceledError("handle destroyed while request pending"))
+        handle._notifs.clear()
         self._handles.discard(handle)
 
     def check_handle(self, handle: XcacheHandle) -> None:
@@ -404,6 +346,13 @@ class Xcached:
         self.node.sim.check_thread()
         if not isinstance(handle, XcacheHandle) or handle._daemon is not self or not handle.alive:
             raise InvalidHandleError("handle is not live on this daemon")
+
+    def _check_live(self) -> None:
+        """The first step of a daemon call that no handle makes: the caller
+        must be the owner thread, and the daemon not shut down."""
+        self.node.sim.check_thread()
+        if not self._alive:
+            raise XcacheError("daemon is shut down")
 
     # -- publish -------------------------------------------------------
 
@@ -470,10 +419,11 @@ class Xcached:
         is dropped with its route and raises ``VerificationError``.  Slow
         path: the caller's thread starts a session to the content; inside
         the event that ends it, what arrived is verified (and discarded
-        on failure) and cached if the cache flag is set.  A fetch of
-        content another caller is already fetching or verifying follows
-        that fetch instead, also when that caller's handle has since been
-        destroyed.
+        on failure) and cached if the cache flag is set.  Each content has
+        at most one transfer in flight: a fetch of content already being
+        fetched or verified takes a slot on that transfer, which every
+        slot's result comes from.  A canceled slot leaves the transfer
+        running for the others.
 
         The transfer is bounded in simulated time by the transport's
         retry budget and idle timeout; a wait that drains the event queue
@@ -509,27 +459,23 @@ class Xcached:
         if chunk is not None and self.manager.placement(intent) != DiskStore.store_id:
             if blocking:
                 return chunk, LOCAL_STATS
-            done = Request(handle, intent, self.node.sim)
-            done.complete(result=(chunk, LOCAL_STATS))
-            return PendingFetch(done)
+            slot = PendingFetch(handle, self.node.sim)
+            slot._complete((chunk, LOCAL_STATS))
+            return slot
 
-        request = Request(handle, intent, self.node.sim)
-        handle._pending.add(request)
-        # ``_finish`` drops a leader from ``_inflight`` before completing it,
-        # so a finished leader here was canceled and its transfer runs on
-        leader = self._inflight.get(intent)
-        if leader is not None:
-            leader.followers.append(request)
+        slot = PendingFetch(handle, self.node.sim)
+        handle._pending.add(slot)
+        if intent in self._inflight:
+            self._inflight[intent].append(slot)
         else:
-            self._inflight[intent] = request
+            # attached before the transfer starts, which can end at once
+            self._inflight[intent] = [slot]
             if chunk is None:
                 steps = self._fetch_remote(addr, intent, key_chunk)
             else:
                 steps = self._verify_disk_hit(chunk, intent, key_chunk)
-            self._drive(steps, partial(self._finish, request))
-        if not blocking:
-            return PendingFetch(request)
-        return request.wait()
+            self._drive(steps, partial(self._finish, intent))
+        return slot.entry() if blocking else slot
 
     def get_named_chunk(
         self,
@@ -587,7 +533,7 @@ class Xcached:
     def sweep_ttl(self, now_ms: int | None = None) -> list[Xid]:
         """Expire overdue entries; emits one eviction notification per
         expired chunk."""
-        self.node.sim.check_thread()
+        self._check_live()
         expired = self.manager.sweep(now_ms)
         for xid in expired:
             self.node.routes.remove_local(xid)
@@ -596,14 +542,14 @@ class Xcached:
 
     def shutdown(self) -> None:
         """End the daemon.  Every live handle is destroyed: its pending
-        fetches raise ``CanceledError``, its later calls raise
-        ``InvalidHandleError``, and its listener thread exits; no handle
-        can be made after.  Caching stops, so the forwarding tap is gone;
-        a transfer that ends afterwards is canceled before it verifies or
-        admits anything; and ``_serve`` answers None, so the node
-        withdraws the route of content asked for and forwards the request
-        on.  The store is then closed, and no handle, transfer, capture
-        or served request reads it again."""
+        fetches raise ``CanceledError`` and its later calls raise
+        ``InvalidHandleError``; no handle can be made, no chunk injected
+        and no TTL swept after.  Caching stops, so the forwarding tap is
+        gone; a transfer that ends afterwards is canceled before it
+        verifies or admits anything; and ``_serve`` answers None, so the
+        node withdraws the route of content asked for and forwards the
+        request on.  The store is then closed, and no handle, transfer,
+        capture or served request reads it again."""
         self.node.sim.check_thread()
         self._alive = False
         for handle in list(self._handles):
@@ -659,12 +605,9 @@ class Xcached:
             outcome = (b"".join(session.rx_payloads), stats)
         self._drive(steps, done, outcome)
 
-    def _finish(self, request: Request, result=None, error=None) -> None:
-        if self._inflight.get(request.intent) is request:
-            del self._inflight[request.intent]
-        request.complete(result, error)
-        for done in (request, *request.followers):
-            done.handle._pending.discard(done)
+    def _finish(self, intent: Xid, result=None, error=None) -> None:
+        for slot in self._inflight.pop(intent):
+            slot._complete(result, error)
 
     def _fetch_remote(self, addr: DagAddress, intent: Xid, held: Chunk | None):
         """A miss, as ``_drive`` runs it: transfer, decode, verify, and
@@ -803,13 +746,13 @@ class Xcached:
             if handle.alive and handle._handlers.get(event):
                 if addr is None:
                     addr = self.node.local_dag_for(xid)
-                handle._notif_queue.put(Notification(event, addr))
+                handle._notifs.append(Notification(event, addr))
 
     def inject_unverified_chunk(self, chunk: Chunk) -> None:
         """Attack/test instrumentation: place a chunk without verifying
         it, modeling a malicious or broken node.  Honest daemons never
         call this."""
-        self.node.sim.check_thread()
+        self._check_live()
         self._publish(chunk)
 
     # -- node-facing machinery ------------------------------------------

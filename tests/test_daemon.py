@@ -48,6 +48,7 @@ from xcache.daemon import (
     PublishError,
     UnroutableError,
     VerificationError,
+    XcacheError,
     Xcached,
     parse_config,
 )
@@ -121,6 +122,7 @@ class TestConfig:
         assert threading.active_count() == before
         daemon.shutdown()
         assert threading.active_count() == before
+        assert not hasattr(xcache.daemon, "threading") and not hasattr(xcache.daemon, "queue")
 
 
 class TestHandles:
@@ -158,13 +160,6 @@ class TestHandles:
 
 
 class TestShutdown:
-    def test_a_listener_thread_exits(self):
-        daemon = lone_daemon(DaemonConfig())
-        thread = daemon.init_handle().launch_notif_listener()
-        daemon.shutdown()
-        thread.join(timeout=1)
-        assert not thread.is_alive()
-
     def test_a_handle_call_is_refused(self):
         daemon = lone_daemon(DaemonConfig())
         handle = daemon.init_handle()
@@ -200,6 +195,20 @@ class TestShutdown:
         with pytest.raises(CanceledError):
             pending.result()
         assert sim.nodes["pub"].counters["sessions_served"] == 1
+
+    def test_an_injected_chunk_and_a_sweep_are_refused(self, tmp_path):
+        # neither reopens the closed disk tier nor writes to it
+        config = DaemonConfig(mem_capacity_chunks=0, disk_capacity_chunks=4, disk_dir=str(tmp_path))
+        daemon = lone_daemon(config)
+        daemon.init_handle().put_chunk(b"published before", 60000)
+        daemon.shutdown()
+        planted = build_cid_chunk(b"planted after", 60000)
+        with pytest.raises(XcacheError, match="shut down"):
+            daemon.inject_unverified_chunk(planted)
+        with pytest.raises(XcacheError, match="shut down"):
+            daemon.sweep_ttl(10**12)
+        assert daemon.manager._disk._file is None
+        assert not daemon.manager.contains(planted.id)
 
     def test_a_shut_down_router_leaves_the_fetch_to_the_origin(self, line3):
         sim, daemons, handles = line3
@@ -452,31 +461,6 @@ class TestOwnerThread:
         assert client._handles == handles_before
         assert pending.result() == b"in flight"
 
-    def test_a_listener_handler_that_calls_back_is_refused(self):
-        daemon = lone_daemon(DaemonConfig(mem_capacity_chunks=1))
-        try:
-            handle = daemon.init_handle()
-            got = queue.Queue()
-
-            def fetch_again(h, notif):
-                try:
-                    h.fetch_chunk(notif.addr)
-                except Exception as exc:
-                    got.put(exc)
-                else:
-                    got.put(None)
-
-            handle.register_notif(NotifEvent.CHUNK_EVICTED, fetch_again)
-            listener = handle.launch_notif_listener()
-            handle.put_chunk(b"one", 60000)
-            handle.put_chunk(b"two", 60000)
-            assert isinstance(got.get(timeout=5), ForeignThreadError)
-            handle.destroy()
-            listener.join(timeout=5)
-            assert not listener.is_alive()
-        finally:
-            daemon.shutdown()
-
 
 class TestFetchPaths:
     def test_fast_path_counters_and_zero_network(self, line3):
@@ -570,18 +554,26 @@ class TestFetchPaths:
         assert sim.nodes["pub"].counters["sessions_served"] == 1
         assert h1._pending == set() and h2._pending == set()
 
-    def test_a_fetch_follows_a_canceled_leaders_transfer(self, line3):
-        # the leader's handle is destroyed before its transfer ends; the
-        # transfer runs on, and a later fetch of the same id follows it
+    @pytest.mark.parametrize("destroy_first", [True, False], ids=["destroyed-before", "destroyed-after"])
+    def test_a_fetch_follows_a_canceled_leaders_transfer(self, line3, destroy_first):
+        # the first caller's handle is destroyed before its transfer ends,
+        # before or after a second caller's fetch of the same id takes a
+        # slot on it; the transfer runs on and serves the second caller
         sim, daemons, handles = line3
+        client = daemons["client"]
         dag = handles["pub"].put_chunk(b"asked for again", 60000)
-        leader = daemons["client"].init_handle()
-        pending = leader.fetch_chunk(dag, blocking=False)
-        leader.destroy()
+        first = client.init_handle()
+        pending = first.fetch_chunk(dag, blocking=False)
+        if destroy_first:
+            first.destroy()
+        second = handles["client"].fetch_chunk(dag, blocking=False)
+        if not destroy_first:
+            first.destroy()
         with pytest.raises(CanceledError):
             pending.result()
-        assert handles["client"].fetch_chunk(dag) == b"asked for again"
+        assert second.result() == b"asked for again"
         assert sim.nodes["pub"].counters["sessions_served"] == 1
+        assert client._inflight == {}
 
     def test_fifo_dequeue_order(self):
         # sessions start in the order their fetches were issued: the
@@ -1243,7 +1235,6 @@ class TestNotifications:
     def test_unregistered_events_are_dropped(self, pair):
         _, daemons, handles = pair
         handles["pub"].put_chunk(b"quiet", 60000)
-        assert handles["pub"].notif_channel().empty()
         assert handles["pub"].process_notif() == 0
 
     def test_handlers_called_in_registration_order(self):
@@ -1260,19 +1251,32 @@ class TestNotifications:
         finally:
             daemon.shutdown()
 
-    def test_listener_thread_drains(self):
-        daemon = lone_daemon(DaemonConfig(workers=0, mem_capacity_chunks=1))
+    def test_a_handler_may_fetch_what_was_evicted(self):
+        # process_notif runs handlers on the owner thread, so one may call
+        # the daemon: the client's one memory slot evicts the first chunk,
+        # and the handler fetches it again (evicting the second in turn)
+        sim = build_simulator(PAIR_TOPO)
+        pub = Xcached(DaemonConfig(), node=sim.nodes["pub"])
+        client = Xcached(DaemonConfig(mem_capacity_chunks=1), node=sim.nodes["client"])
         try:
-            handle = daemon.init_handle()
-            got = queue.Queue()
-            handle.register_notif(NotifEvent.CHUNK_EVICTED, lambda h, n: got.put(n))
-            handle.launch_notif_listener()
-            handle.put_chunk(b"one", 60000)
-            handle.put_chunk(b"two", 60000)
-            notif = got.get(timeout=2)
-            assert notif.event is NotifEvent.CHUNK_EVICTED
+            publisher, handle = pub.init_handle(), client.init_handle()
+            dags = [publisher.put_chunk(data, 60000) for data in (b"one", b"two")]
+            published = {dag.intent_xid(): dag for dag in dags}
+            got = []
+
+            def fetch_again(h, notif):
+                if not got:
+                    got.append(h.fetch_chunk(published[notif.addr.intent_xid()]))
+
+            handle.register_notif(NotifEvent.CHUNK_EVICTED, fetch_again)
+            for dag in dags:
+                handle.fetch_chunk(dag)
+            assert handle.process_notif() == 2
+            assert got == [b"one"]
+            assert client.manager.ids() == [dags[0].intent_xid()]
         finally:
-            daemon.shutdown()
+            pub.shutdown()
+            client.shutdown()
 
     def test_ttl_sweep_emits_one_eviction(self):
         clock = LogicalClock()
