@@ -13,6 +13,7 @@ import itertools
 import re
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -113,15 +114,19 @@ class Xid:
         if len(value) != XID_LEN:
             raise AddressError(f"XID value must be exactly {XID_LEN} bytes, got {len(value)}")
         key = (xtype, value)
-        xid = _INTERNED.get(key)
+        ref = _INTERNED.get(key)
+        xid = None if ref is None else ref()
         if xid is None:
             with _INTERN_LOCK:
-                xid = _INTERNED.get(key)
+                ref = _INTERNED.get(key)
+                xid = None if ref is None else ref()
                 if xid is None:
                     xid = object.__new__(cls)
                     object.__setattr__(xid, "xtype", xtype)
                     object.__setattr__(xid, "value", value)
-                    _INTERNED[key] = xid
+                    ref = _XidRef(xid, _forget)
+                    ref.key = key
+                    _INTERNED[key] = ref
         return xid
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -141,7 +146,21 @@ class Xid:
         return f"Xid({self.text(short=True)})"
 
 
-_INTERNED: weakref.WeakValueDictionary[tuple[XidType, bytes], Xid] = weakref.WeakValueDictionary()
+class _XidRef(weakref.ref):
+    """A weak reference to an interned XID that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _XidRef) -> None:
+    # Runs when an XID dies, on whichever thread drops it.  Removes the
+    # entry only while it is a dead reference, atomically, as
+    # WeakValueDictionary does: a miss may already have entered a new XID.
+    _remove_dead_weakref(_INTERNED, ref.key)
+
+
+# The intern table: (type, value) -> weak reference to the live XID.
+_INTERNED: dict[tuple[XidType, bytes], _XidRef] = {}
 _INTERN_LOCK = threading.Lock()  # held while a miss creates and enters a new XID
 
 

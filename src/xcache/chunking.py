@@ -24,7 +24,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NoReturn
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -119,7 +120,8 @@ class PublisherKey:
     one derived from it, so what it signs verifies under ``public``.
     ``signer`` is the private half loaded once, for ``sign_named``; it is
     None for a public-only key and takes no part in equality, hashing or
-    ``repr``."""
+    ``repr``.  ``key_cid`` and ``fingerprint()`` hash ``public`` once
+    each per key, not once per publish."""
 
     public: bytes
     private: bytes | None = None
@@ -148,8 +150,17 @@ class PublisherKey:
         )
         return cls(public=_raw_public(key), private=priv)
 
-    def fingerprint(self) -> bytes:
+    @cached_property
+    def key_cid(self) -> Xid:
+        """Id of the plain chunk that carries ``public``."""
+        return compute_cid(self.public)
+
+    @cached_property
+    def _fingerprint(self) -> bytes:
         return fingerprint(self.public)
+
+    def fingerprint(self) -> bytes:
+        return self._fingerprint
 
 
 def sign_named(name: str, payload: bytes, key: PublisherKey) -> bytes:
@@ -249,11 +260,10 @@ def build_ncid_chunk(
     public key itself (publish the key first); anything else is a
     publish-time error.
     """
-    expected_key_cid = compute_cid(key.public)
-    if key_ref.intent_xid() != expected_key_cid:
+    if key_ref.intent_xid() != key.key_cid:
         raise ChunkError(
             "key_ref intent does not match the public key chunk "
-            f"({key_ref.intent_xid().text()} != {expected_key_cid.text()})"
+            f"({key_ref.intent_xid().text()} != {key.key_cid.text()})"
         )
     fp = key.fingerprint()
     chunk = Chunk(
@@ -345,31 +355,46 @@ def verify_ncid_via(
     return verify_ncid(chunk, key_chunk, memo)
 
 
-# Wire layout (big endian): magic, u8 version, u8 id type, 20B id,
-# u32 ttl-ms, u16 name-len + name, u8 has-key-ref (+ u16 len + DAG URL
-# text), u8 has-fp (+ 20B), u16 sig-len + sig, u32 payload-len + payload.
+# Wire layout (big endian): a fixed 32-byte header (magic, u8 version,
+# u8 id type, 20B id, u32 ttl-ms, u16 name-len), then the name, u8
+# has-key-ref (+ u16 len + DAG URL text), u8 has-fp (+ 20B), u16 sig-len
+# + sig, u32 payload-len + payload.  ``decode_chunk`` unpacks the header
+# in one call and slices every later field at its offset; a field cut
+# short raises ``short`` at the offset where it starts.
+_HEADER = struct.Struct(">4sBB20sIH")
+# Where each header field starts.
+_HEADER_STARTS = (0, 4, 5, 6, 26, 30)
+# A header that passes every check: it stands in for the fields a
+# truncated buffer lacks.
+_GOOD_HEADER = _HEADER.pack(
+    CHUNK_MAGIC, CHUNK_VERSION, _TYPE_CODES[XidType.CID], bytes(XID_LEN), 0, 0
+)
+_U16 = struct.Struct(">H").unpack_from
+_U32 = struct.Struct(">I").unpack_from
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
+def _short(pos: int) -> ChunkDecodeError:
+    return ChunkDecodeError("short", f"buffer truncated at byte {pos}")
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise ChunkDecodeError("short", f"buffer truncated at byte {self.pos}")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
+def _id_type(magic: bytes, version: int, type_code: int) -> XidType:
+    if magic != CHUNK_MAGIC:
+        raise ChunkDecodeError("magic", "bad magic")
+    if version != CHUNK_VERSION:
+        raise ChunkDecodeError("version", f"unsupported version {version}")
+    xtype = _CODE_TYPES.get(type_code)
+    if xtype is None:
+        raise ChunkDecodeError("id-type", f"unknown id type code {type_code}")
+    return xtype
 
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
 
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+def _raise_truncated_header(buf: bytes) -> NoReturn:
+    """Raise for a buffer shorter than the header what a field-by-field
+    read meets first: a bad magic, version or id type among the fields
+    it holds whole, else ``short`` where the first field it cuts starts."""
+    cut = max(start for start in _HEADER_STARTS if start <= len(buf))
+    _id_type(*_HEADER.unpack(bytes(buf[:cut]) + _GOOD_HEADER[cut:])[:3])
+    raise _short(cut)
 
 
 def encode_chunk(chunk: Chunk) -> bytes:
@@ -400,48 +425,76 @@ def encode_chunk(chunk: Chunk) -> bytes:
 
 
 def decode_chunk(buf: bytes, max_payload: int = DEFAULT_MAX_PAYLOAD) -> Chunk:
-    r = _Reader(buf)
-    if r.take(4) != CHUNK_MAGIC:
-        raise ChunkDecodeError("magic", "bad magic")
-    version = r.u8()
-    if version != CHUNK_VERSION:
-        raise ChunkDecodeError("version", f"unsupported version {version}")
-    type_code = r.u8()
-    xtype = _CODE_TYPES.get(type_code)
-    if xtype is None:
-        raise ChunkDecodeError("id-type", f"unknown id type code {type_code}")
-    xid = Xid(xtype, r.take(XID_LEN))
-    ttl_ms = r.u32()
-    name_len = r.u16()
+    end = len(buf)
+    if end < _HEADER.size:
+        _raise_truncated_header(buf)
+    magic, version, type_code, id_value, ttl_ms, name_len = _HEADER.unpack_from(buf)
+    xid = Xid(_id_type(magic, version, type_code), id_value)
+    pos = _HEADER.size
     name = None
     if name_len:
+        if pos + name_len > end:
+            raise _short(pos)
         try:
-            name = r.take(name_len).decode("utf-8")
+            name = buf[pos : pos + name_len].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ChunkDecodeError("invalid", "name is not valid UTF-8") from exc
+        pos += name_len
+    if pos + 1 > end:
+        raise _short(pos)
+    has_key_ref = buf[pos]
+    pos += 1
     key_ref = None
-    if r.u8():
-        ref_len = r.u16()
-        ref_text = r.take(ref_len).decode("ascii", errors="replace")
+    if has_key_ref:
+        if pos + 2 > end:
+            raise _short(pos)
+        ref_len = _U16(buf, pos)[0]
+        pos += 2
+        if pos + ref_len > end:
+            raise _short(pos)
+        ref_text = buf[pos : pos + ref_len].decode("ascii", errors="replace")
         try:
             key_ref = parse_dag_url(ref_text)
         except ValueError as exc:
             raise ChunkDecodeError("invalid", f"bad key reference: {exc}") from exc
-    fp = r.take(XID_LEN) if r.u8() else None
-    sig_len = r.u16()
-    sig = r.take(sig_len) if sig_len else None
-    payload_len = r.u32()
+        pos += ref_len
+    if pos + 1 > end:
+        raise _short(pos)
+    has_fp = buf[pos]
+    pos += 1
+    fp = None
+    if has_fp:
+        if pos + XID_LEN > end:
+            raise _short(pos)
+        fp = buf[pos : pos + XID_LEN]
+        pos += XID_LEN
+    if pos + 2 > end:
+        raise _short(pos)
+    sig_len = _U16(buf, pos)[0]
+    pos += 2
+    sig = None
+    if sig_len:
+        if pos + sig_len > end:
+            raise _short(pos)
+        sig = buf[pos : pos + sig_len]
+        pos += sig_len
+    if pos + 4 > end:
+        raise _short(pos)
+    payload_len = _U32(buf, pos)[0]
+    pos += 4
     if payload_len > max_payload:
         raise ChunkDecodeError(
             "overflow", f"payload length {payload_len} exceeds limit {max_payload}"
         )
-    payload = r.take(payload_len)
-    if r.pos != len(buf):
-        raise ChunkDecodeError("trailing", f"{len(buf) - r.pos} trailing bytes")
+    stop = pos + payload_len
+    if stop > end:
+        raise _short(pos)
+    if stop != end:
+        raise ChunkDecodeError("trailing", f"{end - stop} trailing bytes")
     chunk = Chunk(
         id=xid,
         ttl_ms=ttl_ms,
-        payload=payload,
+        payload=buf[pos:stop],
         name=name,
         key_ref=key_ref,
         fingerprint=fp,

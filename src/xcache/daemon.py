@@ -100,6 +100,12 @@ class NotifEvent(Enum):
 
 @dataclass(frozen=True)
 class Notification:
+    """An event on one chunk.  ``addr`` is the notifying node's own
+    address for it (``local_dag_for``), which routes only to that node;
+    after ``CHUNK_EVICTED`` the node no longer holds the chunk, so a fetch
+    by ``addr`` is unroutable.  Use ``addr.intent_xid()`` to learn which
+    chunk left, and refetch it by the address it was published under."""
+
     event: NotifEvent
     addr: DagAddress
 

@@ -201,7 +201,10 @@ def parse_dag_url(url: str, allow_short: bool = False) -> DagAddress:
 
 # Percent-encoding.  Reserved characters get encoded so tokenization of
 # the URL is unambiguous; everything outside printable ASCII is encoded
-# as well (multi-byte UTF-8 falls out naturally).
+# as well (multi-byte UTF-8 falls out naturally).  Names and PubCert DAG
+# URLs are printable ASCII, and such text is escaped by ``str.replace``
+# ('%' first, so no escape is escaped again); other text goes through
+# the per-byte table.
 _RESERVED = frozenset(b"/&=%#")
 # The encoded form of each UTF-8 byte value.
 _PCT_TABLE = tuple(
@@ -211,6 +214,15 @@ _PCT_TABLE = tuple(
 
 
 def pct_encode(text: str) -> str:
+    if text.isascii() and text.isprintable():
+        return (
+            text.replace("%", "%25")
+            .replace("/", "%2f")
+            .replace("&", "%26")
+            .replace("=", "%3d")
+            .replace("#", "%23")
+            .replace(" ", "%20")
+        )
     table = _PCT_TABLE
     return "".join([table[byte] for byte in text.encode("utf-8")])
 
@@ -221,6 +233,8 @@ _BAD_ESCAPE = re.compile(r"%(?![0-9a-fA-F]{2})|[^\x00-\x7f]")
 
 
 def pct_decode(text: str, base_offset: int = 0) -> str:
+    if text.isascii() and "%" not in text:
+        return text  # nothing escaped, so nothing badly escaped
     bad = _BAD_ESCAPE.search(text)
     if bad is not None:
         i = bad.start()

@@ -173,6 +173,20 @@ class TestXidLaws:
         for column in zip(*results):
             assert all(xid is column[0] for xid in column)
 
+    def test_a_late_removal_keeps_the_entry_of_a_newer_xid(self):
+        # an XID's removal can run after a miss on another thread has
+        # entered a new XID of the same value; it must leave that entry
+        value = os.urandom(20)
+        key = (XidType.HID, value)
+        first = Xid(XidType.HID, value)
+        stale = addressing._INTERNED[key]
+        del first
+        assert key not in addressing._INTERNED
+        second = Xid(XidType.HID, value)
+        addressing._forget(stale)  # the first XID's removal, run late
+        assert addressing._INTERNED[key]() is second
+        assert Xid(XidType.HID, bytes(bytearray(value))) is second
+
 
 class TestDecisionValues:
     def test_each_kind_equals_only_its_own_kind(self):

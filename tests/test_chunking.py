@@ -1,12 +1,16 @@
 import random
+import struct
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from xcache import chunking
-from xcache.addressing import XidType, make_fallback_dag, symbolic_xid
+from xcache.addressing import XID_LEN, Xid, XidType, make_fallback_dag, symbolic_xid
 from xcache.chunking import (
+    CHUNK_MAGIC,
+    CHUNK_VERSION,
+    DEFAULT_MAX_PAYLOAD,
     Chunk,
     ChunkDecodeError,
     ChunkError,
@@ -29,6 +33,7 @@ from xcache.chunking import (
     verify_ncid,
     verify_ncid_via,
 )
+from xcache.urls import parse_dag_url
 
 # Published SHA-256 vectors, truncated to the identifier width.
 SHA256_HELLO_20 = bytes.fromhex("2cf24dba5fb0a30e26e83b2ac5b9e29e1b161e5c")
@@ -173,6 +178,21 @@ class TestBuilders:
         assert chunk.fingerprint == key.fingerprint()
         assert chunk.key_ref == key_ref
         assert verify_ncid(chunk, key_chunk).accepted
+
+    def test_a_publish_does_not_hash_the_key_again(self, monkeypatch):
+        _, key_chunk, key_ref, key = publish_pair()
+        hashed = []
+        content_hash = chunking.content_hash
+        monkeypatch.setattr(
+            chunking, "content_hash", lambda data: hashed.append(data) or content_hash(data)
+        )
+        chunk = build_ncid_chunk("again", b"more", 60000, key, key_ref)
+        assert key.public not in hashed
+        assert (key.key_cid, key.fingerprint()) == (key_chunk.id, fingerprint(key.public))
+        assert verify_ncid(chunk, key_chunk).accepted
+        # the kept hashes take no part in equality or hashing
+        bare = PublisherKey(key.public, key.private)
+        assert bare == key and hash(bare) == hash(key)
 
     def test_key_ref_intent_mismatch_is_publish_error(self):
         key = make_key()
@@ -561,3 +581,145 @@ class TestWireCodec:
                 decode_chunk(rng.randbytes(rng.randint(0, 80)))
             except ChunkDecodeError:
                 pass
+
+
+class _Reader:
+    def __init__(self, buf: bytes):
+        self.buf = buf
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.buf):
+            raise ChunkDecodeError("short", f"buffer truncated at byte {self.pos}")
+        out = self.buf[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def u8(self) -> int:
+        return self.take(1)[0]
+
+    def u16(self) -> int:
+        return struct.unpack(">H", self.take(2))[0]
+
+    def u32(self) -> int:
+        return struct.unpack(">I", self.take(4))[0]
+
+
+def reference_decode_chunk(buf: bytes, max_payload: int = DEFAULT_MAX_PAYLOAD) -> Chunk:
+    """The field-by-field decoder that the offset-based one replaced."""
+    r = _Reader(buf)
+    if r.take(4) != CHUNK_MAGIC:
+        raise ChunkDecodeError("magic", "bad magic")
+    version = r.u8()
+    if version != CHUNK_VERSION:
+        raise ChunkDecodeError("version", f"unsupported version {version}")
+    type_code = r.u8()
+    xtype = chunking._CODE_TYPES.get(type_code)
+    if xtype is None:
+        raise ChunkDecodeError("id-type", f"unknown id type code {type_code}")
+    xid = Xid(xtype, r.take(XID_LEN))
+    ttl_ms = r.u32()
+    name_len = r.u16()
+    name = None
+    if name_len:
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ChunkDecodeError("invalid", "name is not valid UTF-8") from exc
+    key_ref = None
+    if r.u8():
+        ref_len = r.u16()
+        ref_text = r.take(ref_len).decode("ascii", errors="replace")
+        try:
+            key_ref = parse_dag_url(ref_text)
+        except ValueError as exc:
+            raise ChunkDecodeError("invalid", f"bad key reference: {exc}") from exc
+    fp = r.take(XID_LEN) if r.u8() else None
+    sig_len = r.u16()
+    sig = r.take(sig_len) if sig_len else None
+    payload_len = r.u32()
+    if payload_len > max_payload:
+        raise ChunkDecodeError(
+            "overflow", f"payload length {payload_len} exceeds limit {max_payload}"
+        )
+    payload = r.take(payload_len)
+    if r.pos != len(buf):
+        raise ChunkDecodeError("trailing", f"{len(buf) - r.pos} trailing bytes")
+    chunk = Chunk(
+        id=xid,
+        ttl_ms=ttl_ms,
+        payload=payload,
+        name=name,
+        key_ref=key_ref,
+        fingerprint=fp,
+        signature=sig,
+    )
+    try:
+        chunk.validate(max_payload)
+    except ChunkError as exc:
+        raise ChunkDecodeError("invalid", str(exc)) from exc
+    return chunk
+
+
+def _decoded(decode, buf, max_payload=DEFAULT_MAX_PAYLOAD):
+    try:
+        return decode(buf, max_payload)
+    except ChunkDecodeError as exc:
+        return exc.kind, str(exc)
+
+
+# Encodings the decoder laws start from: plain chunks, named chunks (one
+# with a non-ASCII name and a short key reference) and an empty payload.
+_ENCODINGS = [
+    encode_chunk(build_cid_chunk(b"", 1)),
+    encode_chunk(build_cid_chunk(bytes(range(256)) * 4, 90_000)),
+    encode_chunk(publish_pair(payload=b"p" * 40)[0]),
+    encode_chunk(publish_pair(name="caf\u00e9/\u2603", payload=b"", seed=3)[0]),
+]
+
+
+# the magic, version and plain-content type code: random bytes after it
+# reach the fields past the header checks
+_GOOD_PREFIX = CHUNK_MAGIC + bytes([CHUNK_VERSION, 4])
+
+
+class TestDecodeMatchesReference:
+    """``decode_chunk`` returns an equal chunk, or raises the same
+    ``ChunkDecodeError`` kind and message, as the field-by-field decoder."""
+
+    @pytest.mark.parametrize("blob", _ENCODINGS, ids=["empty", "plain-1k", "named", "named-utf8"])
+    def test_every_truncation_and_extension(self, blob):
+        edited = [blob[:cut] for cut in range(len(blob) + 1)]
+        edited += [blob + extra for extra in (b"\x00", b"extra", bytes(40))]
+        for buf in edited:
+            assert _decoded(decode_chunk, buf) == _decoded(reference_decode_chunk, buf)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pick=st.integers(0, len(_ENCODINGS) - 1),
+        edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), max_size=4),
+        cut=st.one_of(st.none(), st.integers(min_value=0)),
+        extra=st.binary(max_size=8),
+        max_payload=st.sampled_from([DEFAULT_MAX_PAYLOAD, 0, 39, 40, 1024]),
+    )
+    def test_edited_encodings(self, pick, edits, cut, extra, max_payload):
+        blob = bytearray(_ENCODINGS[pick])
+        for at, value in edits:
+            blob[at % len(blob)] = value
+        if cut is not None:
+            del blob[cut % (len(blob) + 1) :]
+        blob = bytes(blob) + extra
+        assert _decoded(decode_chunk, blob, max_payload) == _decoded(
+            reference_decode_chunk, blob, max_payload
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prefix=st.sampled_from(
+            [b"", CHUNK_MAGIC, CHUNK_MAGIC + bytes([CHUNK_VERSION]), _GOOD_PREFIX]
+        ),
+        tail=st.binary(max_size=120),
+    )
+    def test_random_bytes(self, prefix, tail):
+        blob = prefix + tail
+        assert _decoded(decode_chunk, blob) == _decoded(reference_decode_chunk, blob)

@@ -1278,6 +1278,29 @@ class TestNotifications:
             pub.shutdown()
             client.shutdown()
 
+    def test_an_eviction_address_names_the_chunk_but_cannot_fetch_it(self):
+        # the notification's address routes only to the evicting node,
+        # which no longer holds the chunk; the published address still works
+        sim = build_simulator(PAIR_TOPO)
+        pub = Xcached(DaemonConfig(), node=sim.nodes["pub"])
+        client = Xcached(DaemonConfig(mem_capacity_chunks=1), node=sim.nodes["client"])
+        try:
+            publisher, handle = pub.init_handle(), client.init_handle()
+            dags = [publisher.put_chunk(data, 60000) for data in (b"one", b"two")]
+            seen = []
+            handle.register_notif(NotifEvent.CHUNK_EVICTED, lambda h, n: seen.append(n))
+            for dag in dags:
+                handle.fetch_chunk(dag)
+            assert handle.process_notif() == 1
+            (notif,) = seen
+            assert notif.addr.intent_xid() is dags[0].intent_xid()
+            with pytest.raises(UnroutableError):
+                handle.fetch_chunk(notif.addr)
+            assert handle.fetch_chunk(dags[0]) == b"one"
+        finally:
+            pub.shutdown()
+            client.shutdown()
+
     def test_ttl_sweep_emits_one_eviction(self):
         clock = LogicalClock()
         daemon = lone_daemon(DaemonConfig(workers=0), clock=clock)

@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,9 +14,11 @@ from xcache.addressing import (
     make_fallback_dag,
     symbolic_xid,
 )
-from xcache.chunking import compute_cid
+from xcache.chunking import PublisherKey, compute_cid
 from xcache.netsim import build_simulator
 from xcache.urls import (
+    LOCATOR_PUBCERT,
+    LOCATOR_VERSION,
     PARSE_MEMO_SIZE,
     NcidUrl,
     UrlParseError,
@@ -450,6 +453,36 @@ class TestPctEncoding:
     @given(st.text(alphabet=st.sampled_from("%%%0aAfFgz/=&+ \x00\x7féÿ€☃\ud800")))
     def test_matches_the_reference_decoder(self, text):
         assert _decoded(pct_decode, text) == _decoded(reference_pct_decode, text)
+
+    # st.text() seldom draws printable ASCII holding reserved characters,
+    # which is the text the str.replace path takes
+    @given(st.text(alphabet=string.printable + "/&=%#\x7f"))
+    def test_printable_ascii_matches_the_reference_encoder(self, text):
+        assert pct_encode(text) == reference_pct_encode(text)
+
+    @given(st.text(alphabet=string.printable + "/&=%#\x7f"))
+    def test_printable_ascii_matches_the_reference_decoder(self, text):
+        assert _decoded(pct_decode, text) == _decoded(reference_pct_decode, text)
+        encoded = pct_encode(text)
+        assert _decoded(pct_decode, encoded) == _decoded(reference_pct_decode, encoded) == text
+
+    def test_an_ncid_url_with_a_real_pubcert_keeps_its_text(self):
+        key = PublisherKey.generate(rng=random.Random(7))
+        cert = serialize_dag_url(
+            make_fallback_dag(
+                compute_cid(key.public),
+                [symbolic_xid(XidType.AD, "pubnode"), symbolic_xid(XidType.HID, "pubhost")],
+            )
+        )
+        url = NcidUrl("fb.com/cmu page#1", ((LOCATOR_PUBCERT, cert), (LOCATOR_VERSION, "2 & 3=5%")))
+        assert serialize_ncid_url(url) == (
+            "ncid://fb.com%2fcmu%20page%231/PubCert=cid:%2f%2f2,0"
+            "%2fAD-7075626e6f646500000000000000000000000000"
+            ",1%2fHID-707562686f737400000000000000000000000000"
+            ",2%2fCID-d643012d7900bb3b6e58d2e8598d2d9c791ef259"
+            "&Version=2%20%26%203%3d5%25"
+        )
+        assert parse_ncid_url(serialize_ncid_url(url)) == url
 
     @pytest.mark.parametrize("url", ["ncid://€/", "ncid://é/", "ncid://a/k=€", "ncid://a%41é/"])
     def test_an_unescaped_non_ascii_character_is_an_escape_error(self, url):
