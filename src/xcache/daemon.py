@@ -5,18 +5,19 @@ the local store can satisfy complete inline on the fast path.  A miss
 starts its transfer on the caller's thread, in call order, and every
 later fetch of the same content takes a slot on that one transfer.  The
 event that ends the transfer verifies what arrived, caches it when the
-daemon's cache flag is set, and completes every slot on it; a named
-chunk whose key chunk is not at hand fetches the key first, the same
-way.  Blocking callers and ``PendingFetch`` results pump the simulator
-until their own slot has completed, and notification handlers run only
-in ``process_notif``, so the daemon starts no threads.  A daemon belongs
-to the thread that owns its node's simulator: a public call from any
-other thread raises ``netsim.ForeignThreadError``, so the daemon takes
-no lock.  Nothing enters any store, and nothing read from the disk tier
-reaches a caller, without passing ``Xcached.verify``, which is also
-what makes opportunistic caching safe: a caching daemon taps its node's
-forwarding path, reassembles content sessions it forwards, and becomes
-a provider for chunks that verify.
+daemon's cache flag is set, and completes every slot on it.  A named
+chunk whose key chunk is not at hand takes a slot on that key's one
+transfer, like any fetch.  Blocking callers and ``PendingFetch``
+results pump the simulator until their own slot has completed, and
+notification handlers run only in ``process_notif``, so the daemon
+starts no threads.  A daemon belongs to the thread that owns its node's
+simulator: a public call from any other thread raises
+``netsim.ForeignThreadError``, so the daemon takes no lock.  Nothing
+enters any store, and nothing read from the disk tier reaches a caller,
+without passing ``Xcached.verify``, which is also what makes
+opportunistic caching safe: a caching daemon taps its node's forwarding
+path, reassembles content sessions it forwards, and becomes a provider
+for chunks that verify.
 """
 
 from __future__ import annotations
@@ -301,9 +302,9 @@ class Xcached:
         self._signatures: set[bytes] = set()
 
         self._handles: set[XcacheHandle] = set()
-        # each transfer in flight, by intent: the slots of its callers, in
-        # the order they attached
-        self._inflight: dict[Xid, list[PendingFetch]] = {}
+        # each transfer in flight, by intent: its waiters, in the order
+        # they attached (see ``_attach``)
+        self._inflight: dict[Xid, list] = {}
         self._ingest_buffers: dict[bytes, _IngestBuffer] = {}
         self._ingest_sweep_at = math.inf  # no buffer expires before this
         self._alive = True
@@ -393,7 +394,7 @@ class Xcached:
             key_ref = parse_dag_url(key_ref, allow_short=True)
         if ttl_ms <= 0:
             raise PublishError("published content needs a positive TTL")
-        key_chunk = self.manager.get(key_ref.intent_xid())
+        key_chunk = self._held(key_ref.intent_xid())
         if key_chunk is None:
             raise PublishError("public key chunk is not published here yet")
         if key_chunk.payload != key.public:
@@ -420,16 +421,16 @@ class Xcached:
         Fast path: present and unexpired in the local store, returned
         without a transfer.  A memory hit was verified when it was
         admitted and returns inline; a disk hit is verified again, since
-        its file can change behind the store, fetching its key chunk
-        first if a named chunk's key is not at hand, and one that fails
-        is dropped with its route and raises ``VerificationError``.  Slow
+        its file can change behind the store, and one that fails is
+        dropped with its route and raises ``VerificationError``.  Slow
         path: the caller's thread starts a session to the content; inside
         the event that ends it, what arrived is verified (and discarded
         on failure) and cached if the cache flag is set.  Each content has
         at most one transfer in flight: a fetch of content already being
         fetched or verified takes a slot on that transfer, which every
-        slot's result comes from.  A canceled slot leaves the transfer
-        running for the others.
+        slot's result comes from; so does a named chunk, fetched or read
+        from disk, whose key chunk is not at hand, on the key's transfer.
+        A canceled slot leaves the transfer running for the others.
 
         The transfer is bounded in simulated time by the transport's
         retry budget and idle timeout; a wait that drains the event queue
@@ -471,16 +472,11 @@ class Xcached:
 
         slot = PendingFetch(handle, self.node.sim)
         handle._pending.add(slot)
-        if intent in self._inflight:
-            self._inflight[intent].append(slot)
+        if chunk is None:
+            steps = partial(self._fetch_remote, addr, intent, key_chunk)
         else:
-            # attached before the transfer starts, which can end at once
-            self._inflight[intent] = [slot]
-            if chunk is None:
-                steps = self._fetch_remote(addr, intent, key_chunk)
-            else:
-                steps = self._verify_disk_hit(chunk, intent, key_chunk)
-            self._drive(steps, partial(self._finish, intent))
+            steps = partial(self._verify_disk_hit, chunk, intent, key_chunk)
+        self._attach(intent, steps, slot._complete)
         return slot.entry() if blocking else slot
 
     def get_named_chunk(
@@ -565,42 +561,55 @@ class Xcached:
 
     # -- internals -------------------------------------------------------
 
-    def _drive(self, steps, done, outcome=None) -> None:
-        """Run a fetch written as a generator.  Each ``yield addr`` starts
-        a session to ``addr``'s content; the generator resumes inside the
-        event that ends it, with ``(raw bytes, FetchStats)`` sent in or
-        the session's ``FetchError`` raised at the ``yield``.  ``done``
-        gets what the generator returns or raises, any error wrapped in a
-        ``FetchError``, so nothing reaches the thread that is pumping."""
-        while True:
-            try:
-                if isinstance(outcome, Exception):
-                    addr = steps.throw(outcome)
-                else:
-                    addr = steps.send(outcome)
-            except StopIteration as stop:
-                done(stop.value)
-                return
-            except FetchError as exc:
-                done(error=exc)
-                return
-            except Exception as exc:  # a fault in the fetch, not in the network
-                log.exception("%s: fetch failed", self.node.name)
-                done(error=FetchError(f"internal error: {exc!r}"))
-                return
-            try:
-                self.node.start_connect(addr, on_end=partial(self._resume, steps, done))
-                return
-            except NoRouteError as exc:
-                outcome = UnroutableError(str(exc))
+    def _attach(self, intent: Xid, steps, waiter) -> None:
+        """The one way a transfer starts: ``waiter``, any callable taking
+        ``(result, error)``, takes a slot on ``intent``'s transfer in
+        flight, or else on a new one that runs the generator ``steps()``."""
+        if intent in self._inflight:
+            self._inflight[intent].append(waiter)
+        else:
+            # attached before the transfer starts, which can end at once
+            self._inflight[intent] = [waiter]
+            self._drive(steps(), partial(self._finish, intent))
 
-    def _resume(self, steps, done, session) -> None:
-        """A session's ``on_end``: go on with the fetch that started it,
-        or, once the daemon is shut down, end it as canceled."""
+    def _finish(self, intent: Xid, result=None, error=None) -> None:
+        for waiter in self._inflight.pop(intent):
+            waiter(result, error)
+
+    def _drive(self, steps, done, result=None, error=None) -> None:
+        """Run a fetch written as a generator.  Each ``yield`` hands
+        ``_drive`` a step ``start(resume)``; the generator goes on when the
+        step calls ``resume(result, error)``, with ``result`` sent in or
+        ``error`` raised at the ``yield``.  ``done`` gets what the generator
+        returns or raises, any error wrapped in a ``FetchError``, so nothing
+        reaches the thread that is pumping."""
+        try:
+            start = steps.send(result) if error is None else steps.throw(error)
+        except StopIteration as stop:
+            done(stop.value)
+        except FetchError as exc:
+            done(error=exc)
+        except Exception as exc:  # a fault in the fetch, not in the network
+            log.exception("%s: fetch failed", self.node.name)
+            done(error=FetchError(f"internal error: {exc!r}"))
+        else:
+            start(partial(self._drive, steps, done))
+
+    def _connect(self, addr: DagAddress, resume) -> None:
+        """The one step that starts a session, to ``addr``'s content; it
+        resumes with ``(raw bytes, FetchStats)`` or a ``FetchError``."""
+        try:
+            self.node.start_connect(addr, on_end=partial(self._session_ended, resume))
+        except NoRouteError as exc:
+            resume(error=UnroutableError(str(exc)))
+
+    def _session_ended(self, resume, session) -> None:
+        """A session's ``on_end``: resume with what it carried, or, once
+        the daemon is shut down, with a cancellation."""
         if not self._alive:
-            outcome = CanceledError("daemon shut down while the transfer ran")
+            resume(error=CanceledError("daemon shut down while the transfer ran"))
         elif session.state == "failed":
-            outcome = FetchTimeoutError(session.fail_reason)
+            resume(error=FetchTimeoutError(session.fail_reason))
         else:
             stats = FetchStats(
                 provider=session.reply.node,
@@ -608,17 +617,12 @@ class Xcached:
                 segments=session.rx_segments,
                 retransmits=session.session_retransmits,
             )
-            outcome = (b"".join(session.rx_payloads), stats)
-        self._drive(steps, done, outcome)
-
-    def _finish(self, intent: Xid, result=None, error=None) -> None:
-        for slot in self._inflight.pop(intent):
-            slot._complete(result, error)
+            resume((b"".join(session.rx_payloads), stats))
 
     def _fetch_remote(self, addr: DagAddress, intent: Xid, held: Chunk | None):
         """A miss, as ``_drive`` runs it: transfer, decode, verify, and
         cache when the cache flag is set."""
-        raw, stats = yield addr
+        raw, stats = yield partial(self._connect, addr)
         chunk = self._decode(raw)
         result = yield from self._verify_fetched(chunk, intent, held)
         if not result.accepted:
@@ -648,9 +652,10 @@ class Xcached:
         """``verify`` for a chunk from the network or the disk tier, as a
         step ``_drive`` runs.  A named chunk's key chunk is the local copy,
         else ``held`` (a verified certificate the caller already has) when
-        it is that key, else one fetched from the chunk's ``key_ref``,
-        verified and admitted.  ``verify_ncid_via`` asks only for plain
-        chunks, so verifying the key never fetches another key."""
+        it is that key, else the result of the key's one transfer, on which
+        the chunk takes a slot like any fetch: a key it rejects leaves the
+        chunk ``key-chunk-invalid``, and its other errors are the chunk's.
+        The key is a plain chunk, so its transfer waits on no other key."""
         missing = []
 
         def fetch_key(key_cid: Xid) -> Chunk | None:
@@ -665,25 +670,21 @@ class Xcached:
         result = self.verify(chunk, intent, fetch_key)
         if not missing:
             return result
-        raw, _ = yield chunk.key_ref
+        key_steps = partial(self._fetch_remote, chunk.key_ref, missing[0], None)
         try:
-            key = self._decode(raw)
+            key, _ = yield partial(self._attach, missing[0], key_steps)
         except VerificationError:
             key = None
-        if key is not None and not self.verify(key, missing[0]):
-            key = None
-        if key is not None and key.ttl_ms > 0 and self.caching:
-            self._admit(key, origin="fetch")
         return self.verify(chunk, intent, lambda key_cid: key)
 
-    def verify(self, chunk: Chunk, intent: Xid, fetch_key=None) -> VerifyResult:
+    def verify(self, chunk: Chunk, intent: Xid, fetch_key) -> VerifyResult:
         """The one check a chunk passes where it crosses a trust boundary:
         a chunk from the network before it enters a store or reaches an
         application, and a disk hit before it reaches an application, both
         through ``_verify_fetched``.  Its id must be the requested
         ``intent``; a plain chunk must then hash to it, and a named chunk
         must verify against the key chunk ``fetch_key(key_cid)`` returns
-        (by default the local copy).  Memory hits were checked on
+        (None when there is none).  Memory hits were checked on
         admission, ``_serve`` leaves the check to the receiver, and a
         publish builds a chunk that verifies by construction.
 
@@ -697,7 +698,7 @@ class Xcached:
             return reject(REASON_HASH if intent.xtype is XidType.CID else REASON_NCID)
         if intent.xtype is XidType.CID:
             return verify_cid(chunk)
-        return verify_ncid_via(chunk, fetch_key or self.manager.get, self._signatures)
+        return verify_ncid_via(chunk, fetch_key, self._signatures)
 
     def _held(self, xid: Xid) -> Chunk | None:
         """The store's copy of ``xid``.  On a miss the node's local route
@@ -815,9 +816,9 @@ class Xcached:
 
     def _ingest(self, raw: bytes, intent: Xid) -> None:
         """Verify a reassembled capture as a fetched chunk is verified, and
-        adopt it.  A named chunk whose key chunk is not local fetches the
-        key first; its SYN leaves before the captured FIN is forwarded
-        on."""
+        adopt it.  A named chunk whose key chunk is not local takes a slot
+        on the key's transfer; a SYN that starts one leaves before the
+        captured FIN is forwarded on."""
         try:
             chunk = self._decode(raw)
         except VerificationError as exc:

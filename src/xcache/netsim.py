@@ -235,6 +235,8 @@ class Simulator:
                 raise TopologyError(f"link references unknown node {name!r}")
         if not 0.0 <= loss <= 1.0:
             raise TopologyError(f"loss probability {loss} out of [0,1]")
+        if delay_ms < 0:
+            raise TopologyError(f"link delay {delay_ms} ms is negative")
         old = self.links.get((a, b))
         self.links[(a, b)] = Link(a, b, delay_ms, loss)
         self.links[(b, a)] = Link(b, a, delay_ms, loss)
@@ -900,6 +902,8 @@ def build_simulator(text: str, seed: int | None = None, **transport) -> Simulato
                 parsed = {}
                 if "cache" in opts:
                     parsed["cache"] = int(opts["cache"])
+                    if parsed["cache"] < 0:
+                        raise TopologyError("cache must be at least 0")
                 sim.add_node(name, **parsed)
             elif kind == "link":
                 _, lineno, a, b, opts = d

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
-from .addressing import Xid, parse_xid
+from .addressing import Xid
 from .chunking import Chunk, PublisherKey, compute_ncid, sign_named
 from .daemon import (
     CertificateRequiredError,
@@ -358,10 +358,6 @@ class ScenarioRunner:
         positional, options, _ = self._split_args(args)
         node, url = positional
         self._node(node).routes.remove_route(self._url_intent(url, options.get("key")))
-
-    def _cmd_route(self, args):
-        node, xid_text, nxt = (self._subst(a) for a in args)
-        self.sim.add_route(node, parse_xid(xid_text, allow_short=True), nxt)
 
     def _cmd_fetch(self, args):
         positional, options, _ = self._split_args(args)

@@ -321,7 +321,11 @@ class TestConcurrentFetches:
         assert client._inflight == {} and handles["client"]._pending == set()
 
 
-BURST_IDS = 5  # plain chunks the pub publishes for the burst law
+# The pub's corpus for the burst law: plain chunks, then the key chunk,
+# then named chunks signed with that key, which the client fetches or
+# has to verify and does not hold at first.
+BURST_IDS = 7
+BURST_KEY = 4
 
 # One round: how many client handles, the fetches as (handle, id) pairs,
 # and the handle destroyed once every fetch is issued, if any.
@@ -336,6 +340,16 @@ burst_rounds = st.lists(
 )
 
 
+def client_syns(trace):
+    """The intent of each session the client opened in ``trace``."""
+    syns = {
+        (rec[5], rec[8])
+        for rec in trace
+        if rec[0] == "xmit" and rec[2] == "client" and rec[6] == SegFlags.SYN
+    }
+    return sorted(intent for _, intent in syns)
+
+
 def run_bursts(rounds) -> str:
     """Run each round's fetches from LINE3_TOPO's client as one burst,
     every fetch issued non-blocking before any is waited for, and check
@@ -347,7 +361,14 @@ def run_bursts(rounds) -> str:
     try:
         rng = random.Random(3)
         payloads = [rng.randbytes(rng.choice((200, 1500, 5000))) for _ in range(BURST_IDS)]
-        dags = [handles["pub"].put_chunk(data, 600_000) for data in payloads]
+        key = PublisherKey.generate(rng=rng)
+        payloads[BURST_KEY] = key.public
+        dags = [handles["pub"].put_chunk(data, 600_000) for data in payloads[: BURST_KEY + 1]]
+        dags += [
+            handles["pub"].put_named_content(f"burst/{i}", data, 600_000, key, dags[BURST_KEY])
+            for i, data in enumerate(payloads[BURST_KEY + 1 :], start=BURST_KEY + 1)
+        ]
+        key_text = dags[BURST_KEY].intent_xid().text()
         every_handle = list(handles.values())
         for n_handles, fetches, destroyed in rounds:
             fetchers = [client.init_handle() for _ in range(n_handles)]
@@ -374,15 +395,17 @@ def run_bursts(rounds) -> str:
                         pending.result()
                 else:
                     assert pending.result() == payloads[i]
-            # one session per distinct id the client missed
-            syns = {
-                (rec[5], rec[8])
-                for rec in sim.trace[start:]
-                if rec[0] == "xmit" and rec[2] == "client" and rec[6] == SegFlags.SYN
-            }
-            assert sorted(intent for _, intent in syns) == sorted(missed)
+            # one session per distinct id the client missed; a named
+            # chunk's verification may add one for the key, counted below
+            syns = client_syns(sim.trace[start:])
+            assert [i for i in syns if i != key_text] == sorted(missed - {key_text})
+            assert missed <= set(syns)
 
         sim.step()  # the last timers release their sessions an idle timeout after they end
+        # the client moves the key once: every verification that needs
+        # it takes a slot on that one transfer, and the key is kept after
+        wanted_key = any(i >= BURST_KEY for _, fetches, _ in rounds for _, i in fetches)
+        assert client_syns(sim.trace).count(key_text) == wanted_key
         for name, node in sim.nodes.items():
             daemon = daemons[name]
             assert daemon._inflight == {} and daemon._ingest_buffers == {}, name
@@ -574,6 +597,37 @@ class TestFetchPaths:
         assert second.result() == b"asked for again"
         assert sim.nodes["pub"].counters["sessions_served"] == 1
         assert client._inflight == {}
+
+    @pytest.mark.parametrize("with_key", [False, True], ids=["named-only", "with-key"])
+    @pytest.mark.parametrize(
+        "topo, served", [(PAIR_TOPO, 3), (LINE3_TOPO, 4)], ids=["pair", "line3"]
+    )
+    def test_named_chunks_share_their_keys_transfer(self, topo, served, with_key):
+        # two named chunks under a key the client does not hold, fetched
+        # together, with or without the key itself: each verification
+        # takes a slot on the key's one transfer, so the pub serves the
+        # two chunks and the key once; over LINE3_TOPO the router, which
+        # verifies the chunks it captures, moves the key once more
+        sim, daemons, handles = make_cluster(topo)
+        try:
+            key = PublisherKey.generate(rng=random.Random(5))
+            cert_dag = handles["pub"].put_chunk(key.public, 600_000)
+            payloads = [f"named {i}".encode() * 50 for i in range(2)]
+            dags = [
+                handles["pub"].put_named_content(f"shared/{i}", data, 600_000, key, cert_dag)
+                for i, data in enumerate(payloads)
+            ]
+            if with_key:
+                dags.append(cert_dag)
+                payloads.append(key.public)
+            pendings = [handles["client"].fetch_chunk(dag, blocking=False) for dag in dags]
+            assert [pending.result() for pending in pendings] == payloads
+            sim.step()
+            assert sim.nodes["pub"].counters["sessions_served"] == served
+            assert daemons["client"].counters["key_fetches"] == 2  # one lookup per verification
+            assert all(daemon._inflight == {} for daemon in daemons.values())
+        finally:
+            shutdown_all(daemons)
 
     def test_fifo_dequeue_order(self):
         # sessions start in the order their fetches were issued: the
@@ -1127,6 +1181,23 @@ class TestOneVerificationPath:
                     assert (path.name, scope) == ("daemon.py", "Xcached.verify"), (path.name, scope)
                 if path.name == "cli.py":
                     assert not name.startswith("verify"), (scope, name)
+
+
+class TestOneTransferRoutine:
+    def test_one_session_step_and_one_inflight_writer(self):
+        # a session starts only in the step ``_connect``; a transfer is
+        # entered in ``_inflight`` only by ``_attach``, and ``_finish``
+        # only takes it out
+        tree = ast.parse(Path(xcache.daemon.__file__).read_text())
+        refs = list(TestOneVerificationPath.references(tree))
+        assert {scope for scope, name in refs if name == "start_connect"} == {"Xcached._connect"}
+        users = {scope for scope, name in refs if name == "_inflight"}
+        assert users == {"Xcached.__init__", "Xcached._attach", "Xcached._finish"}
+        finish = next(
+            fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_finish"
+        )
+        code = ast.unparse(finish)
+        assert code.count("self._inflight") == code.count("self._inflight.pop(") == 1
 
 
 class TestSignatureMemo:

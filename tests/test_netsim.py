@@ -96,6 +96,25 @@ class TestTopologyConfig:
         with pytest.raises(TopologyError):
             build_simulator("node a\nnode b\nlink a b delay=1 loss=1.5\n")
 
+    def test_negative_delay(self):
+        # an arrival queued before its send would also shrink
+        # path_delay_bound, and with it the retransmission timeout
+        with pytest.raises(TopologyError, match="line 3: link delay -5 ms is negative"):
+            build_simulator("node a\nnode b\nlink a b delay=-5\n")
+        sim = build_simulator("node a\nnode b\n")
+        with pytest.raises(TopologyError, match="negative"):
+            sim.add_link("a", "b", delay_ms=-1)
+        assert sim.links == {} and sim.path_delay_bound() == 1
+
+    def test_negative_cache(self):
+        # refused here as parse_config refuses mem_capacity_chunks below 0
+        with pytest.raises(TopologyError, match="line 2: cache must be at least 0"):
+            build_simulator("node a\nnode b cache=-3\n")
+
+    def test_zero_delay_and_cache_are_accepted(self):
+        sim = build_simulator("node a cache=0\nnode b\nlink a b delay=0\n")
+        assert sim.node_opts["a"]["cache"] == 0 and sim.links[("a", "b")].delay_ms == 0
+
     def test_route_with_unknown_next_hop(self):
         with pytest.raises(TopologyError):
             build_simulator("node a\nroute a AD-x b\n")

@@ -120,6 +120,14 @@ class TestScenarioRunner:
         with pytest.raises(ScenarioError, match="unknown command"):
             run_scenario("topology line3.topo\nwarp client\n", base_dir=tmp_path)
 
+    def test_route_is_an_unknown_command(self, tmp_path):
+        # routefor installs a route toward a bare XID given as an address
+        (tmp_path / "line3.topo").write_text(LINE3)
+        head = "topology line3.topo\n"
+        run_scenario(head + "routefor client ad://0/AD-pub router\n", base_dir=tmp_path)
+        with pytest.raises(ScenarioError, match="unknown command 'route'"):
+            run_scenario(head + "route client AD-pub router\n", base_dir=tmp_path)
+
     def test_undefined_variable(self, tmp_path):
         (tmp_path / "line3.topo").write_text(LINE3)
         with pytest.raises(ScenarioError, match="undefined variable"):
