@@ -230,8 +230,8 @@ class Chunk:
                 raise ChunkError(f"fingerprint must be {XID_LEN} bytes")
         else:
             raise ChunkError(f"chunk id must be a content type, not {self.id.xtype.value}")
-        if not 0 <= self.ttl_ms <= MAX_TTL_MS:
-            raise ChunkError(f"ttl {self.ttl_ms} out of range")
+        if type(self.ttl_ms) is not int or not 0 <= self.ttl_ms <= MAX_TTL_MS:
+            raise ChunkError(f"ttl {self.ttl_ms!r} is not an int in [0, {MAX_TTL_MS}]")
         if max_payload is not None and len(self.payload) > max_payload:
             raise ChunkError(
                 f"payload of {len(self.payload)} bytes exceeds limit {max_payload}"

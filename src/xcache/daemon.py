@@ -281,11 +281,12 @@ class XcacheHandle:
 class Xcached:
     """One daemon instance on one simulated node: storage manager, fetch
     coalescing, notification fan-out, content serving and opportunistic
-    caching.  What the node serves is its route table's
-    local content set: admitting a chunk adds its route, and eviction,
-    expiry and removal withdraw it; the node asks ``_serve`` for the
-    bytes when a request arrives.  The store's clock is the node's
-    simulator unless ``clock`` is given."""
+    caching.  What the node serves is its route table's local content
+    set, which the store keeps: the store adds a chunk's route when it
+    writes or reloads the chunk, and withdraws it on eviction, expiry,
+    removal and close, so a shut-down daemon's node routes no content.
+    The node asks ``_serve`` for the bytes when a request arrives.  The
+    store's clock is the node's simulator unless ``clock`` is given."""
 
     def __init__(self, config: DaemonConfig | None = None, *, node: NetNode, clock=None):
         self.config = config if config is not None else DaemonConfig()
@@ -295,6 +296,7 @@ class Xcached:
             disk_capacity=self.config.disk_capacity_chunks,
             disk_dir=self.config.disk_dir,
             clock=clock if clock is not None else node.sim,
+            routes=node.routes,
         )
         self.counters: Counter = Counter()
         # digests of the publisher signatures this daemon has accepted; a
@@ -311,8 +313,6 @@ class Xcached:
 
         node.serve = self._serve
         self.caching = cache_flag(self.config.cache_policy)
-        for xid in self.manager.ids():  # entries reloaded from the disk tier
-            node.routes.add_local(xid)
 
     @property
     def caching(self) -> bool:
@@ -394,7 +394,7 @@ class Xcached:
             key_ref = parse_dag_url(key_ref, allow_short=True)
         if ttl_ms <= 0:
             raise PublishError("published content needs a positive TTL")
-        key_chunk = self._held(key_ref.intent_xid())
+        key_chunk = self.manager.get(key_ref.intent_xid())
         if key_chunk is None:
             raise PublishError("public key chunk is not published here yet")
         if key_chunk.payload != key.public:
@@ -461,7 +461,7 @@ class Xcached:
         intent = addr.intent_xid()
         if intent.xtype not in CONTENT_TYPES:
             raise FetchError(f"cannot fetch a {intent.xtype.value} intent")
-        chunk = self._held(intent)  # a miss withdraws the route before any SYN leaves
+        chunk = self.manager.get(intent)
         self.counters["queued" if chunk is None else "fast_path"] += 1
         if chunk is not None and self.manager.placement(intent) != DiskStore.store_id:
             if blocking:
@@ -526,9 +526,7 @@ class Xcached:
         self.check_handle(handle)
         if isinstance(addr, str):
             addr = parse_dag_url(addr, allow_short=True)
-        xid = addr if isinstance(addr, Xid) else addr.intent_xid()
-        self.manager.remove(xid)
-        self.node.routes.remove_local(xid)
+        self.manager.remove(addr if isinstance(addr, Xid) else addr.intent_xid())
 
     # -- maintenance -----------------------------------------------------
 
@@ -538,7 +536,6 @@ class Xcached:
         self._check_live()
         expired = self.manager.sweep(now_ms)
         for xid in expired:
-            self.node.routes.remove_local(xid)
             self._notify(NotifEvent.CHUNK_EVICTED, xid)
         return expired
 
@@ -547,11 +544,11 @@ class Xcached:
         fetches raise ``CanceledError`` and its later calls raise
         ``InvalidHandleError``; no handle can be made, no chunk injected
         and no TTL swept after.  Caching stops, so the forwarding tap is
-        gone; a transfer that ends afterwards is canceled before it
-        verifies or admits anything; and ``_serve`` answers None, so the
-        node withdraws the route of content asked for and forwards the
-        request on.  The store is then closed, and no handle, transfer,
-        capture or served request reads it again."""
+        gone, and a transfer that ends afterwards is canceled before it
+        verifies or admits anything.  The store is then closed, which
+        withdraws every content route, so the node serves nothing and
+        forwards a request for what it held on; no handle, transfer,
+        capture or served request reads the store again."""
         self.node.sim.check_thread()
         self._alive = False
         for handle in list(self._handles):
@@ -643,8 +640,6 @@ class Xcached:
                 self.manager.remove(intent)
             except StoreError as exc:  # still held, so still routed
                 log.warning("%s: keeping a disk hit that failed: %s", self.node.name, exc)
-            else:
-                self.node.routes.remove_local(intent)
             raise VerificationError(result.reason or "rejected")
         return chunk, LOCAL_STATS
 
@@ -660,7 +655,7 @@ class Xcached:
 
         def fetch_key(key_cid: Xid) -> Chunk | None:
             self.counters["key_fetches"] += 1
-            key = self._held(key_cid)
+            key = self.manager.get(key_cid)
             if key is None and held is not None and held.id == key_cid:
                 key = held
             if key is None:
@@ -700,16 +695,6 @@ class Xcached:
             return verify_cid(chunk)
         return verify_ncid_via(chunk, fetch_key, self._signatures)
 
-    def _held(self, xid: Xid) -> Chunk | None:
-        """The store's copy of ``xid``.  On a miss the node's local route
-        for it is withdrawn, since a local route must mean held content:
-        the store drops a disk entry that no longer reads without telling
-        the daemon."""
-        chunk = self.manager.get(xid)
-        if chunk is None:
-            self.node.routes.remove_local(xid)
-        return chunk
-
     def _decode(self, raw: bytes) -> Chunk:
         try:
             return decode_chunk(raw, max_payload=self.config.max_payload)
@@ -718,10 +703,9 @@ class Xcached:
 
     def _admit(self, chunk: Chunk, origin: str) -> bool:
         """Single chokepoint through which chunks enter the store (verified
-        ones, and those inject_unverified_chunk plants); adds the chunk's
-        local route, withdraws evicted content and fans out notifications,
-        also for evictions made for a write that then failed.  Returns
-        whether a store admitted the chunk."""
+        ones, and those inject_unverified_chunk plants); fans out
+        notifications, also for evictions made for a write that then
+        failed.  Returns whether a store admitted the chunk."""
         admitted = True
         try:
             _, evicted = self.manager.store(chunk)
@@ -729,11 +713,9 @@ class Xcached:
             log.warning("store refused chunk %s: %s", chunk.id.text(short=True), exc)
             admitted, evicted = False, exc.evicted
         for victim in evicted:
-            self.node.routes.remove_local(victim)
             self._notify(NotifEvent.CHUNK_EVICTED, victim)
         if not admitted:
             return False
-        self.node.routes.add_local(chunk.id)
         if origin != "publish":
             self._notify(NotifEvent.CHUNK_ARRIVED, chunk.id)
         return True
@@ -766,9 +748,8 @@ class Xcached:
 
     def _serve(self, xid: Xid) -> bytes | None:
         """The node's ``serve``: the encoded chunk, or None once it is
-        gone or expired, or the daemon is shut down."""
-        if not self._alive:
-            return None
+        gone or expired.  A shut-down daemon's node routes no content, so
+        it is never asked."""
         chunk = self.manager.get(xid)
         return encode_chunk(chunk) if chunk is not None else None
 
@@ -777,10 +758,11 @@ class Xcached:
         the session's data segments (retransmissions deduplicate), and
         on FIN reassemble, verify and adopt the chunk.  A buffer left idle
         past the receiver's idle timeout belongs to a session that ended
-        without its FIN crossing this node, and is dropped."""
+        without its FIN crossing this node, and is dropped, by the next
+        capture or by an event at its deadline, whichever comes first."""
         now = self.node.sim.now
         if now >= self._ingest_sweep_at:
-            self._expire_ingest(now)
+            self._expire_ingest()
         if seg.flags & SegFlags.SYNACK:
             intent = seg.src_dag.intent_xid()
             if intent.xtype not in CONTENT_TYPES:
@@ -789,6 +771,7 @@ class Xcached:
                 self._ingest_buffers[seg.session] = _IngestBuffer(intent, now)
                 if self._ingest_sweep_at == math.inf:
                     self._ingest_sweep_at = now + self.node.sim.idle_timeout_ms + 1
+                    self.node.sim.schedule(self._ingest_sweep_at - now, self._expire_ingest)
             return
         buf = self._ingest_buffers.get(seg.session)
         if buf is None:
@@ -805,14 +788,20 @@ class Xcached:
             raw = b"".join(buf.segments[i] for i in range(buf.fin_seq))
             self._ingest(raw, buf.intent)
 
-    def _expire_ingest(self, now: int) -> None:
-        horizon = self.node.sim.idle_timeout_ms
+    def _expire_ingest(self) -> None:
+        """Drop the buffers idle past the idle timeout, and schedule this
+        again for the next deadline, if any buffer is left."""
+        now, horizon = self.node.sim.now, self.node.sim.idle_timeout_ms
+        if now < self._ingest_sweep_at:
+            return  # scheduled for a deadline that a capture has swept since
         self._ingest_sweep_at = math.inf
         for session, buf in list(self._ingest_buffers.items()):
             if now - buf.last_seen > horizon:
                 del self._ingest_buffers[session]
             else:
                 self._ingest_sweep_at = min(self._ingest_sweep_at, buf.last_seen + horizon + 1)
+        if self._ingest_sweep_at != math.inf:
+            self.node.sim.schedule(self._ingest_sweep_at - now, self._expire_ingest)
 
     def _ingest(self, raw: bytes, intent: Xid) -> None:
         """Verify a reassembled capture as a fetched chunk is verified, and

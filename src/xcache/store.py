@@ -15,12 +15,11 @@ import os
 import re
 import struct
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, NamedTuple
 
-from .addressing import Xid
+from .addressing import RouteTable, Xid
 from .chunking import Chunk, ChunkError, decode_chunk, encode_chunk
 
 log = logging.getLogger(__name__)
@@ -118,36 +117,13 @@ class _Stamps(NamedTuple):
         return now_ms >= self.expires_at
 
 
-class ContentStore(ABC):
-    """A chunk container holding at most ``capacity`` chunks."""
+class MemoryStore:
+    """Chunks held in a dict, at most ``capacity`` of them."""
 
-    store_id: str
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-
-    @abstractmethod
-    def store(self, entry: CacheEntry) -> None:
-        """Write the entry, replacing any earlier one for the same id."""
-
-    @abstractmethod
-    def get(self, xid: Xid) -> Chunk | None: ...
-
-    @abstractmethod
-    def remove(self, xid: Xid) -> bool: ...
-
-    @abstractmethod
-    def __len__(self) -> int: ...
-
-    def has_slot(self) -> bool:
-        return len(self) < self.capacity
-
-
-class MemoryStore(ContentStore):
     store_id = "mem"
 
     def __init__(self, capacity: int):
-        super().__init__(capacity)
+        self.capacity = capacity
         self._chunks: dict[Xid, Chunk] = {}
 
     def store(self, entry: CacheEntry) -> None:
@@ -163,7 +139,7 @@ class MemoryStore(ContentStore):
         return len(self._chunks)
 
 
-class DiskStore(ContentStore):
+class DiskStore:
     """Every chunk in one append-only pack file, ``chunks.pack``, inside a
     configured directory, found through an in-memory index of each id's
     record offset and length.
@@ -189,7 +165,7 @@ class DiskStore(ContentStore):
     store_id = "disk"
 
     def __init__(self, directory: str | Path, capacity: int):
-        super().__init__(capacity)
+        self.capacity = capacity
         Path(directory).mkdir(parents=True, exist_ok=True)
         self.path = Path(directory) / PACK_NAME
         self._file: BinaryIO | None = None
@@ -407,7 +383,12 @@ class StorageManager:
     """Places verified chunks in memory first, then on disk, and evicts
     the least recently used entry of a full store; access-stamp ties
     break by insertion order, oldest first.  The victim comes off a
-    per-store heap in O(log n)."""
+    per-store heap in O(log n).
+
+    The manager keeps its node's content routes in ``routes``: every
+    entry it writes or reloads gets a local route, which goes when the
+    entry is dropped, when ``get`` finds it expired, and on ``close``.
+    A manager built without a node's table keeps a private one."""
 
     def __init__(
         self,
@@ -415,11 +396,13 @@ class StorageManager:
         disk_capacity: int = 0,
         disk_dir: str | Path | None = None,
         clock=None,
+        routes: RouteTable | None = None,
     ):
         self.clock = clock if clock is not None else WallClock()
+        self.routes = routes if routes is not None else RouteTable()
         self._insert_seq = 0
 
-        self.stores: list[ContentStore] = [MemoryStore(mem_capacity)]
+        self.stores: list[MemoryStore | DiskStore] = [MemoryStore(mem_capacity)]
         self._disk: DiskStore | None = None
         if disk_capacity > 0 and disk_dir is not None:
             self._disk = DiskStore(disk_dir, disk_capacity)
@@ -456,6 +439,7 @@ class StorageManager:
             seq = max(entry.inserted_at, self._insert_seq)
             self._entries[entry.chunk.id] = _Stamps(disk.store_id, seq, entry.expires_at)
             self._set_key(disk.store_id, entry.chunk.id, (entry.last_access, seq))
+            self.routes.add_local(entry.chunk.id)
             self._insert_seq = seq + 1
         for _ in range(len(disk) - disk.capacity):
             if self.evict_one(disk.store_id) is None:
@@ -490,7 +474,7 @@ class StorageManager:
         target = self._place()
         evicted: list[Xid] = []
         try:
-            while not target.has_slot():
+            while len(target) >= target.capacity:
                 victim = self.evict_one(target.store_id)
                 if victim is None:
                     raise StoreError(f"no {target.store_id} entry could be evicted")
@@ -503,10 +487,14 @@ class StorageManager:
         return target.store_id, evicted
 
     def get(self, xid: Xid) -> Chunk | None:
-        """Unexpired lookup; records an access."""
+        """Unexpired lookup; records an access.  An expired entry's route
+        is withdrawn, and the entry is left for the sweep."""
         now = self.clock.now_ms()
         entry = self._entries.get(xid)
-        if entry is None or entry.expired(now):
+        if entry is None:
+            return None
+        if entry.expired(now):
+            self.routes.remove_local(xid)
             return None
         store_id = entry.store_id
         chunk = self._by_id[store_id].get(xid)
@@ -567,9 +555,11 @@ class StorageManager:
         return len(self._entries)
 
     def close(self) -> None:
-        """Stamp the disk entries read since their last write with their
-        last access, so a reopen restores this victim order, and close the
-        disk tier's file."""
+        """Withdraw every entry's route, stamp the disk entries read since
+        their last write with their last access, so a reopen restores this
+        victim order, and close the disk tier's file."""
+        for xid in self._entries:
+            self.routes.remove_local(xid)
         if self._disk is None:
             return
         lru = self._lru[DiskStore.store_id]
@@ -578,22 +568,23 @@ class StorageManager:
         self._read_on_disk.clear()
         self._disk.close()
 
-    def _place(self) -> ContentStore:
+    def _place(self) -> MemoryStore | DiskStore:
         """Fill memory, spill to disk; when every store is full, the last
         store takes the eviction."""
         for store in self.stores:
-            if store.has_slot():
+            if len(store) < store.capacity:
                 return store
         if self.stores[-1].capacity < 1:
             raise StoreError("chunk does not fit in any store")
         return self.stores[-1]
 
-    def _write(self, store: ContentStore, chunk: Chunk, seq: int, now: int) -> None:
+    def _write(self, store: MemoryStore | DiskStore, chunk: Chunk, seq: int, now: int) -> None:
         entry = CacheEntry(chunk, store.store_id, seq, now, now + chunk.ttl_ms)
         store.store(entry)
         self._entries[chunk.id] = _Stamps(store.store_id, seq, entry.expires_at)
         self._set_key(store.store_id, chunk.id, (now, seq))
         self._read_on_disk.discard(chunk.id)
+        self.routes.add_local(chunk.id)
 
     def _set_key(self, store_id: str, xid: Xid, key: tuple[int, int]) -> None:
         self._lru[store_id][xid] = key
@@ -616,6 +607,7 @@ class StorageManager:
         del self._entries[xid]
         del self._lru[entry.store_id][xid]
         self._read_on_disk.discard(xid)
+        self.routes.remove_local(xid)
         self._compact(entry.store_id)
 
     def _try_drop(self, xid: Xid) -> bool:

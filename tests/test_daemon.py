@@ -23,7 +23,7 @@ from conftest import (
 )
 import xcache
 from xcache import chunking
-from xcache.addressing import XidType, make_fallback_dag
+from xcache.addressing import CONTENT_TYPES, XidType, make_fallback_dag
 from xcache.chunking import (
     CHUNK_MAGIC,
     Chunk,
@@ -222,6 +222,29 @@ class TestShutdown:
         assert (chunk.payload, stats.provider) == (b"cached on the way", "pub")
         assert not sim.nodes["router"].routes.is_local(dag.intent_xid())
 
+    def test_a_restarted_daemon_routes_only_what_its_store_holds(self, tmp_path):
+        # the memory tier's chunk is gone after a restart and the disk
+        # tier's is reloaded: the node routes exactly the reloaded one
+        sim = build_simulator(PAIR_TOPO)
+        node = sim.nodes["pub"]
+        config = DaemonConfig(mem_capacity_chunks=1, disk_capacity_chunks=4, disk_dir=str(tmp_path))
+
+        def content_routes():
+            return {xid for xid in node.routes.locals() if xid.xtype in CONTENT_TYPES}
+
+        pub = Xcached(config, node=node)
+        handle = pub.init_handle()
+        handle.put_chunk(b"in memory", 60000)
+        on_disk = handle.put_chunk(b"spilled to disk", 60000).intent_xid()
+        assert len(content_routes()) == 2
+        pub.shutdown()
+        assert content_routes() == set()
+        pub = Xcached(config, node=node)
+        try:
+            assert content_routes() == set(pub.manager.ids()) == {on_disk}
+        finally:
+            pub.shutdown()
+
 
 class TestPublish:
     def test_put_then_remote_fetch(self, line3):
@@ -257,6 +280,25 @@ class TestPublish:
         with pytest.raises(PublishError):
             handle.put_chunk(b"y" * 100, 1000)
         daemon.shutdown()
+
+    @pytest.mark.parametrize("ttl", [60000.5, 600000.0, True], ids=["fraction", "float", "bool"])
+    @pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
+    def test_a_ttl_that_is_not_an_int_is_publish_error(self, tmp_path, disk, ttl):
+        # the wire format holds a TTL as an unsigned int: such a chunk,
+        # once stored, could not be encoded for the disk tier or a fetch
+        config = DaemonConfig(mem_capacity_chunks=0, disk_capacity_chunks=4, disk_dir=str(tmp_path))
+        daemon = lone_daemon(config if disk else DaemonConfig())
+        try:
+            handle = daemon.init_handle()
+            key = PublisherKey.generate(rng=random.Random(26))
+            cert_dag = handle.put_chunk(key.public, 60000)
+            with pytest.raises(PublishError, match="not an int"):
+                handle.put_chunk(b"plain", ttl)
+            with pytest.raises(PublishError, match="not an int"):
+                handle.put_named_content("ttl/name", b"signed", ttl, key, cert_dag)
+            assert daemon.manager.ids() == [cert_dag.intent_xid()]
+        finally:
+            daemon.shutdown()
 
 
 class TestConcurrentFetches:
@@ -1199,6 +1241,26 @@ class TestOneTransferRoutine:
         code = ast.unparse(finish)
         assert code.count("self._inflight") == code.count("self._inflight.pop(") == 1
 
+    def test_the_store_alone_writes_content_routes(self):
+        # netsim routes a node's own AD and HID and each session end's
+        # SID, and withdraws the route of content its owner declines to
+        # serve; every other local route is the storage manager's, and
+        # the daemon writes none
+        netsim = {
+            ("netsim.py", "NetNode.__init__"),
+            ("netsim.py", "NetNode._on_content_syn"),
+            ("netsim.py", "_Session.__init__"),
+            ("netsim.py", "_Session._release"),
+        }
+        source = Path(xcache.__file__).parent
+        for path in sorted(source.glob("*.py")):
+            for scope, name in TestOneVerificationPath.references(ast.parse(path.read_text())):
+                if name in ("add_local", "remove_local"):
+                    where = (path.name, scope)
+                    assert where in netsim or (
+                        path.name == "store.py" and scope.startswith("StorageManager.")
+                    ), where
+
 
 class TestSignatureMemo:
     """Each daemon remembers the publisher signatures it accepted, so a
@@ -1463,10 +1525,13 @@ class TestOpportunisticCaching:
             small = handles["pub"].put_chunk(b"the next session", 600_000)
             stalled = client.start_connect(big)
             sim.wait_for(lambda: stalled.rx_segments >= 10)
+            assert set(daemons["router"]._ingest_buffers) == {stalled.session_id}
             pub.routes.remove_route(client.ad)  # no FIN will cross the router
             sim.wait_for(lambda: stalled.state in ("complete", "failed"))
             assert (stalled.state, stalled.fail_reason) == ("failed", "transfer-timeout")
-            assert set(daemons["router"]._ingest_buffers) == {stalled.session_id}
+            # dropped an idle timeout after its last segment, although no
+            # capture has come since
+            assert daemons["router"]._ingest_buffers == {}
             sim.step(sim.now + sim.idle_timeout_ms + 1)
 
             pub.routes.add_route(client.ad, "router")
@@ -1628,7 +1693,7 @@ class TestServeEdgeCases:
         # no node holds the chunk any more, so the request finds no provider
         sim, daemons, handles = pair
         dag = handles["pub"].put_chunk(b"here then gone", 60000)
-        daemons["pub"].manager.remove(dag.intent_xid())  # behind the daemon's back
+        daemons["pub"].manager.remove(dag.intent_xid())  # the store withdraws the route
         with pytest.raises(FetchTimeoutError):
             handles["client"].fetch_chunk(dag)
         assert not sim.nodes["pub"].routes.is_local(dag.intent_xid())

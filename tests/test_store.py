@@ -23,6 +23,7 @@ from conftest import (
     flip_disk_entry,
     pack_records,
 )
+from xcache.addressing import RouteTable
 from xcache.chunking import CHUNK_MAGIC, Chunk, build_cid_chunk, encode_chunk
 from xcache.store import (
     CacheEntry,
@@ -746,7 +747,9 @@ class StoreLawsMachine(RuleBasedStateMachine):
     it, then refuses it.  A step may find that no record can be killed:
     the manager then keeps every disk entry it would have dropped.  The
     reference reader's view of the pack must match the manager's disk
-    tier after every step.
+    tier after every step.  The managers share one route table, as a
+    node's stores do across a restart, and it must route what the open
+    manager holds, but for entries a read found expired.
     """
 
     CAPACITY = {"mem": 1, "disk": 3}
@@ -755,6 +758,7 @@ class StoreLawsMachine(RuleBasedStateMachine):
         super().__init__()
         self.dir = tempfile.mkdtemp(prefix="xcache-laws-")
         self.clock = LogicalClock()
+        self.routes = RouteTable()
         self.manager = self._open()
         ttls = (1000, 1000, 1000, 1000, 30)
         self.pool = [chunk_for(f"law{i}", ttl=ttl) for i, ttl in enumerate(ttls)]
@@ -765,6 +769,9 @@ class StoreLawsMachine(RuleBasedStateMachine):
         )
         self.entries: dict = {}
         self.lru = {"mem": LruOracle(), "disk": LruOracle()}
+        # ids a read found expired since they were last written; an id
+        # evicted meanwhile stays here, which the invariant ignores
+        self.unrouted: set = set()
 
     def teardown(self):
         self.manager.close()
@@ -776,6 +783,7 @@ class StoreLawsMachine(RuleBasedStateMachine):
             disk_capacity=self.CAPACITY["disk"],
             disk_dir=self.dir,
             clock=self.clock,
+            routes=self.routes,
         )
 
     def _live(self, xid):
@@ -819,6 +827,7 @@ class StoreLawsMachine(RuleBasedStateMachine):
             return StoreError, tuple(dropped + evicted)
         lru.store(chunk.id, now)
         self.entries[chunk.id] = ModelEntry(chunk, target, now + chunk.ttl_ms)
+        self.unrouted.discard(chunk.id)
         return target, evicted
 
     @rule(i=st.integers(0, 5))
@@ -881,6 +890,8 @@ class StoreLawsMachine(RuleBasedStateMachine):
         if self._live(xid):
             expected = self.entries[xid].chunk
             self.lru[self.entries[xid].store_id].get(xid, self.clock.now_ms())
+        elif xid in self.entries:
+            self.unrouted.add(xid)
         assert self.manager.get(xid) == expected
 
     @precondition(lambda self: len(self.entries) >= 3)
@@ -918,7 +929,9 @@ class StoreLawsMachine(RuleBasedStateMachine):
         )
         state = self.lru["disk"].state
         assert persisted_order == sorted(state, key=state.__getitem__)
+        assert self.routes.locals() == frozenset()
         self.manager = self._open()
+        assert self.routes.locals() == set(self.manager.ids())
         for xid, entry in list(self.entries.items()):
             if entry.store_id == "mem" or not self._live(xid):
                 self._drop(xid)
@@ -948,6 +961,10 @@ class StoreLawsMachine(RuleBasedStateMachine):
             x: e.expires_at for x, e in expected.items()
         }
         assert len({e.inserted_at for e in on_disk.values()}) == len(on_disk)
+
+    @invariant()
+    def routes_name_the_held_entries(self):
+        assert self.routes.locals() == set(self.manager.ids()) - self.unrouted
 
     @invariant()
     def same_contents(self):
