@@ -445,10 +445,11 @@ class RouteTable:
 
     ``state`` names the table's contents: every table takes a fresh
     number from one process-wide counter when it is built and on every
-    mutation, so no two tables, and no two contents of one table, share
-    a number.  Forwarding memos (``DagAddress.decisions``) key on it.
-    Only these methods may change ``_next_hop`` and ``_local``; a write
-    that bypassed them would leave ``state`` naming old contents.
+    write that changes it, so no two tables, and no two contents of one
+    table, share a number.  A write that changes nothing keeps it.
+    Forwarding memos (``DagAddress.decisions``) key on it.  Only these
+    methods may change ``_next_hop`` and ``_local``; a write that
+    bypassed them would leave ``state`` naming old contents.
     """
 
     def __init__(self) -> None:
@@ -457,23 +458,26 @@ class RouteTable:
         self.state = next(_ROUTE_STATES)
 
     def add_route(self, xid: Xid, next_hop: str) -> None:
-        self._next_hop[xid] = next_hop
-        self.state = next(_ROUTE_STATES)
+        if self._next_hop.get(xid) != next_hop:
+            self._next_hop[xid] = next_hop
+            self.state = next(_ROUTE_STATES)
 
     def remove_route(self, xid: Xid) -> None:
-        self._next_hop.pop(xid, None)
-        self.state = next(_ROUTE_STATES)
+        if self._next_hop.pop(xid, None) is not None:
+            self.state = next(_ROUTE_STATES)
 
     def next_hop(self, xid: Xid) -> str | None:
         return self._next_hop.get(xid)
 
     def add_local(self, xid: Xid) -> None:
-        self._local.add(xid)
-        self.state = next(_ROUTE_STATES)
+        if xid not in self._local:
+            self._local.add(xid)
+            self.state = next(_ROUTE_STATES)
 
     def remove_local(self, xid: Xid) -> None:
-        self._local.discard(xid)
-        self.state = next(_ROUTE_STATES)
+        if xid in self._local:
+            self._local.remove(xid)
+            self.state = next(_ROUTE_STATES)
 
     def is_local(self, xid: Xid) -> bool:
         return xid in self._local

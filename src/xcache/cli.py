@@ -28,7 +28,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .addressing import AddressError, CONTENT_TYPES, dag_address, format_xid, parse_xid
+from .addressing import AddressError, dag_address, format_xid, parse_xid
 from .chunking import ChunkError, PublisherKey, compute_ncid, fingerprint
 from .daemon import (
     CertificateRequiredError,
@@ -174,11 +174,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         if args.url.startswith("ncid://"):
             chunk, stats = daemon.get_named_entry(handle, args.url, cert=args.cert)
         else:
-            dag = parse_dag_url(args.url, allow_short=True)
-            if dag.intent_xid().xtype not in CONTENT_TYPES:
-                print("fetch: URL intent is not content", file=sys.stderr)
-                return EX_USAGE
-            chunk, stats = daemon.fetch_entry(handle, dag)
+            chunk, stats = daemon.fetch_entry(handle, args.url)
         if args.out:
             Path(args.out).write_bytes(chunk.payload)
         else:

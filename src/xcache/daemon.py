@@ -15,17 +15,16 @@ simulator: a public call from any other thread raises
 ``netsim.ForeignThreadError``, so the daemon takes no lock.  Nothing
 enters any store, and nothing read from the disk tier reaches a caller,
 without passing ``Xcached.verify``, which is also what makes
-opportunistic caching safe: a caching daemon taps its node's forwarding
-path, reassembles content sessions it forwards, and becomes a provider
-for chunks that verify.
+opportunistic caching safe: a caching daemon installs its node's capture
+tap, which hands it each content session the node forwards, reassembled,
+and becomes a provider for chunks that verify.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 
@@ -49,7 +48,7 @@ from .chunking import (
     verify_cid,
     verify_ncid_via,
 )
-from .netsim import NetNode, NoRouteError, SegFlags, Segment, SimStalledError
+from .netsim import NetNode, NoRouteError, SimStalledError
 from .store import DiskStore, StorageManager, StoreError
 from .urls import NcidUrl, canonical_name, parse_dag_url, parse_ncid_url
 
@@ -210,14 +209,6 @@ class PendingFetch:
         return self._result
 
 
-@dataclass
-class _IngestBuffer:
-    intent: Xid
-    last_seen: int  # simulated ms of the session's latest captured segment
-    segments: dict[int, bytes] = field(default_factory=dict)
-    fin_seq: int | None = None
-
-
 @dataclass(frozen=True)
 class FetchStats:
     """Where a fetch was served from and what it cost on the wire."""
@@ -307,8 +298,6 @@ class Xcached:
         # each transfer in flight, by intent: its waiters, in the order
         # they attached (see ``_attach``)
         self._inflight: dict[Xid, list] = {}
-        self._ingest_buffers: dict[bytes, _IngestBuffer] = {}
-        self._ingest_sweep_at = math.inf  # no buffer expires before this
         self._alive = True
 
         node.serve = self._serve
@@ -317,19 +306,19 @@ class Xcached:
     @property
     def caching(self) -> bool:
         """Whether this daemon keeps copies of the content it fetches or
-        forwards.  Only a caching daemon taps its node's forwarding path:
-        turning caching off removes the tap and drops every partly
-        reassembled capture, so nothing captured is adopted after."""
+        forwards.  Only a caching daemon installs its node's capture tap:
+        turning caching off removes the tap and clears the node's partly
+        reassembled captures, so nothing captured before is adopted
+        after."""
         return self._caching
 
     @caching.setter
     def caching(self, on: bool) -> None:
         self.node.sim.check_thread()
         self._caching = on
-        self.node.capture = self._on_capture if on else None
+        self.node.capture = self._ingest if on else None
         if not on:
-            self._ingest_buffers.clear()
-            self._ingest_sweep_at = math.inf
+            self.node.captures.clear()
 
     # -- handles -------------------------------------------------------
 
@@ -753,61 +742,12 @@ class Xcached:
         chunk = self.manager.get(xid)
         return encode_chunk(chunk) if chunk is not None else None
 
-    def _on_capture(self, seg: Segment) -> None:
-        """Forwarding-path tap: decide on the provider's answer, buffer
-        the session's data segments (retransmissions deduplicate), and
-        on FIN reassemble, verify and adopt the chunk.  A buffer left idle
-        past the receiver's idle timeout belongs to a session that ended
-        without its FIN crossing this node, and is dropped, by the next
-        capture or by an event at its deadline, whichever comes first."""
-        now = self.node.sim.now
-        if now >= self._ingest_sweep_at:
-            self._expire_ingest()
-        if seg.flags & SegFlags.SYNACK:
-            intent = seg.src_dag.intent_xid()
-            if intent.xtype not in CONTENT_TYPES:
-                return
-            if seg.session not in self._ingest_buffers and not self.manager.contains(intent):
-                self._ingest_buffers[seg.session] = _IngestBuffer(intent, now)
-                if self._ingest_sweep_at == math.inf:
-                    self._ingest_sweep_at = now + self.node.sim.idle_timeout_ms + 1
-                    self.node.sim.schedule(self._ingest_sweep_at - now, self._expire_ingest)
-            return
-        buf = self._ingest_buffers.get(seg.session)
-        if buf is None:
-            return
-        buf.last_seen = now
-        if seg.flags & SegFlags.FIN:
-            buf.fin_seq = seg.seq
-        elif seg.flags == SegFlags.NONE:
-            buf.segments.setdefault(seg.seq, seg.payload)
-        else:
-            return
-        if buf.fin_seq is not None and all(i in buf.segments for i in range(buf.fin_seq)):
-            del self._ingest_buffers[seg.session]
-            raw = b"".join(buf.segments[i] for i in range(buf.fin_seq))
-            self._ingest(raw, buf.intent)
-
-    def _expire_ingest(self) -> None:
-        """Drop the buffers idle past the idle timeout, and schedule this
-        again for the next deadline, if any buffer is left."""
-        now, horizon = self.node.sim.now, self.node.sim.idle_timeout_ms
-        if now < self._ingest_sweep_at:
-            return  # scheduled for a deadline that a capture has swept since
-        self._ingest_sweep_at = math.inf
-        for session, buf in list(self._ingest_buffers.items()):
-            if now - buf.last_seen > horizon:
-                del self._ingest_buffers[session]
-            else:
-                self._ingest_sweep_at = min(self._ingest_sweep_at, buf.last_seen + horizon + 1)
-        if self._ingest_sweep_at != math.inf:
-            self.node.sim.schedule(self._ingest_sweep_at - now, self._expire_ingest)
-
-    def _ingest(self, raw: bytes, intent: Xid) -> None:
-        """Verify a reassembled capture as a fetched chunk is verified, and
-        adopt it.  A named chunk whose key chunk is not local takes a slot
-        on the key's transfer; a SYN that starts one leaves before the
-        captured FIN is forwarded on."""
+    def _ingest(self, intent: Xid, raw: bytes) -> None:
+        """The node's ``capture`` tap: verify a forwarded session's bytes
+        as a fetched chunk is verified, and adopt the chunk.  A named chunk
+        whose key chunk is not local takes a slot on the key's transfer; a
+        SYN that starts one leaves before the captured FIN is forwarded
+        on."""
         try:
             chunk = self._decode(raw)
         except VerificationError as exc:

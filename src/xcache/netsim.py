@@ -7,18 +7,20 @@ whichever node holds that content (origin publisher or an on-path
 cache) terminates routing and answers.  Bytes then flow over a
 Go-Back-N sliding window with cumulative ACKs: a lost segment's window
 is resent on the third duplicate ACK or when the retransmission timer
-fires, whichever comes first.  A node's owner can install a raw capture
-tap that sees every content segment the node forwards, which is what
-opportunistic caching feeds on.  The tap receives the live segment, not
-a copy, and must treat it as read-only: the forwarding path goes on to
-mutate its ``hops`` and ``dst_position``.
+fires, whichever comes first.  A node's owner can install a capture tap,
+which is what opportunistic caching feeds on: the node reassembles each
+content session it forwards and hands the tap the session's content
+address and bytes once it has seen every segment before the FIN.  Only
+this module reads a segment's flags and sequence numbers.  A capture
+left idle for longer than the receiver's idle timeout belongs to a
+session whose FIN never crossed the node, and is dropped.
 
 A node resolves a hop once per route-table state.  The decision is
 memoized on the segment's destination address (``DagAddress.decisions``)
 under the node's ``RouteTable.state`` and the position the segment
 arrived at, so the segments of one session, which share that address
 object, skip the edge scan at every hop until a route on the way
-changes.  Every route mutation takes a new state, so an entry is never
+changes.  Every route change takes a new state, so an entry is never
 stale, and a full memo is cleared, so it stays bounded.
 
 The engine is a discrete-event loop over logical milliseconds;
@@ -87,7 +89,7 @@ import random
 import threading
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .addressing import (
     ALL_XID_TYPES,
@@ -344,6 +346,16 @@ def _serve_nothing(xid: Xid) -> None:
     return None
 
 
+@dataclass
+class _Capture:
+    """One forwarded content session being reassembled at a node."""
+
+    intent: Xid
+    last_seen: int  # simulated ms of the session's latest captured segment
+    segments: dict[int, bytes] = field(default_factory=dict)
+    fin_seq: int | None = None
+
+
 def _arrive(node: NetNode, seg: Segment) -> None:
     # ``on_segment`` is looked up when the segment lands, not when it is
     # sent, so a wrapper installed on the method in between sees it.
@@ -354,11 +366,13 @@ class NetNode:
     """A simulated node: identity XIDs, route table, transport endpoints,
     and two slots its owner fills.  ``serve(xid)`` returns the bytes of
     content the node holds, or None once it no longer does; it is asked
-    when a SYN for a local content route is delivered.  ``capture(seg)``,
-    when set, receives every forwarded content segment (either address
-    naming a content principal); it gets the live segment, not a copy,
-    and must treat it as read-only, since forwarding updates its ``hops``
-    and ``dst_position`` after the tap returns."""
+    when a SYN for a local content route is delivered.  ``capture(intent,
+    raw)``, when set, gets each content session the node forwards but
+    does not serve, once: the SYNACK's content address and the bytes,
+    when every segment before the FIN has crossed.  ``captures`` holds
+    the sessions being reassembled, by session id; an idle one is
+    dropped by a sweep event, of which a node keeps at most one
+    queued."""
 
     def __init__(self, sim: Simulator, name: str, understood=None):
         self.sim = sim
@@ -366,24 +380,21 @@ class NetNode:
         self.ad = symbolic_xid(XidType.AD, name)
         self.hid = symbolic_xid(XidType.HID, name)
         self._fallback = FallbackChain((self.ad, self.hid))
+        # fixed at construction: memoized decisions do not key on it
         self._understood = frozenset(understood) if understood else ALL_XID_TYPES
         self.routes = RouteTable()
         self.routes.add_local(self.ad)
         self.routes.add_local(self.hid)
         self.serve = _serve_nothing
         self.capture = None
+        self.captures: dict[bytes, _Capture] = {}
+        self._sweep_queued = False
         self.sessions: dict[bytes, object] = {}
         self.endpoints: dict[Xid, object] = {}
         self.counters: Counter = Counter()
 
     def __repr__(self) -> str:
         return f"NetNode({self.name})"
-
-    @property
-    def understood(self) -> frozenset[XidType]:
-        """The principal types this node can route on.  Fixed at
-        construction: memoized decisions do not key on it."""
-        return self._understood
 
     def local_dag_for(self, xid: Xid) -> DagAddress:
         """The address this node gives out for a principal it holds
@@ -444,7 +455,7 @@ class NetNode:
         made the check."""
         sim = self.sim
         if self.capture is not None and (seg.dst_dag.names_content or seg.src_dag.names_content):
-            self.capture(seg)
+            self._tap(seg)
         link = sim.links.get((self.name, hop))
         if link is None:
             if sim.trace is not None:
@@ -460,6 +471,46 @@ class NetNode:
         arrival = (sim.now + link.delay_ms, next(sim._seq), _arrive, (sim.nodes[hop], seg))
         heapq.heappush(sim._heap, arrival)
         return "forwarded"
+
+    def _tap(self, seg: Segment) -> None:
+        """Reassemble a forwarded content session: a SYNACK opens its
+        capture, data segments fill it (a duplicate keeps the first copy),
+        and once the FIN and every segment before it have crossed, the
+        capture is closed and its bytes go to ``capture``."""
+        now = self.sim.now
+        if seg.flags & SegFlags.SYNACK:
+            intent = seg.src_dag.intent_xid()
+            if seg.session not in self.captures and not self.routes.is_local(intent):
+                self.captures[seg.session] = _Capture(intent, now)
+                if not self._sweep_queued:
+                    self._sweep_queued = True
+                    self.sim.schedule(self.sim.idle_timeout_ms + 1, self._expire_captures)
+            return
+        cap = self.captures.get(seg.session)
+        if cap is None:
+            return
+        cap.last_seen = now
+        if seg.flags & SegFlags.FIN:
+            cap.fin_seq = seg.seq
+        elif seg.flags == SegFlags.NONE:
+            cap.segments.setdefault(seg.seq, seg.payload)
+        else:
+            return
+        if len(cap.segments) == cap.fin_seq:
+            del self.captures[seg.session]
+            self.capture(cap.intent, b"".join(cap.segments[i] for i in range(cap.fin_seq)))
+
+    def _expire_captures(self) -> None:
+        """Drop the captures idle for longer than the idle timeout, and
+        queue this again for the next deadline, if any capture is left."""
+        now, horizon = self.sim.now, self.sim.idle_timeout_ms
+        for session, cap in list(self.captures.items()):
+            if now - cap.last_seen > horizon:
+                del self.captures[session]
+        self._sweep_queued = bool(self.captures)
+        if self.captures:
+            last_seen = min(cap.last_seen for cap in self.captures.values())
+            self.sim.schedule(last_seen + horizon + 1 - now, self._expire_captures)
 
     def _deliver(self, seg: Segment, arrived_at: int | None) -> None:
         if self.sim.trace is not None:

@@ -389,6 +389,46 @@ def _ordered_subsets(items):
             yield from permutations(combo)
 
 
+class TestRouteTableState:
+    def test_a_write_that_changes_nothing_keeps_the_state(self):
+        routes = RouteTable()
+        routes.add_route(B, "border")
+        routes.add_local(C)
+        state = routes.state
+        routes.add_route(B, "border")
+        routes.remove_route(P)
+        routes.add_local(C)
+        routes.remove_local(S)
+        assert routes.state == state
+        for write in (
+            lambda: routes.add_route(B, "other"),
+            lambda: routes.remove_route(B),
+            lambda: routes.add_local(S),
+            lambda: routes.remove_local(C),
+        ):
+            write()
+            assert routes.state != state
+            state = routes.state
+
+    def test_reads_of_an_expired_entry_move_the_state_once(self):
+        # the first read withdraws the expired entry's route; the entry
+        # stays for the sweep, and a second read withdraws nothing
+        from xcache.chunking import build_cid_chunk
+        from xcache.store import LogicalClock, StorageManager
+
+        clock, routes = LogicalClock(), RouteTable()
+        manager = StorageManager(mem_capacity=4, clock=clock, routes=routes)
+        chunk = build_cid_chunk(b"short-lived", 10)
+        manager.store(chunk)
+        clock.advance(11)
+        states = [routes.state]
+        for _ in range(2):
+            assert manager.get(chunk.id) is None
+            states.append(routes.state)
+        assert states[0] != states[1] == states[2]
+        assert not routes.is_local(chunk.id) and manager.placement(chunk.id) is not None
+
+
 class TestResolveNext:
     def setup_method(self):
         self.dag = make_fallback_dag(C, [B, P])

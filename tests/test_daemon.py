@@ -450,7 +450,7 @@ def run_bursts(rounds) -> str:
         assert client_syns(sim.trace).count(key_text) == wanted_key
         for name, node in sim.nodes.items():
             daemon = daemons[name]
-            assert daemon._inflight == {} and daemon._ingest_buffers == {}, name
+            assert daemon._inflight == {} and daemon.node.captures == {}, name
             assert node.sessions == {} and node.endpoints == {}, name
             assert node.routes.locals() == {node.ad, node.hid} | set(daemon.manager.ids()), name
         assert all(handle._pending == set() for handle in every_handle)
@@ -978,7 +978,7 @@ class TestDiskTier:
             assert len(sent_on) == len(arrived)
             assert not router.manager.contains(dag.intent_xid())
             assert not router.node.routes.is_local(dag.intent_xid())
-            assert router._ingest_buffers == {}
+            assert router.node.captures == {}
         finally:
             shutdown_all(daemons)
 
@@ -1240,6 +1240,23 @@ class TestOneTransferRoutine:
         )
         code = ast.unparse(finish)
         assert code.count("self._inflight") == code.count("self._inflight.pop(") == 1
+
+    def test_the_daemon_knows_no_segment(self):
+        # segment flags and sequence numbers, and with them the
+        # reassembly of forwarded sessions, belong to netsim alone
+        tree = ast.parse(Path(xcache.daemon.__file__).read_text())
+        from_netsim = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "netsim"
+            for alias in node.names
+        }
+        assert from_netsim == {"NetNode", "NoRouteError", "SimStalledError"}
+        source = Path(xcache.__file__).parent
+        for path in sorted(source.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr in ("seq", "flags"):
+                    assert path.name == "netsim.py", (path.name, node.lineno, node.attr)
 
     def test_the_store_alone_writes_content_routes(self):
         # netsim routes a node's own AD and HID and each session end's
@@ -1508,14 +1525,14 @@ class TestOpportunisticCaching:
         dag = handles["pub"].put_chunk(payload, 600_000)
         pending = handles["client"].fetch_chunk(dag, blocking=False)
         # the SYNACK and a data segment have crossed the router; the FIN has not
-        sim.wait_for(lambda: any(buf.segments for buf in router._ingest_buffers.values()))
+        sim.wait_for(lambda: any(buf.segments for buf in router.node.captures.values()))
         router.caching = False
-        assert router._ingest_buffers == {}
+        assert router.node.captures == {}
         assert pending.result() == payload
         sim.step()
         assert not router.manager.contains(dag.intent_xid())
         assert not router.node.routes.is_local(dag.intent_xid())
-        assert router._ingest_buffers == {} and router._inflight == {}
+        assert router.node.captures == {} and router._inflight == {}
 
     def test_unfinished_ingest_buffer_expires(self):
         sim, daemons, handles = make_cluster(LINE3_TOPO, max_retries=4)
@@ -1525,24 +1542,24 @@ class TestOpportunisticCaching:
             small = handles["pub"].put_chunk(b"the next session", 600_000)
             stalled = client.start_connect(big)
             sim.wait_for(lambda: stalled.rx_segments >= 10)
-            assert set(daemons["router"]._ingest_buffers) == {stalled.session_id}
+            assert set(daemons["router"].node.captures) == {stalled.session_id}
             pub.routes.remove_route(client.ad)  # no FIN will cross the router
             sim.wait_for(lambda: stalled.state in ("complete", "failed"))
             assert (stalled.state, stalled.fail_reason) == ("failed", "transfer-timeout")
             # dropped an idle timeout after its last segment, although no
             # capture has come since
-            assert daemons["router"]._ingest_buffers == {}
+            assert daemons["router"].node.captures == {}
             sim.step(sim.now + sim.idle_timeout_ms + 1)
 
             pub.routes.add_route(client.ad, "router")
             fresh = client.start_connect(small)
             sim.wait_for(lambda: fresh.state != "syn-sent")
             assert fresh.state == "established"
-            assert set(daemons["router"]._ingest_buffers) == {fresh.session_id}
+            assert set(daemons["router"].node.captures) == {fresh.session_id}
             sim.wait_for(lambda: fresh.state in ("complete", "failed"))
             assert fresh.state == "complete"
             assert decode_chunk(b"".join(fresh.rx_payloads)).payload == b"the next session"
-            assert daemons["router"]._ingest_buffers == {}
+            assert daemons["router"].node.captures == {}
         finally:
             shutdown_all(daemons)
 
@@ -1575,7 +1592,7 @@ class TestOpportunisticCaching:
         assert router.manager.contains(content_dag.intent_xid())
         assert router.manager.contains(cert_dag.intent_xid())
         assert router.counters["key_fetches"] == 1
-        assert router._inflight == {} and router._ingest_buffers == {}
+        assert router._inflight == {} and router.node.captures == {}
 
     def test_a_failed_deferred_key_fetch_admits_nothing(self, line3):
         sim, daemons, handles = line3
@@ -1585,14 +1602,14 @@ class TestOpportunisticCaching:
         pending = handles["client"].fetch_chunk(content_dag, blocking=False)
         # the data segment has crossed the router and the FIN has not:
         # without its route to AD-pub the router cannot fetch the key
-        sim.wait_for(lambda: any(buf.segments for buf in router._ingest_buffers.values()))
+        sim.wait_for(lambda: any(buf.segments for buf in router.node.captures.values()))
         sim.nodes["router"].routes.remove_route(sim.nodes["pub"].ad)
         assert pending.result() == b"headline bytes"
         sim.step()
         assert router.counters["key_fetches"] == 1
         assert not router.manager.contains(content_dag.intent_xid())
         assert not router.manager.contains(cert_dag.intent_xid())
-        assert router._inflight == {} and router._ingest_buffers == {}
+        assert router._inflight == {} and router.node.captures == {}
 
     def test_verify_before_cache_audit(self, line3, monkeypatch):
         sim, daemons, handles = line3
@@ -1654,7 +1671,7 @@ class TestBoundedState:
     def test_a_long_run_leaves_no_session_state(self):
         # lossy links, evicting caches, a handshake that fails and a
         # node fetching content it serves; once the lingering timers
-        # have run, no session, endpoint SID or ingest buffer is left
+        # have run, no session, endpoint SID or capture is left
         sim = build_simulator(LINE3_TOPO.replace("loss=0.0", "loss=0.05"), seed=9)
         small, big = DaemonConfig(workers=2, mem_capacity_chunks=6), DaemonConfig(workers=2)
         daemons = {
@@ -1683,7 +1700,7 @@ class TestBoundedState:
                 assert node.sessions == {} and node.endpoints == {}, name
                 held = set(daemons[name].manager.ids())
                 assert node.routes.locals() == {node.ad, node.hid} | held, name
-                assert daemons[name]._ingest_buffers == {}, name
+                assert daemons[name].node.captures == {}, name
         finally:
             shutdown_all(daemons)
 

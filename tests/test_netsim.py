@@ -123,6 +123,28 @@ class TestTopologyConfig:
         sim = build_simulator("# hi\nnode a cache=3  # trailing\n")
         assert sim.node_opts["a"]["cache"] == 3
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("node a foo", "line 1: expected key=value, got 'foo'"),
+            ("node a color=red", "line 1: unknown option 'color'"),
+            ("node", "line 1: node needs a name"),
+            ("node a\nlink a", "line 2: link needs two node names"),
+            ("route a AD-x", "line 1: route needs <node> <xid> <next>"),
+            ("seed x", "line 1: seed needs one unsigned integer"),
+            (
+                "node a\nnode b\nlink a b delay=abc",
+                "line 3: invalid literal for int() with base 10: 'abc'",
+            ),
+            ("node a\nnode b\nroute a QQ-x b", "line 3: unknown principal type tag 'QQ'"),
+            ("node b\nroute a AD-x b", "line 2: route on unknown node 'a'"),
+        ],
+    )
+    def test_each_error_names_its_line(self, text, message):
+        with pytest.raises(TopologyError) as info:
+            build_simulator(text)
+        assert str(info.value) == message
+
 
 class TestEventEngine:
     def test_step_on_empty_queue(self):
@@ -863,26 +885,27 @@ class TestDeterminism:
 
 
 class TestRawCapture:
+    """A node's ``capture`` tap gets each content session it forwards
+    once, reassembled, as ``(content id, bytes)``."""
+
     def test_router_sees_content_session_segments(self):
         sim = build_simulator(LINE3_TOPO)
+        router = sim.nodes["router"]
         captured = []
-        sim.nodes["router"].capture = captured.append
+        router.capture = lambda intent, raw: captured.append((intent, raw))
         payload = bytes(3000)
         dag = serve_bytes(sim.nodes["pub"], payload)
         assert run_session(sim.nodes["client"], dag).state == "complete"
-        flags = {int(seg.flags) for seg in captured}
-        assert int(SegFlags.SYN) in flags
-        assert int(SegFlags.SYNACK) in flags
-        assert int(SegFlags.NONE) in flags
-        assert int(SegFlags.FIN) in flags
-        data_seqs = {seg.seq for seg in captured if seg.flags == SegFlags.NONE}
-        assert data_seqs == {0, 1, 2}
+        sim.step()
+        assert captured == [(dag.intent_xid(), payload)]
+        assert router.captures == {}
 
     def test_host_traffic_not_captured(self):
         sim = build_simulator(LINE3_TOPO)
         sim.trace = []
+        router = sim.nodes["router"]
         captured = []
-        sim.nodes["router"].capture = captured.append
+        router.capture = lambda intent, raw: captured.append((intent, raw))
         seg = Segment(
             session=b"h" * 8,
             seq=0,
@@ -893,14 +916,14 @@ class TestRawCapture:
         sim.nodes["client"].on_segment(seg)
         sim.step()
         assert [(rec[2], rec[5]) for rec in deliveries(sim)] == [("pub", seg.session.hex())]
-        assert captured == []
+        assert captured == [] and router.captures == {}
 
     def test_capture_is_transparent(self):
         def run(subscribe):
             sim = build_simulator(LINE3_TOPO, seed=11)
             sim.trace = []
             if subscribe:
-                sim.nodes["router"].capture = lambda seg: None
+                sim.nodes["router"].capture = lambda intent, raw: None
             payload = bytes(5000)
             dag = serve_bytes(sim.nodes["pub"], payload)
             assert run_session(sim.nodes["client"], dag).state == "complete"
@@ -909,8 +932,8 @@ class TestRawCapture:
         assert run(False) == run(True)
 
     def test_capture_complete_under_loss_with_duplicates(self):
-        # the tap on a transit node sees every sequence number the
-        # receiver ends up with, retransmitted duplicates included
+        # retransmitted duplicates cross the router, and the tap still
+        # gets the session's bytes exactly once
         topo = """
         node client
         node router
@@ -923,18 +946,59 @@ class TestRawCapture:
         route router AD-client client
         """
         sim = build_simulator(topo, seed=5)
+        router = sim.nodes["router"]
         captured = []
-        sim.nodes["router"].capture = captured.append
+        router.capture = lambda intent, raw: captured.append((intent, raw))
         payload = random.Random(5).randbytes(32 * 1024)
         dag = serve_bytes(sim.nodes["pub"], payload)
         session = run_session(sim.nodes["client"], dag)
         assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
-        data = [seg for seg in captured if seg.flags == SegFlags.NONE]
-        assert {seg.seq for seg in data} == set(range(32))
-        reassembled = {}
-        for seg in data:
-            reassembled.setdefault(seg.seq, seg.payload)
-        assert b"".join(reassembled[i] for i in range(32)) == payload
+        sim.step()
+        assert sim.stats["retransmits"] > 0
+        assert captured == [(dag.intent_xid(), payload)]
+        assert router.captures == {}
+
+    def test_a_node_opens_no_capture_for_content_it_serves(self):
+        sim = build_simulator(LINE3_TOPO)
+        client, router, pub = sim.nodes["client"], sim.nodes["router"], sim.nodes["pub"]
+        captured = []
+        router.capture = lambda intent, raw: captured.append((intent, raw))
+        payload = bytes(3000)
+        dag = serve_bytes(pub, payload)
+        # the SYN has crossed the router to pub, whose SYNACK is on its way
+        # back when the router starts serving the same content
+        session = client.start_connect(dag)
+        sim.wait_for(lambda: session.session_id in pub.sessions)
+        serve_bytes(router, payload)
+        sim.wait_for(lambda: session.state in ("complete", "failed"))
+        assert (session.state, session.reply.node) == ("complete", "pub")
+        assert router.captures == {}
+        # the router's own answer crosses its forwarding path too
+        session = run_session(client, dag)
+        assert (session.state, session.reply.node) == ("complete", "router")
+        assert router.captures == {}
+        sim.step()
+        assert captured == []
+
+    def test_a_capture_whose_fin_never_crosses_is_dropped(self):
+        sim = build_simulator(LINE3_TOPO)
+        client, router, pub = sim.nodes["client"], sim.nodes["router"], sim.nodes["pub"]
+        captured = []
+        router.capture = lambda intent, raw: captured.append((intent, raw))
+        dag = serve_bytes(pub, random.Random(3).randbytes(64 * 1024))
+        session = client.start_connect(dag)
+        sim.wait_for(lambda: session.rx_segments >= 10)
+        pub.routes.remove_route(client.ad)  # nothing more of it crosses the router
+        (capture,) = router.captures.values()
+        last_seen = capture.last_seen
+        sim.step(last_seen + sim.idle_timeout_ms)
+        assert list(router.captures.values()) == [capture]
+        assert capture.last_seen == last_seen and capture.fin_seq is None
+        sim.step(last_seen + sim.idle_timeout_ms + 1)
+        assert router.captures == {}
+        sim.step()
+        assert (session.state, session.fail_reason) == ("failed", "transfer-timeout")
+        assert captured == []
 
 
 class TestHandshakeDuality:

@@ -67,7 +67,7 @@ class NetworkLawsMachine(RuleBasedStateMachine):
       two for named content, whose key may be missing;
     - once the event queue has drained, as it does when time advances
       past the idle timeout, no node holds a session, an endpoint, an
-      endpoint route, an ingest buffer or a transfer in flight.
+      endpoint route, a capture or a transfer in flight.
     """
 
     def __init__(self):
@@ -297,7 +297,7 @@ class NetworkLawsMachine(RuleBasedStateMachine):
             daemon = self.daemons[name]
             assert node.sessions == {} and node.endpoints == {}, name
             assert not any(x.xtype is XidType.SID for x in node.routes.locals()), name
-            assert daemon._ingest_buffers == {} and daemon._inflight == {}, name
+            assert daemon.node.captures == {} and daemon._inflight == {}, name
 
 
 TestNetworkLaws = NetworkLawsMachine.TestCase

@@ -362,6 +362,11 @@ class TestCliPublishFetch:
         assert cli.main(["fetch", "ncid://doc/", "--cert", "sid://0/SID-abc"]) == cli.EX_USAGE
         assert "fetch: certificate address must point at" in capsys.readouterr().err
 
+    def test_fetch_of_a_non_content_url_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["fetch", "sid://1,0/AD-a,1/SID-x"]) == cli.EX_USAGE
+        assert capsys.readouterr().err == "fetch: cannot fetch a SID intent\n"
+
     def test_key_file_round_trip(self, tmp_path):
         key = PublisherKey.generate(rng=random.Random(71))
         cli.save_key_files(key, tmp_path / "k.pub", tmp_path / "k.priv")
