@@ -1,10 +1,11 @@
 """In-process simulated network with a content-aware reliable transport.
 
-Nodes forward segments hop by hop using DAG-address resolution against
-their route tables.  A client "connects" to content: the handshake SYN
-doubles as the content request, carrying the requested identifier, and
-whichever node holds that content (origin publisher or an on-path
-cache) terminates routing and answers.  Bytes then flow over a
+Nodes forward segments using DAG-address resolution against their route
+tables, and a segment crosses a run of nodes that would only forward it
+in one step (cut-through, below).  A client "connects" to content: the
+handshake SYN doubles as the content request, carrying the requested
+identifier, and whichever node holds that content (origin publisher or
+an on-path cache) terminates routing and answers.  Bytes then flow over a
 Go-Back-N sliding window with cumulative ACKs: a lost segment's window
 is resent on the third duplicate ACK or when the retransmission timer
 fires, whichever comes first.  A node's owner can install a capture tap,
@@ -23,17 +24,40 @@ object, skip the edge scan at every hop until a route on the way
 changes.  Every route change takes a new state, so an entry is never
 stale, and a full memo is cleared, so it stays bounded.
 
+A node that forwards a segment also looks at the next node.  While that
+node has no tap for the segment (no capture tap, or neither of the
+segment's addresses names content) and the memo holds a ``Forward`` for
+it there, the segment crosses that node's link as well, and one arrival
+is queued at the first node that taps, delivers, drops or misses the
+memo.  Only memo hits are used, so ``resolve_next`` still runs only on
+an arrival, and a look-ahead never clears a memo.  A run skips at most
+as many nodes as the network has, which no simple path exceeds, so a
+segment caught in a route loop still lands once per that many hops, and
+simulated time moves on until the session's timer ends it.  A skipped
+node decides, and its link's delay and loss apply, when the segment
+enters the run: a route or link that changes while the segment is past a
+node's entry does not affect it.  Losses are drawn at entry, in hop
+order, from ``Simulator.rng``.  A traced run is the same execution as an
+untraced one: a skipped hop's ``xmit`` or ``drop`` record is queued as a
+``Simulator._trace`` entry at the time of the hop, and only when ``trace
+is not None``.  Enqueue numbers are only ever compared with each other,
+so the numbers those entries take leave the other events in their order,
+and the trace stays in time order.
+
 The engine is a discrete-event loop over logical milliseconds;
-equal-timestamp events run in enqueue order.  A queue entry is
-``(due time, enqueue number, fn, args)`` and runs as ``fn(*args)``, so
-no closure is built per event: a forwarded segment is queued with the
-node it lands on, a session timer with its session end.  Each end of a
-session keeps at most one timer entry on the queue, however often it
-re-arms (see ``_Session``).  ``step`` and ``wait_for`` run entries
-through one routine.  Recording the trace is opt-in (assign a list to
-``Simulator.trace``).  Each point that records (a transmission, a drop,
-a delivery) first tests ``trace is not None`` and only then builds its
-record, so an untraced run builds none and makes no call for it.
+equal-timestamp events run in enqueue order, and a cut-through arrival
+takes its enqueue number when the segment enters the run, so it runs
+before an event due at the same time that was queued while the segment
+was in transit.  A queue entry is ``(due time, enqueue number, fn,
+args)`` and runs as ``fn(*args)``, so no closure is built per event: a
+forwarded segment is queued with the node it lands on, a session timer
+with its session end.  Each end of a session keeps at most one timer
+entry on the queue, however often it re-arms (see ``_Session``).
+``step`` and ``wait_for`` run entries through one routine.  Recording
+the trace is opt-in (assign a list to ``Simulator.trace``).  Each point
+that records (a transmission, a drop, a delivery) first tests ``trace is
+not None`` and only then builds its record, so an untraced run builds
+none and makes no call for it.
 
 Events run only while a caller pumps the loop (``step``, ``wait_for``).
 ``start_connect`` draws a session's ids and sends its SYN, and its
@@ -324,7 +348,11 @@ class Simulator:
         self, kind: str, node: str, seg: Segment, to: str | None = None, reason: str | None = None
     ) -> None:
         """Append one record; callers test ``trace is not None`` first, so
-        an untraced run builds no record and makes no call."""
+        an untraced run builds no record and makes no call.  A record a
+        cut-through queued while tracing was on is dropped if it is off by
+        the time the record falls due."""
+        if self.trace is None:
+            return
         intent = seg.intent.text() if seg.intent is not None else None
         self.trace.append(
             (
@@ -358,7 +386,9 @@ class _Capture:
 
 def _arrive(node: NetNode, seg: Segment) -> None:
     # ``on_segment`` is looked up when the segment lands, not when it is
-    # sent, so a wrapper installed on the method in between sees it.
+    # sent, so a wrapper installed on the method in between sees it.  A
+    # node the segment crossed by cut-through has no arrival, and its
+    # ``on_segment`` is not called.
     node.on_segment(seg)
 
 
@@ -408,7 +438,9 @@ class NetNode:
         """Act on one segment at this node: forward it, deliver it here,
         or drop it as unroutable.  The decision comes from the memo of
         the segment's ``dst_dag`` under this node's route-table state and
-        the segment's position; ``resolve_next`` runs only on a miss."""
+        the segment's position; ``resolve_next`` runs only on a miss.  It
+        runs where a segment arrives or starts, not at a node the segment
+        crosses by cut-through (see ``_forward``)."""
         arrived_at = seg.dst_position
         dag = seg.dst_dag
         routes = self.routes
@@ -449,27 +481,54 @@ class NetNode:
 
     def _forward(self, seg: Segment, hop: str) -> str:
         """Tap, then send ``seg`` over the link to ``hop``, which may lose
-        it.  The arrival goes straight onto the event queue, as
-        ``schedule`` would put it but without its thread check: forwarding
-        runs only inside an event or inside a public entry, which has
-        made the check."""
+        it, and on across each node after it that would only forward it
+        (cut-through, see the module docstring).  The one arrival goes
+        straight onto the event queue, as ``schedule`` would put it but
+        without its thread check: forwarding runs only inside an event or
+        inside a public entry, which has made the check."""
         sim = self.sim
-        if self.capture is not None and (seg.dst_dag.names_content or seg.src_dag.names_content):
+        dst = seg.dst_dag
+        tapped = dst.names_content or seg.src_dag.names_content
+        if tapped and self.capture is not None:
             self._tap(seg)
-        link = sim.links.get((self.name, hop))
-        if link is None:
+        node, when, skipped = self, sim.now, 0
+        while True:
+            link = sim.links.get((node.name, hop))
+            if link is None:
+                if skipped:
+                    seg.dst_position = arrived
+                    break
+                if sim.trace is not None:
+                    sim._trace("drop", node.name, seg, to=hop, reason="no-link")
+                return "dropped"
+            seg.hops += 1
+            lost = link.loss > 0.0 and sim.rng.random() < link.loss
             if sim.trace is not None:
-                sim._trace("drop", self.name, seg, to=hop, reason="no-link")
-            return "dropped"
-        seg.hops += 1
-        if link.loss > 0.0 and sim.rng.random() < link.loss:
-            if sim.trace is not None:
-                sim._trace("drop", self.name, seg, to=hop, reason="loss")
-            return "dropped"
-        if sim.trace is not None:
-            sim._trace("xmit", self.name, seg, to=hop)
-        arrival = (sim.now + link.delay_ms, next(sim._seq), _arrive, (sim.nodes[hop], seg))
-        heapq.heappush(sim._heap, arrival)
+                reason = "loss" if lost else None
+                args = ("drop" if lost else "xmit", node.name, seg, hop, reason)
+                if skipped:
+                    heapq.heappush(sim._heap, (when, next(sim._seq), sim._trace, args))
+                else:
+                    sim._trace(*args)
+            if lost:
+                return "forwarded" if skipped else "dropped"
+            when, node = when + link.delay_ms, sim.nodes[hop]
+            # cut-through: cross the next node if it has no tap for this
+            # segment and a memoized Forward for it; memo hits only, so a
+            # miss ends the run and only an arrival resolves
+            if tapped and node.capture is not None:
+                break
+            key = (node.routes.state, seg.dst_position)
+            if key not in dst.decisions:
+                break
+            decision = dst.decisions[key]
+            # no simple path skips as many nodes as the network has, so a
+            # segment caught in a route loop still lands, and time moves on
+            if decision.__class__ is not Forward or skipped == len(sim.nodes):
+                break
+            hop, skipped = decision.next_hop, skipped + 1
+            arrived, seg.dst_position = seg.dst_position, decision.position
+        heapq.heappush(sim._heap, (when, next(sim._seq), _arrive, (node, seg)))
         return "forwarded"
 
     def _tap(self, seg: Segment) -> None:

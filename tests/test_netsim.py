@@ -2,6 +2,7 @@ import ast
 import gc
 import hashlib
 import random
+import signal
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -815,6 +816,184 @@ class TestEverySessionEnds:
             assert not any(xid.xtype is XidType.SID for xid in node.routes.locals())
 
 
+class TestCutThrough:
+    """A segment crosses a run of nodes that would only forward it (no
+    tap for it, a memoized ``Forward``) in one step: their links' delays
+    and losses apply when it enters the run, and one arrival is queued
+    where the run ends."""
+
+    LOSSLESS = CHAIN4_LOSSY.replace("loss=0.05", "loss=0")
+
+    def test_a_transit_node_sees_one_arrival_per_address(self):
+        # r1 and r2 have no tap and their tables never change, so each
+        # resolves each of the session's three addresses (the content, the
+        # client's session, the provider's reply endpoint) once, on the
+        # first segment toward it, and is crossed by every later one
+        sim = build_simulator(self.LOSSLESS)
+        seen = Counter()
+        for name, node in sim.nodes.items():
+
+            def on_segment(seg, inner=node.on_segment, name=name):
+                seen[name] += 1
+                return inner(seg)
+
+            node.on_segment = on_segment
+        payload = bytes(40_000)
+        session = run_session(sim.nodes["client"], serve_bytes(sim.nodes["pub"], payload))
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
+        assert session.reply.hops == 3
+        assert (seen["r1"], seen["r2"]) == (3, 3)
+        assert seen["pub"] > 40 and seen["client"] > 40
+
+    def test_loss_stays_per_link(self):
+        # over every directed link, the share of crossings lost stays
+        # within 4 sigma of the link's 5 % setting, whether the link leaves
+        # a node the segment arrived at or one it crossed
+        crossings, drops = Counter(), Counter()
+        for seed in range(6):
+            sim = build_simulator(CHAIN4_LOSSY, seed=seed)
+            sim.trace = []
+            payload = random.Random(seed).randbytes(384 * 1024)
+            session = run_session(sim.nodes["client"], serve_bytes(sim.nodes["pub"], payload))
+            assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
+            sim.step()
+            for kind, _, node, to, reason, *_ in sim.trace:
+                if kind == "xmit" or (kind, reason) == ("drop", "loss"):
+                    crossings[node, to] += 1
+                    drops[node, to] += kind == "drop"
+        assert len(crossings) == 6 and sum(crossings.values()) >= 20_000
+        p = 0.05
+        for link, n in crossings.items():
+            assert abs(drops[link] / n - p) <= 4 * (p * (1 - p) / n) ** 0.5, (link, drops[link], n)
+
+    @pytest.mark.parametrize("change", ["route", "loss"])
+    def test_a_skipped_node_decides_when_the_segment_enters(self, change):
+        # a data segment leaves pub at t, crosses r2 at t + 4 and r1 at
+        # t + 6, and lands at client at t + 9; a change at r1 made at
+        # t + 5 applies only to the segments that enter after it
+        sim = build_simulator(self.LOSSLESS, seed=9)
+        sim.trace = []
+        client, r1 = sim.nodes["client"], sim.nodes["r1"]
+        payload = random.Random(9).randbytes(12 * 1024)
+        ended = []
+        session = client.start_connect(serve_bytes(sim.nodes["pub"], payload), ended.append)
+
+        def in_flight():
+            for when, _, fn, args in sim._heap:
+                if fn is netsim._arrive and args[0] is client and args[1].flags == SegFlags.NONE:
+                    return when, args[1]
+            return None
+
+        sim.wait_for(lambda: in_flight() is not None)
+        sent = sim.now
+        when, seg = in_flight()
+        assert (when, seg.hops) == (sent + 9, 3)
+        sim.step(sent + 5)
+        if change == "route":
+            r1.routes.remove_route(client.ad)
+        else:
+            sim.add_link("client", "r1", delay_ms=3, loss=1.0)
+        sim.step(when)
+        records = [rec[:4] for rec in sim.trace if rec[5:8] == (seg.session.hex(), 0, seg.seq)]
+        assert records[-2:] == [("xmit", sent + 6, "r1", "client"), ("deliver", when, "client", None)]
+        assert session.rx_expected > seg.seq
+        sim.wait_for(lambda: ended)
+        # the segments sent after the change meet it at r1
+        dropped = {(rec[2], rec[3], rec[4]) for rec in sim.trace if rec[0] == "drop"}
+        if change == "route":
+            assert dropped == {("r1", None, "unroutable")}
+        else:
+            assert dropped == {("r1", "client", "loss"), ("client", "r1", "loss")}
+        assert session.state == "failed" and session.fail_reason in TestEverySessionEnds.REASONS
+        segments = -(-len(payload) // sim.segment_payload)
+        assert sim.now <= (sim.max_retries + 1) * sim.rto_ms + (segments + 1) * sim.idle_timeout_ms
+
+    def test_a_route_loop_ends_in_a_typed_failure(self):
+        # r2 sends the SYN back to r1, which sends it to r2 again, over
+        # lossless links: each SYN lands again after at most as many skipped
+        # hops as there are nodes, so simulated time moves on and the
+        # handshake timer ends the session
+        sim = build_simulator(self.LOSSLESS.replace("route r2 AD-pub pub", "route r2 AD-pub r1"))
+        hops_at = {}
+        for name in ("r1", "r2"):
+            node = sim.nodes[name]
+
+            def on_segment(seg, inner=node.on_segment):
+                # a looping SYN stays alive, so its id stays its own
+                assert seg.hops - hops_at.get(id(seg), seg.hops) <= len(sim.nodes) + 1
+                hops_at[id(seg)] = seg.hops
+                return inner(seg)
+
+            node.on_segment = on_segment
+        payload = bytes(5000)
+        ended = []
+        sim.nodes["client"].start_connect(serve_bytes(sim.nodes["pub"], payload), ended.append)
+
+        def hung(signum, frame):
+            raise AssertionError("one event ran for 30 s: the route loop was never cut")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            sim.wait_for(lambda: ended)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (ended[0].state, ended[0].fail_reason) == ("failed", "handshake-timeout")
+        assert len(hops_at) == sim.max_retries + 1  # every SYN sent went round the loop
+        segments = -(-len(payload) // sim.segment_payload)
+        assert sim.now <= (sim.max_retries + 1) * sim.rto_ms + (segments + 1) * sim.idle_timeout_ms
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 2024])
+    def test_a_traced_run_is_the_same_execution(self, seed):
+        def run(traced):
+            sim = build_simulator(CHAIN4_LOSSY, seed=seed)
+            if traced:
+                sim.trace = []
+            payload = random.Random(seed).randbytes(64 * 1024)
+            session = run_session(sim.nodes["client"], serve_bytes(sim.nodes["pub"], payload))
+            received = b"".join(session.rx_payloads)
+            sim.step()
+            return sim.now, dict(sim.stats), received, sim.rng.getstate()
+
+        assert run(traced=True) == run(traced=False)
+
+    def test_tracing_may_stop_while_a_skipped_hop_record_is_queued(self):
+        sim = build_simulator(self.LOSSLESS)
+        sim.trace = []
+        ended = []
+        payload = bytes(5000)
+        sim.nodes["client"].start_connect(serve_bytes(sim.nodes["pub"], payload), ended.append)
+        sim.wait_for(lambda: any(entry[2] == sim._trace for entry in sim._heap))
+        sim.trace = None
+        sim.wait_for(lambda: ended)
+        assert (ended[0].state, b"".join(ended[0].rx_payloads)) == ("complete", payload)
+
+    def test_only_forward_sends_a_segment_over_a_link(self):
+        # one forwarding path: a segment's arrival is queued, and a link's
+        # loss read, in NetNode._forward alone, and it queues one arrival
+        def reads(tree, scope=()):
+            for node in ast.iter_child_nodes(tree):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    yield from reads(node, scope + (node.name,))
+                    continue
+                if isinstance(node, ast.Name) and node.id == "_arrive":
+                    yield ".".join(scope)
+                elif isinstance(node, ast.Attribute) and node.attr == "loss":
+                    yield ".".join(scope)
+                yield from reads(node, scope)
+
+        source = Path(netsim.__file__).parent
+        for path in sorted(source.glob("*.py")):
+            for scope in reads(ast.parse(path.read_text())):
+                assert (path.name, scope) == ("netsim.py", "NetNode._forward"), (path.name, scope)
+        tree = ast.parse(Path(netsim.__file__).read_text())
+        forward = next(
+            fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_forward"
+        )
+        assert ast.unparse(forward).count("_arrive") == 1
+
+
 class TestDeterminism:
     # Pinned from a run of the transport as it stood before its session
     # classes were merged; a change that reorders events, RNG draws or
@@ -827,8 +1006,16 @@ class TestDeterminism:
     # 0, record 163 is the delivery at pub, at t = 81, of the third
     # duplicate ACK for 13; record 164 is now pub resending 13, where the
     # older trace had the fourth duplicate's delivery and waited for the
-    # timer.
-    PINNED = (990, 43, 108, "8a2fbb8a021493578ced95c79260708f7962b56b265d4e5e86dac550aebbcbc3")
+    # timer.  Both were re-pinned again when a segment began to cross
+    # nodes that only forward it without an arrival there, drawing those
+    # links' losses when it enters the run.  Here the new trace equals the
+    # older one's first 39 records.  Counting from 0, record 37 is the
+    # client's ACK for 1 leaving for r1 at t = 36.  It now crosses r1 and
+    # r2 at once, so it also takes the next two draws, and the first of
+    # them is the one that lost the ACK for 2 on client-r1 (record 39) in
+    # the older trace: the ACK for 1 is now lost on r1-r2, recorded at
+    # t = 39, and the ACK for 2, drawing later, crosses.
+    PINNED = (918, 40, 105, "d6dcda416bfbdf8d2df681d908883eda6f0e560efcd8ef4e2b2cd11f0074e45b")
 
     def test_seeded_lossy_transfer_is_pinned(self):
         sim = build_simulator(CHAIN4_LOSSY, seed=2024)
@@ -842,6 +1029,22 @@ class TestDeterminism:
         observed = (sim.now, sim.stats["retransmits"], sim.stats["data_segments_sent"], digest)
         assert observed == self.PINNED
 
+    # Pinned from the transport before segments crossed forwarding nodes
+    # without an arrival there; a lossless run must give the same trace
+    # with or without that cut-through.
+    PINNED_LOSSLESS = (810, 532, "09b33199a58f23f83aa85be77a3e4f5e7296ec7e00f0d56d5447ebfbd2b8581e")
+
+    def test_lossless_chain_trace_is_pinned(self):
+        sim = build_simulator(CHAIN4_LOSSY.replace("loss=0.05", "loss=0"), seed=2024)
+        sim.trace = []
+        payload = random.Random(2024).randbytes(64 * 1024)
+        dag = serve_bytes(sim.nodes["pub"], payload)
+        session = run_session(sim.nodes["client"], dag)
+        assert (session.state, b"".join(session.rx_payloads)) == ("complete", payload)
+        sim.step()
+        digest = hashlib.sha256(repr(sim.trace).encode()).hexdigest()
+        assert (sim.now, len(sim.trace), digest) == self.PINNED_LOSSLESS
+
     # Pinned from the transport as it stood before the per-hop path lost
     # its closures and frozen decision values.  Unlike PINNED, this run
     # goes through a capture tap, fallback edges and a self-fetch.  With
@@ -849,8 +1052,14 @@ class TestDeterminism:
     # counting from 0, record 94 delivers the third duplicate ACK for 5
     # to pub at t = 150, and record 95 is now pub resending 5 instead of
     # the fourth duplicate's delivery.  The run still makes 32
-    # retransmissions.
-    PINNED_LINE3 = (1150, 32, 98, "c3c61c897ac6e071e55e79944c1fd67d8260f58ca41c4b15672b7bb7e91267fa")
+    # retransmissions.  With cut-through the client's ACKs, which name no
+    # content and so are not tapped, cross the caching router without an
+    # arrival there and draw the router-pub loss when they leave the
+    # client.  The new trace equals the older one's first 281 records: at
+    # t = 280 the ACKs for 2 and 3 (records 277 and 279) each take one
+    # more draw, so record 281, the second ACK for 3, meets the draw that
+    # lost record 285 in the older trace, and is lost on client-router.
+    PINNED_LINE3 = (1110, 36, 102, "acc8754465b04f3432a45f473f68f68e7e5473d14b28621d33449e052f5f1697")
 
     def test_caching_fallback_and_self_fetch_trace_is_pinned(self):
         sim, daemons, handles = make_cluster(
